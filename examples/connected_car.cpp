@@ -69,8 +69,8 @@ void drive_and_attack(car::Enforcement regime) {
   trace.for_each("", [&](const sim::TraceEntry& e) {
     if (shown++ < 3) {
       std::printf("  trace: t=%.1fms [%s] %s: %s\n", sim::to_millis(e.at),
-                  std::string(to_string(e.level)).c_str(), e.component.c_str(),
-                  e.message.c_str());
+                  std::string(to_string(e.level)).c_str(),
+                  std::string(e.component).c_str(), e.message.c_str());
     }
   });
 }

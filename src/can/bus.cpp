@@ -65,8 +65,10 @@ void Bus::arbitrate() {
   const Frame& frame = *ports_[winner]->pending_;
   const auto duration = bit_time() * static_cast<std::int64_t>(frame.wire_bits());
   busy_time_ += duration;
-  trace(sim::TraceLevel::kDebug,
-        ports_[winner]->name() + " wins arbitration: " + frame.to_string());
+  if (tracing(sim::TraceLevel::kDebug)) {
+    trace(sim::TraceLevel::kDebug,
+          ports_[winner]->name() + " wins arbitration: " + frame.to_string());
+  }
   sched_.schedule_in(duration, [this, winner] { complete(winner); },
                      "can.bus.complete");
 }
@@ -82,7 +84,10 @@ void Bus::complete(std::size_t winner_index) {
 
   if (corrupted) {
     ++frames_corrupted_;
-    trace(sim::TraceLevel::kError, "frame destroyed by bus error: " + frame.to_string());
+    if (tracing(sim::TraceLevel::kError)) {
+      trace(sim::TraceLevel::kError,
+            "frame destroyed by bus error: " + frame.to_string());
+    }
     if (tx.sink_ != nullptr) tx.sink_->on_transmit_complete(frame, false, now);
   } else {
     ++frames_delivered_;
@@ -125,8 +130,12 @@ double Bus::utilisation() const noexcept {
          static_cast<double>(elapsed.count());
 }
 
-void Bus::trace(sim::TraceLevel level, const std::string& msg) {
-  if (trace_ != nullptr) trace_->record(sched_.now(), level, "can.bus", msg);
+bool Bus::tracing(sim::TraceLevel level) const noexcept {
+  return trace_ != nullptr && trace_->keeps(level);
+}
+
+void Bus::trace(sim::TraceLevel level, std::string msg) {
+  trace_->record(sched_.now(), level, "can.bus", std::move(msg));
 }
 
 }  // namespace psme::can

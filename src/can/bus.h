@@ -129,7 +129,10 @@ class Bus {
   /// notifies it, broadcasts to all other ports, then re-arbitrates.
   void complete(std::size_t winner_index);
 
-  void trace(sim::TraceLevel level, const std::string& msg);
+  /// True when an attached trace keeps `level`; every trace() call is
+  /// guarded by it, so unkept messages are never formatted.
+  [[nodiscard]] bool tracing(sim::TraceLevel level) const noexcept;
+  void trace(sim::TraceLevel level, std::string msg);
 
   sim::Scheduler& sched_;
   std::uint32_t bit_rate_;

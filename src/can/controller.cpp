@@ -8,7 +8,12 @@ namespace psme::can {
 
 Controller::Controller(sim::Scheduler& sched, Channel& channel,
                        std::string name, sim::Trace* trace)
-    : sched_(sched), channel_(channel), name_(std::move(name)), trace_(trace) {
+    : sched_(sched),
+      channel_(channel),
+      name_(std::move(name)),
+      trace_(trace),
+      trace_component_("can.ctrl." + name_) {
+  tx_queue_.reserve(tx_queue_capacity_);
   channel_.set_sink(this);
 }
 
@@ -43,17 +48,19 @@ void Controller::pump() {
     const Frame head = tx_queue_.front();
     if (channel_.submit(head)) {
       in_flight_ = head;
-      tx_queue_.pop_front();
+      tx_queue_.erase(tx_queue_.begin());
       return;
     }
     if (channel_.busy()) return;  // slot occupied; retry on completion
     // Not busy yet refused: a policy shim blocked the frame outright. Drop
     // it and keep pumping — a deep queue must not stall behind a blocked
     // head.
-    trace(sim::TraceLevel::kSecurity,
-          "TX blocked by policy shim: " + head.to_string());
+    if (tracing(sim::TraceLevel::kSecurity)) {
+      trace(sim::TraceLevel::kSecurity,
+            "TX blocked by policy shim: " + head.to_string());
+    }
     ++stats_.tx_dropped;
-    tx_queue_.pop_front();
+    tx_queue_.erase(tx_queue_.begin());
     current_attempts_ = 0;
   }
 }
@@ -106,8 +113,10 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
       std::find(quarantined_.begin(), quarantined_.end(), frame.id()) !=
           quarantined_.end()) {
     ++stats_.rx_quarantined;
-    trace(sim::TraceLevel::kSecurity,
-          "RX dropped by quarantine block: " + frame.to_string());
+    if (tracing(sim::TraceLevel::kSecurity)) {
+      trace(sim::TraceLevel::kSecurity,
+            "RX dropped by quarantine block: " + frame.to_string());
+    }
     return;
   }
   if (!accepts(frame.id())) {
@@ -119,8 +128,10 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
   // pinned by test_controller's stage-counter test).
   if (wire_mac_ != nullptr && !wire_mac_->admit(frame, at)) {
     ++stats_.rx_wire_denied;
-    trace(sim::TraceLevel::kSecurity,
-          "RX dropped by wire MAC: " + frame.to_string());
+    if (tracing(sim::TraceLevel::kSecurity)) {
+      trace(sim::TraceLevel::kSecurity,
+            "RX dropped by wire MAC: " + frame.to_string());
+    }
     return;
   }
   ++stats_.rx_accepted;
@@ -161,8 +172,10 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
     return;
   }
   if (current_attempts_ >= retransmit_limit_) {
-    trace(sim::TraceLevel::kError,
-          "retransmit limit reached, dropping " + frame.to_string());
+    if (tracing(sim::TraceLevel::kError)) {
+      trace(sim::TraceLevel::kError,
+            "retransmit limit reached, dropping " + frame.to_string());
+    }
     in_flight_.reset();
     ++stats_.tx_dropped;
     current_attempts_ = 0;
@@ -181,9 +194,13 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
   }
 }
 
-void Controller::trace(sim::TraceLevel level, const std::string& msg) {
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), level, "can.ctrl." + name_, msg);
+bool Controller::tracing(sim::TraceLevel level) const noexcept {
+  return trace_ != nullptr && trace_->keeps(level);
+}
+
+void Controller::trace(sim::TraceLevel level, std::string_view msg) {
+  if (tracing(level)) {
+    trace_->record(sched_.now(), level, trace_component_, std::string(msg));
   }
 }
 

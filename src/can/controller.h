@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "can/channel.h"
@@ -157,18 +158,24 @@ class Controller final : public FrameSink {
 
   [[nodiscard]] bool accepts(CanId id) const noexcept;
 
-  void trace(sim::TraceLevel level, const std::string& msg);
+  /// True when an attached trace keeps `level`. A message that needs
+  /// formatting is built only inside this guard (DESIGN.md §8).
+  [[nodiscard]] bool tracing(sim::TraceLevel level) const noexcept;
+  /// Records `msg` under trace_component_ when tracing(level).
+  void trace(sim::TraceLevel level, std::string_view msg);
 
   sim::Scheduler& sched_;
   Channel& channel_;
   std::string name_;
   sim::Trace* trace_;
+  std::string trace_component_;  // "can.ctrl.<name>"
 
   // TX queue kept sorted by arbitration priority (lowest key first), FIFO
   // among equal identifiers — matches mailbox behaviour of real controllers.
   // The frame currently occupying the transmit slot is *not* in the queue;
-  // it lives in in_flight_ until the bus reports completion.
-  std::deque<Frame> tx_queue_;
+  // it lives in in_flight_ until the bus reports completion. Reserved to
+  // its capacity at construction, so queueing never allocates.
+  std::vector<Frame> tx_queue_;
   std::size_t tx_queue_capacity_ = kDefaultTxQueue;
   std::uint32_t retransmit_limit_ = 8;
   std::uint32_t current_attempts_ = 0;

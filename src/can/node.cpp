@@ -7,15 +7,20 @@ Node::Node(sim::Scheduler& sched, Channel& channel, std::string name,
     : sched_(sched),
       name_(std::move(name)),
       trace_(trace),
+      trace_component_("node." + name_),
       rng_(rng_seed),
       controller_(sched, channel, name_, trace) {
   controller_.set_rx_handler(
       [this](const Frame& f, sim::SimTime at) { handle_frame(f, at); });
 }
 
-void Node::trace(sim::TraceLevel level, const std::string& msg) {
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), level, "node." + name_, msg);
+bool Node::tracing(sim::TraceLevel level) const noexcept {
+  return trace_ != nullptr && trace_->keeps(level);
+}
+
+void Node::trace(sim::TraceLevel level, std::string_view msg) {
+  if (tracing(level)) {
+    trace_->record(sched_.now(), level, trace_component_, std::string(msg));
   }
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "can/controller.h"
 #include "sim/event_queue.h"
@@ -46,12 +47,17 @@ class Node {
   [[nodiscard]] sim::Scheduler& scheduler() noexcept { return sched_; }
   [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
 
-  void trace(sim::TraceLevel level, const std::string& msg);
+  /// True when an attached trace keeps `level`. A message that needs
+  /// formatting is built only inside this guard (DESIGN.md §8).
+  [[nodiscard]] bool tracing(sim::TraceLevel level) const noexcept;
+  /// Records `msg` under "node.<name>" when tracing(level).
+  void trace(sim::TraceLevel level, std::string_view msg);
 
  private:
   sim::Scheduler& sched_;
   std::string name_;
   sim::Trace* trace_;
+  std::string trace_component_;
   sim::Rng rng_;
   Controller controller_;
 };

@@ -363,8 +363,10 @@ GatewayNode::GatewayNode(sim::Scheduler& sched, can::Channel& channel,
 void GatewayNode::change_mode(CarMode new_mode) {
   if (new_mode == current_) return;
   current_ = new_mode;
-  trace(sim::TraceLevel::kInfo,
-        "mode change -> " + std::string(to_string(new_mode)));
+  if (tracing(sim::TraceLevel::kInfo)) {
+    trace(sim::TraceLevel::kInfo,
+          "mode change -> " + std::string(to_string(new_mode)));
+  }
   send(command_frame(msg::kModeChange, static_cast<std::uint8_t>(new_mode)));
   if (on_change_) on_change_(new_mode);
 }

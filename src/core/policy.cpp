@@ -92,11 +92,9 @@ std::uint64_t PolicySet::name_hash(std::string_view name) noexcept {
 
 void PolicySet::invalidate() noexcept {
   image_.reset();
-#ifndef NDEBUG
   // A mutation implies the caller holds exclusive access again; the next
   // evaluation re-pins whichever thread performs it.
   eval_pin_.id = std::thread::id{};
-#endif
 }
 
 void PolicySet::assert_single_thread() const noexcept {

@@ -193,9 +193,9 @@ class PolicySet {
 
  private:
   [[nodiscard]] static std::uint64_t name_hash(std::string_view name) noexcept;
-  /// Drops the compiled image (called by every mutation) and, in debug
-  /// builds, re-opens the thread pin — a mutation implies the caller
-  /// holds exclusive access again.
+  /// Drops the compiled image (called by every mutation) and re-opens
+  /// the thread pin — a mutation implies the caller holds exclusive
+  /// access again.
   void invalidate() noexcept;
   /// Debug builds: pins the first calling thread and asserts on any
   /// other. Guards the entry points that WRITE through the mutable
@@ -216,14 +216,15 @@ class PolicySet {
   /// Lazily compiled SID-space form. Immutable once built, so copies of
   /// this set may share it; reset by any mutation.
   mutable std::shared_ptr<const CompiledPolicyImage> image_;
-#ifndef NDEBUG
   /// DESIGN.md "Concurrency model": the lazy image compile writes
   /// through mutable members and is single-threaded; the first COMPILING
   /// evaluation pins the thread so concurrent compile misuse fails loudly
   /// instead of corrupting the image (const evaluation over a built image
   /// is thread-safe and skips the pin). Copies and moves start unpinned —
   /// a copy is a distinct object with its own (possibly different)
-  /// owning thread.
+  /// owning thread. Only debug builds check the pin, but the member exists
+  /// in every build: the class layout must not depend on NDEBUG, or a
+  /// consumer built without it misreads a release library's objects.
   struct ThreadPin {
     std::thread::id id{};
     ThreadPin() noexcept = default;
@@ -234,7 +235,6 @@ class PolicySet {
     }
   };
   mutable ThreadPin eval_pin_;
-#endif
 };
 
 /// Abstract policy decision point. Implemented by the software MAC engine

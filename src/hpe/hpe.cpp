@@ -14,7 +14,8 @@ HardwarePolicyEngine::HardwarePolicyEngine(can::Channel& inner,
     : inner_(inner),
       config_(std::move(config)),
       name_(std::move(name)),
-      trace_(trace) {
+      trace_(trace),
+      trace_component_("hpe." + name_) {
   refresh_active_lists();
   inner_.set_sink(this);
 }
@@ -65,10 +66,12 @@ void HardwarePolicyEngine::record_block(can::CanId id, Direction direction,
   if (audit_.size() < kAuditCapacity) {
     audit_.push_back(AuditRecord{at, direction, id, mode_});
   }
-  if (trace_ != nullptr) {
-    trace_->record(at, sim::TraceLevel::kSecurity, "hpe." + name_,
-                   std::string(to_string(direction)) + " blocked id=" +
-                       id.to_string());
+  if (trace_ != nullptr && trace_->keeps(sim::TraceLevel::kSecurity)) {
+    std::string message(to_string(direction));
+    message += " blocked id=";
+    message += id.to_string();
+    trace_->record(at, sim::TraceLevel::kSecurity, trace_component_,
+                   std::move(message));
   }
 }
 
@@ -126,7 +129,7 @@ bool HardwarePolicyEngine::apply_update(const core::PolicyBundle& bundle,
   if (!verifier.verify(bundle.set, bundle.tag)) {
     ++stats_.tamper_attempts;
     if (trace_ != nullptr) {
-      trace_->record(sim::kSimStart, sim::TraceLevel::kError, "hpe." + name_,
+      trace_->record(sim::kSimStart, sim::TraceLevel::kError, trace_component_,
                      "rejected policy update: bad signature");
     }
     return false;
@@ -134,7 +137,7 @@ bool HardwarePolicyEngine::apply_update(const core::PolicyBundle& bundle,
   if (bundle.version() <= policy_version_) {
     ++stats_.tamper_attempts;
     if (trace_ != nullptr) {
-      trace_->record(sim::kSimStart, sim::TraceLevel::kError, "hpe." + name_,
+      trace_->record(sim::kSimStart, sim::TraceLevel::kError, trace_component_,
                      "rejected policy update: version rollback");
     }
     return false;

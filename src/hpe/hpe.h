@@ -175,6 +175,7 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   const ListPair* active_ = nullptr;  // into config_; never null post-ctor
   std::string name_;
   sim::Trace* trace_;
+  std::string trace_component_;  // "hpe.<name>"
   can::FrameSink* node_sink_ = nullptr;
   bool locked_ = false;
   std::uint8_t mode_ = 0;

@@ -6,7 +6,8 @@
 
 namespace psme::sim {
 
-EventId Scheduler::schedule_at(SimTime at, Action action, std::string label) {
+EventId Scheduler::schedule_at(SimTime at, Action action,
+                               std::string_view label) {
   if (at < now_) {
     throw std::logic_error("Scheduler::schedule_at: time is in the past");
   }
@@ -14,36 +15,36 @@ EventId Scheduler::schedule_at(SimTime at, Action action, std::string label) {
     throw std::invalid_argument("Scheduler::schedule_at: empty action");
   }
   const EventId id = next_id_++;
-  queue_.push(Event{at, next_seq_++, id, std::move(action), std::move(label)});
+  queue_.push_back(Event{at, id, label, std::move(action)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   return id;
 }
 
 EventId Scheduler::schedule_in(SimDuration delay, Action action,
-                               std::string label) {
-  return schedule_at(now_ + delay, std::move(action), std::move(label));
+                               std::string_view label) {
+  return schedule_at(now_ + delay, std::move(action), label);
 }
 
 bool Scheduler::cancel(EventId id) noexcept {
-  if (id == 0 || id >= next_id_) return false;
-  if (is_cancelled(id)) return false;
-  cancelled_.push_back(id);
-  return true;
-}
-
-bool Scheduler::is_cancelled(EventId id) const noexcept {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
+  // Only queued events can be cancelled; an executed one has left the
+  // queue. The mark is the emptied action, which step() skips; the label
+  // goes too, so a cancelled event keeps no view of its owner's storage.
+  for (Event& ev : queue_) {
+    if (ev.id != id) continue;
+    if (!ev.action) return false;
+    ev.action = nullptr;
+    ev.label = {};
+    return true;
+  }
+  return false;
 }
 
 bool Scheduler::step() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (is_cancelled(ev.id)) {
-      cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), ev.id),
-                       cancelled_.end());
-      continue;
-    }
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
+    if (!ev.action) continue;  // cancelled
     now_ = ev.at;
     ++executed_;
     ev.action();
@@ -60,14 +61,12 @@ std::size_t Scheduler::run() {
 
 std::size_t Scheduler::run_until(SimTime deadline) {
   std::size_t n = 0;
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (!queue_.empty() && queue_.front().at <= deadline) {
     if (step()) ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;
 }
-
-std::size_t Scheduler::pending() const noexcept { return queue_.size(); }
 
 PeriodicTask::PeriodicTask(Scheduler& sched, SimTime first, SimDuration period,
                            std::function<void()> body, std::string label)

@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -43,13 +43,17 @@ class Scheduler {
 
   /// Schedules `action` to run at absolute time `at`. Scheduling in the
   /// past (at < now) is a programming error and throws std::logic_error.
-  EventId schedule_at(SimTime at, Action action, std::string label = {});
+  /// The scheduler stores `label` as a view: its characters must outlive
+  /// the event (a string literal always does; DESIGN.md §8).
+  EventId schedule_at(SimTime at, Action action, std::string_view label = {});
 
   /// Schedules `action` to run `delay` after the current time.
-  EventId schedule_in(SimDuration delay, Action action, std::string label = {});
+  EventId schedule_in(SimDuration delay, Action action,
+                      std::string_view label = {});
 
   /// Cancels a pending event. Returns true if the event existed and had not
-  /// yet fired. Cancelling an already-executed or unknown id is a no-op.
+  /// yet fired. Cancelling an already-executed, already-cancelled or
+  /// unknown id is a no-op that returns false.
   bool cancel(EventId id) noexcept;
 
   /// Runs events until the queue is empty. Returns the number executed.
@@ -64,7 +68,7 @@ class Scheduler {
   bool step();
 
   /// Number of events waiting (including cancelled-but-not-reaped ones).
-  [[nodiscard]] std::size_t pending() const noexcept;
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
@@ -72,24 +76,20 @@ class Scheduler {
  private:
   struct Event {
     SimTime at;
-    std::uint64_t seq;  // tie-breaker: FIFO among equal times
-    EventId id;
-    Action action;
-    std::string label;
+    EventId id;             // issued in insertion order: the FIFO tie-breaker
+    std::string_view label;
+    Action action;          // empty once cancelled
   };
+  /// Heap order: the earliest (time, id) sits at queue_.front().
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
 
-  bool is_cancelled(EventId id) const noexcept;
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<EventId> cancelled_;  // usually tiny; linear scan is fine
+  std::vector<Event> queue_;  // binary heap under Later
   SimTime now_ = kSimStart;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
 };
@@ -118,7 +118,7 @@ class PeriodicTask {
   Scheduler& sched_;
   SimDuration period_;
   std::function<void()> body_;
-  std::string label_;
+  std::string label_;  // owns the characters every armed event's label views
   EventId pending_ = 0;
   bool stopped_ = false;
   std::uint64_t fired_ = 0;

@@ -14,11 +14,12 @@ std::string_view to_string(TraceLevel level) noexcept {
   return "?";
 }
 
-void Trace::record(SimTime at, TraceLevel level, std::string component,
+void Trace::record(SimTime at, TraceLevel level, std::string_view component,
                    std::string message) {
-  if (level < min_level_) return;
-  entries_.push_back(
-      TraceEntry{at, level, std::move(component), std::move(message)});
+  if (!keeps(level)) return;
+  auto name = components_.find(component);
+  if (name == components_.end()) name = components_.emplace(component).first;
+  entries_.push_back(TraceEntry{at, level, *name, std::move(message)});
 }
 
 std::size_t Trace::count(TraceLevel level) const noexcept {

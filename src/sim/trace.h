@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,23 +25,39 @@ enum class TraceLevel : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(TraceLevel level) noexcept;
 
-/// One recorded trace entry.
+/// One recorded trace entry. `component` views the recording Trace's
+/// table of component names, so it stays valid while that Trace lives.
 struct TraceEntry {
   SimTime at{};
   TraceLevel level{TraceLevel::kInfo};
-  std::string component;  // e.g. "can.bus", "hpe.ecu", "core.update"
+  std::string_view component;  // e.g. "can.bus", "hpe.ecu", "core.update"
   std::string message;
 };
 
 /// Append-only trace log with level filtering at record time.
+///
+/// Contract for emitters (DESIGN.md §8): a component formats a message
+/// only after keeps() says the entry will be stored, so a trace that
+/// filters a level out costs that level's sites one comparison and no
+/// allocation.
 class Trace {
  public:
   explicit Trace(TraceLevel min_level = TraceLevel::kInfo)
       : min_level_(min_level) {}
 
-  /// Records an entry if `level >= min_level()`.
-  void record(SimTime at, TraceLevel level, std::string component,
+  // Entries view this trace's component table; a copy's would not.
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
+
+  /// Records an entry if `level >= min_level()`. Each distinct component
+  /// name is stored once, so a kept entry allocates for its message only.
+  void record(SimTime at, TraceLevel level, std::string_view component,
               std::string message);
+
+  /// True when record() at `level` would store the entry.
+  [[nodiscard]] bool keeps(TraceLevel level) const noexcept {
+    return level >= min_level_;
+  }
 
   [[nodiscard]] TraceLevel min_level() const noexcept { return min_level_; }
   void set_min_level(TraceLevel level) noexcept { min_level_ = level; }
@@ -67,6 +84,7 @@ class Trace {
 
  private:
   TraceLevel min_level_;
+  std::set<std::string, std::less<>> components_;  // nodes never move
   std::vector<TraceEntry> entries_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "can/bus.h"
@@ -189,6 +190,38 @@ TEST(Bus, UtilisationGrowsWithTraffic) {
   EXPECT_GT(bus.utilisation(), 0.99);  // wire busy the whole elapsed time
   sched.run_until(sched.now() * 2);
   EXPECT_NEAR(bus.utilisation(), 0.5, 0.01);
+}
+
+/// Drives two contending frames through a bus that records into `trace`.
+sim::Trace& trace_two_frames(sim::Trace& trace) {
+  sim::Scheduler sched;
+  Bus bus(sched, kBitRate500k, &trace);
+  Recorder a, b;
+  Port& pa = bus.attach("a");
+  Port& pb = bus.attach("b");
+  pa.set_sink(&a);
+  pb.set_sink(&b);
+  EXPECT_TRUE(pa.submit(make_frame(0x300, {0x01})));
+  EXPECT_TRUE(pb.submit(make_frame(0x100, {0xAB, 0x02})));
+  sched.run();
+  return trace;
+}
+
+TEST(Bus, DebugTraceRecordsEveryArbitrationWin) {
+  sim::Trace trace(sim::TraceLevel::kDebug);
+  std::vector<std::string> wins;
+  trace_two_frames(trace).for_each("can.bus", [&](const sim::TraceEntry& e) {
+    EXPECT_EQ(e.level, sim::TraceLevel::kDebug);
+    wins.push_back(e.message);
+  });
+  EXPECT_EQ(wins, (std::vector<std::string>{
+                      "b wins arbitration: id=0x100 dlc=2 [ab 02]",
+                      "a wins arbitration: id=0x300 dlc=1 [01]"}));
+}
+
+TEST(Bus, SecurityTraceRecordsNoArbitration) {
+  sim::Trace trace(sim::TraceLevel::kSecurity);
+  EXPECT_EQ(trace_two_frames(trace).size(), 0u);
 }
 
 TEST(Bus, ZeroBitRateRejected) {

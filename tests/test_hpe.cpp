@@ -2,6 +2,10 @@
 // read/write filtering, transparency, mode snooping, tamper resistance.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "can/bus.h"
 #include "can/controller.h"
 #include "core/update.h"
@@ -234,6 +238,36 @@ TEST(Hpe, CycleAccountingGrowsPerDecision) {
   rig.peer_ctrl->transmit(make_frame(0x100, {1}));
   rig.sched.run();
   EXPECT_GT(rig.engine->cycles_spent(), before);
+}
+
+TEST(Hpe, BlockEntriesNameTheEngineAndTheId) {
+  sim::Scheduler sched;
+  sim::Trace trace(sim::TraceLevel::kSecurity);
+  can::Bus bus(sched, can::kBitRate500k, &trace);
+  can::Port& protected_port = bus.attach("victim");
+  can::Port& peer_port = bus.attach("peer");
+  HpeConfig config;
+  config.default_lists.read.add(CanId::standard(0x100));
+  HardwarePolicyEngine engine(protected_port, config, "victim", &trace);
+  can::Controller ctrl(sched, engine, "victim");
+  can::Controller peer(sched, peer_port, "peer");
+
+  const std::array<std::uint8_t, 1> payload{0x02};
+  peer.transmit(make_frame(0x100, {0x01}));  // approved: no entry
+  peer.transmit(make_frame(0x1A0, {0x02}));
+  peer.transmit(can::Frame(CanId::extended(0x18DAF110), payload));
+  ctrl.transmit(make_frame(0x300, {0x03}));  // not on the write list
+  sched.run();
+
+  std::vector<std::string> messages;
+  trace.for_each("hpe.victim", [&](const sim::TraceEntry& e) {
+    EXPECT_EQ(e.level, sim::TraceLevel::kSecurity);
+    messages.push_back(e.message);
+  });
+  EXPECT_EQ(messages, (std::vector<std::string>{
+                          "write blocked id=0x300", "read blocked id=0x1A0",
+                          "read blocked id=0x18DAF110x"}));
+  EXPECT_EQ(trace.size(), messages.size());
 }
 
 TEST(Hpe, TransmitCompleteForwardedThroughShim) {

@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event simulation kernel (psme::sim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -74,6 +77,23 @@ TEST(Scheduler, DoubleCancelReturnsFalse) {
   const EventId id = sched.schedule_in(10ns, [] {});
   EXPECT_TRUE(sched.cancel(id));
   EXPECT_FALSE(sched.cancel(id));
+}
+
+TEST(Scheduler, CancelOfExecutedIdReturnsFalse) {
+  Scheduler sched;
+  const EventId id = sched.schedule_in(10ns, [] {});
+  sched.run();
+  EXPECT_FALSE(sched.cancel(id));
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(Scheduler, CancelOfRunningEventReturnsFalse) {
+  Scheduler sched;
+  EventId self = 0;
+  bool cancelled = true;
+  self = sched.schedule_in(10ns, [&] { cancelled = sched.cancel(self); });
+  sched.run();
+  EXPECT_FALSE(cancelled);
 }
 
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
@@ -297,6 +317,75 @@ TEST_P(SchedulerDeadlineProperty, NoEventBeyondDeadline) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerDeadlineProperty,
                          ::testing::Values(1, 2, 3, 42, 99, 12345));
+
+// Differential property: under random schedule, cancel and nested-schedule
+// sequences the scheduler runs exactly the events a sorted reference model
+// predicts, in (time, insertion) order, and cancel() answers as the model
+// does (true only for an event still queued and not yet cancelled).
+class SchedulerReferenceModel : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// Schedules event number `tag` = issued_.size() in both worlds.
+  void add(SimTime at) {
+    const std::size_t tag = issued_.size();
+    issued_.push_back(
+        sched_.schedule_at(at, [this, tag] { fire(tag); }, "test.model"));
+    model_.emplace(at, tag);
+  }
+
+  void cancel_random() {
+    const std::size_t tag =
+        static_cast<std::size_t>(rng_.uniform(0, issued_.size() - 1));
+    const auto queued = std::find_if(
+        model_.begin(), model_.end(),
+        [tag](const auto& entry) { return entry.second == tag; });
+    const bool expected = queued != model_.end();
+    if (expected) model_.erase(queued);
+    EXPECT_EQ(sched_.cancel(issued_[tag]), expected) << "tag " << tag;
+  }
+
+  /// A running event: it must be the model's earliest, then it may
+  /// schedule children (possibly at the current instant) and cancel any
+  /// issued id — pending, executed, cancelled or itself.
+  void fire(std::size_t tag) {
+    ASSERT_FALSE(model_.empty());
+    const auto [at, expected] = *model_.begin();
+    model_.erase(model_.begin());
+    EXPECT_EQ(tag, expected);
+    EXPECT_EQ(sched_.now(), at);
+    ++fired_;
+    if (issued_.size() < 2000) {
+      const auto children = rng_.uniform(0, 2);
+      for (std::uint64_t i = 0; i < children; ++i) {
+        add(sched_.now() +
+            SimDuration{static_cast<std::int64_t>(rng_.uniform(0, 40))});
+      }
+    }
+    if (rng_.chance(0.3)) cancel_random();
+  }
+
+  Scheduler sched_;
+  Rng rng_{GetParam()};
+  std::set<std::pair<SimTime, std::size_t>> model_;  // (time, insertion)
+  std::vector<EventId> issued_;
+  std::size_t fired_ = 0;
+};
+
+TEST_P(SchedulerReferenceModel, RunsInSortedOrderAndCancelsExactly) {
+  for (int i = 0; i < 300; ++i) {
+    add(SimTime{static_cast<std::int64_t>(rng_.uniform(0, 500))});
+    if (rng_.chance(0.2)) cancel_random();
+  }
+  const std::size_t executed = sched_.run();
+  EXPECT_TRUE(model_.empty());
+  EXPECT_EQ(executed, fired_);
+  EXPECT_EQ(sched_.executed(), fired_);
+  EXPECT_EQ(sched_.pending(), 0u);
+  // Every id has now run or been cancelled.
+  for (const EventId id : issued_) EXPECT_FALSE(sched_.cancel(id));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerReferenceModel,
+                         ::testing::Values(1, 7, 42, 1234, 20261016));
 
 }  // namespace
 }  // namespace psme::sim
