@@ -57,7 +57,7 @@ class Node {
   sim::Scheduler& sched_;
   std::string name_;
   sim::Trace* trace_;
-  std::string trace_component_;
+  std::string trace_component_;  // "node.<name>"
   sim::Rng rng_;
   Controller controller_;
 };

@@ -53,7 +53,7 @@ class Scheduler {
 
   /// Cancels a pending event. Returns true if the event existed and had not
   /// yet fired. Cancelling an already-executed, already-cancelled or
-  /// unknown id is a no-op that returns false.
+  /// unknown id is a no-op that returns false. Scans the queue: O(pending()).
   bool cancel(EventId id) noexcept;
 
   /// Runs events until the queue is empty. Returns the number executed.

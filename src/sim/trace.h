@@ -45,7 +45,8 @@ class Trace {
   explicit Trace(TraceLevel min_level = TraceLevel::kInfo)
       : min_level_(min_level) {}
 
-  // Entries view this trace's component table; a copy's would not.
+  // Entries view this trace's component table, so a copy's entries would
+  // still view the original's.
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -288,6 +289,28 @@ TEST(Trace, ForEachFiltersByComponent) {
   seen = 0;
   trace.for_each("", [&](const TraceEntry&) { ++seen; });
   EXPECT_EQ(seen, 2);
+}
+
+TEST(Trace, EntryComponentOutlivesTheCallersString) {
+  Trace trace(TraceLevel::kDebug);
+  {
+    const std::string name = "hpe.component-longer-than-sso";
+    trace.record(SimTime{}, TraceLevel::kInfo, name, "first");
+  }
+  for (int i = 0; i < 1000; ++i) {
+    trace.record(SimTime{}, TraceLevel::kInfo, "other." + std::to_string(i),
+                 "more");
+  }
+  EXPECT_EQ(trace.entries().front().component, "hpe.component-longer-than-sso");
+  EXPECT_EQ(trace.count_component("hpe.component-longer-than-sso"), 1u);
+}
+
+TEST(Trace, KeepsMatchesRecordFiltering) {
+  Trace trace(TraceLevel::kSecurity);
+  EXPECT_FALSE(trace.keeps(TraceLevel::kDebug));
+  EXPECT_FALSE(trace.keeps(TraceLevel::kInfo));
+  EXPECT_TRUE(trace.keeps(TraceLevel::kSecurity));
+  EXPECT_TRUE(trace.keeps(TraceLevel::kError));
 }
 
 // Property: run_until never executes events beyond the deadline, for
