@@ -76,6 +76,19 @@ TEST(FramePathAlloc, UntracedDriveDoesNotAllocate) {
                               << w.frames << " frames";
 }
 
+// A trace that filters every routine level out must cost what no trace
+// costs: each emitter asks keeps() before it formats anything.
+TEST(FramePathAlloc, ErrorTraceDriveDoesNotAllocate) {
+  sim::Trace trace(sim::TraceLevel::kError);
+  const Window w = drive(&trace);
+  ASSERT_GT(w.frames, 10'000u);
+  EXPECT_EQ(w.kept_entries, 0u);
+  const double per_frame =
+      static_cast<double>(w.allocations) / static_cast<double>(w.frames);
+  EXPECT_LE(per_frame, 0.001) << w.allocations << " allocations over "
+                              << w.frames << " frames";
+}
+
 TEST(FramePathAlloc, SecurityTraceAllocatesOnlyForKeptEntries) {
   sim::Trace trace(sim::TraceLevel::kSecurity);
   const Window w = drive(&trace);
