@@ -11,12 +11,15 @@
 //              CompiledPolicyImage::evaluate;
 //   batched  — car::FleetEvaluator's chunked evaluate_batch sweep over
 //              the whole fleet (the product path).
+// The two baselines are local loops below; only the product path lives
+// in the library.
 //
 // All three must produce identical allow/deny tallies (checked; the
 // byte-level Decision parity lives in tests/test_policy_image.cpp).
 // Expected result: batched >= 3x faster than strings at 10^4 vehicles.
 // A JSON record of the sweep is printed for BENCH_fleet_eval.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -29,7 +32,6 @@
 #include "core/policy_compiler.h"
 #include "core/policy_image.h"
 #include "host_note.h"
-#include "mac/batch_probe.h"
 #include "mac/stage_counters.h"
 #include "sim/rng.h"
 
@@ -78,6 +80,79 @@ void scatter_modes(car::FleetEvaluator& fleet, std::uint64_t seed) {
       fleet.set_mode(v, car::CarMode::kFailSafe);
     }
   }
+}
+
+/// Every vehicle's mode, read back once so the baselines below replay
+/// exactly the fleet state tick() sweeps.
+std::vector<car::CarMode> fleet_modes(const car::FleetEvaluator& fleet) {
+  std::vector<car::CarMode> modes(fleet.fleet_size());
+  for (std::size_t v = 0; v < modes.size(); ++v) modes[v] = fleet.mode(v);
+  return modes;
+}
+
+/// Baseline: the legacy string pipeline. An AccessRequest is assembled
+/// per element (string copies) and every name re-hashed inside
+/// PolicySet::evaluate's interning shim.
+car::FleetTickStats tick_strings(const core::PolicySet& policy,
+                                 const std::vector<car::FleetCheck>& checks,
+                                 const std::vector<car::CarMode>& modes) {
+  std::array<threat::ModeId, std::size(car::kAllModes)> mode_ids;
+  for (const car::CarMode mode : car::kAllModes) {
+    mode_ids[static_cast<std::size_t>(mode)] = car::mode_id(mode);
+  }
+  car::FleetTickStats stats;
+  for (const car::CarMode mode : modes) {
+    const threat::ModeId& mode_id = mode_ids[static_cast<std::size_t>(mode)];
+    for (const car::FleetCheck& check : checks) {
+      const core::AccessRequest request{check.subject, check.object,
+                                        check.access, mode_id};
+      const core::Decision decision = policy.evaluate(request);
+      decision.allowed ? ++stats.allowed : ++stats.denied;
+      ++stats.decisions;
+    }
+  }
+  return stats;
+}
+
+/// The checks interned to SIDs once (mode filled per vehicle), exactly
+/// as FleetEvaluator resolves them at construction.
+std::vector<core::SidRequest> resolve_checks(
+    const core::CompiledPolicyImage& image,
+    const std::vector<car::FleetCheck>& checks) {
+  mac::SidTable& sids = *image.sid_table();
+  std::vector<core::SidRequest> resolved;
+  resolved.reserve(checks.size());
+  for (const car::FleetCheck& check : checks) {
+    core::SidRequest request;
+    request.subject = sids.intern(check.subject);
+    request.object = sids.intern(check.object);
+    request.access = check.access;
+    resolved.push_back(request);
+  }
+  return resolved;
+}
+
+/// Baseline: the same pre-resolved requests, per-element
+/// CompiledPolicyImage::evaluate — what batching saves.
+car::FleetTickStats tick_scalar(const core::CompiledPolicyImage& image,
+                                const std::vector<core::SidRequest>& resolved,
+                                const std::vector<car::CarMode>& modes) {
+  std::array<mac::Sid, std::size(car::kAllModes)> mode_sids{};
+  for (const car::CarMode mode : car::kAllModes) {
+    mode_sids[static_cast<std::size_t>(mode)] =
+        image.mode_sid(car::mode_id(mode));
+  }
+  car::FleetTickStats stats;
+  for (const car::CarMode mode : modes) {
+    const mac::Sid mode_sid = mode_sids[static_cast<std::size_t>(mode)];
+    for (core::SidRequest request : resolved) {
+      request.mode = mode_sid;
+      const core::Decision decision = image.evaluate(request);
+      decision.allowed ? ++stats.allowed : ++stats.denied;
+      ++stats.decisions;
+    }
+  }
+  return stats;
 }
 
 /// Deterministic subsample of the standard workload, for the 10^6 row
@@ -158,12 +233,16 @@ int main() {
     const std::uint64_t sid_target = std::max<std::uint64_t>(per_tick, 2000000);
     const std::uint64_t str_target = std::max<std::uint64_t>(per_tick, 1000000);
 
+    const std::vector<car::CarMode> modes = fleet_modes(fleet);
+    const std::vector<core::SidRequest> resolved = resolve_checks(image, checks);
+
     Row row;
     row.fleet_size = fleet_size;
     row.checks = checks.size();
-    row.strings =
-        measure(str_target, [&] { return fleet.tick_strings(policy); });
-    row.scalar = measure(sid_target, [&] { return fleet.tick_scalar(); });
+    row.strings = measure(str_target,
+                          [&] { return tick_strings(policy, checks, modes); });
+    row.scalar = measure(sid_target,
+                         [&] { return tick_scalar(image, resolved, modes); });
     mac::stage_counters().reset();
     row.batched = measure(sid_target, [&] { return fleet.tick(); });
     row.stages = mac::stage_counters();
@@ -238,13 +317,8 @@ int main() {
   // Machine-readable record (BENCH_fleet_eval.json).
   std::printf("JSON: {\"bench\":\"fleet_eval\",\"unit\":\"ns/decision\",");
   benchhost::print_host_json();
-  std::printf(",\"probe_backend\":\"%s\",",
-              mac::probe::backend_name(mac::probe::active_backend()));
-  if (mac::stage_counters_enabled()) {
-    std::printf("\"stage_counters\":\"enabled\",");
-  } else {
-    std::printf("\"stage_counters\":\"disabled\",");
-  }
+  std::printf(",\"stage_counters\":\"%s\",",
+              mac::stage_counters_enabled() ? "enabled" : "disabled");
   std::printf("\"rows\":[");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

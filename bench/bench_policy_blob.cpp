@@ -4,10 +4,10 @@
 // Three boot paths are priced, each to the first adjudicated decision:
 //  - compile: the full cold boot — threat model -> derivation -> sealed
 //    image (the 36-rule car policy only; the legacy acceptance row).
-//  - v1 load / v2 load (untrusted): validate + load a blob that crossed
-//    a trust boundary — checksum, structural and semantic validation,
+//  - load (untrusted): validate + load a blob that crossed a trust
+//    boundary — checksum, structural and semantic validation,
 //    fingerprint cross-check. Inherently O(policy).
-//  - v2 sealed attach (buffer and mmap'd file): the production boot from
+//  - sealed attach (buffer and mmap'd file): the production boot from
 //    the device's local store — O(1) structural checks, then the image
 //    VIEWS the buffer in place. This is the path the flat-boot claim is
 //    about: 50k rules must attach within 3x of 36 rules.
@@ -68,7 +68,6 @@ struct SizeRow {
   std::string label;
   std::size_t rules = 0;
   std::size_t blob_bytes = 0;
-  double v1_load_us = 0.0;        // untrusted copying load (v1 layout)
   double v2_load_us = 0.0;        // untrusted zero-copy load (full pass)
   double v2_attach_us = 0.0;      // sealed-store attach (buffer)
   double v2_file_attach_us = 0.0; // sealed-store attach (mmap'd file)
@@ -100,11 +99,9 @@ template <class BootFn>
   row.label = std::move(label);
   row.rules = image.size();
 
-  const std::vector<std::byte> v2 = core::PolicyBlobWriter::write(image);
-  const std::vector<std::byte> v1 = core::PolicyBlobWriter::write_v1(image);
-  row.blob_bytes = v2.size();
   const auto buffer = core::PolicyBuffer::take(
-      std::vector<std::byte>(v2));  // one shared aligned buffer
+      core::PolicyBlobWriter::write(image));  // one shared aligned buffer
+  row.blob_bytes = buffer->bytes().size();
   const std::string path =
       "/tmp/psme_bench_" + std::to_string(row.rules) + ".img";
   core::PolicyBlobWriter::write_file(image, path);
@@ -126,9 +123,6 @@ template <class BootFn>
     }
   };
 
-  row.v1_load_us = time_boot(untrusted_iters, [&] {
-    return core::PolicyBlobReader::load(v1);
-  });
   row.v2_load_us = time_boot(untrusted_iters, [&] {
     return core::PolicyBlobReader::load(buffer, nullptr,
                                         core::BlobTrust::kUntrusted);
@@ -166,7 +160,6 @@ template <class BootFn>
 
   // Full parity checks, once per path (the timed loops sample nothing to
   // keep the window honest).
-  check(core::PolicyBlobReader::load(v1));
   check(core::PolicyBlobReader::load(buffer));
   check(core::PolicyBlobReader::load(buffer, nullptr,
                                      core::BlobTrust::kSealedStore));
@@ -178,8 +171,8 @@ template <class BootFn>
 }  // namespace
 
 int main() {
-  std::printf("=== Boot to first decision vs policy size: compile, v1 load, "
-              "v2 zero-copy ===\n\n");
+  std::printf("=== Boot to first decision vs policy size: compile, "
+              "zero-copy load and attach ===\n\n");
 
   // --- the legacy acceptance row: 36-rule car policy, compile vs load ---
   const auto model = car::connected_car_threat_model();
@@ -247,13 +240,13 @@ int main() {
                                     {rules, 1, 0xC0FFEE})));
   }
 
-  std::printf("%-12s %10s %12s %12s %12s %12s %12s %10s\n", "size", "rules",
-              "blob bytes", "v1 load us", "v2 load us", "attach us",
-              "file attach", "1st dec us");
+  std::printf("%-12s %10s %12s %12s %12s %12s %10s\n", "size", "rules",
+              "blob bytes", "load us", "attach us", "file attach",
+              "1st dec us");
   for (const SizeRow& row : rows) {
-    std::printf("%-12s %10zu %12zu %12.1f %12.1f %12.2f %12.2f %10.2f\n",
-                row.label.c_str(), row.rules, row.blob_bytes, row.v1_load_us,
-                row.v2_load_us, row.v2_attach_us, row.v2_file_attach_us,
+    std::printf("%-12s %10zu %12zu %12.1f %12.2f %12.2f %10.2f\n",
+                row.label.c_str(), row.rules, row.blob_bytes, row.v2_load_us,
+                row.v2_attach_us, row.v2_file_attach_us,
                 row.first_decision_us);
     if (!row.parity) parity_ok = false;
   }
@@ -277,13 +270,12 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SizeRow& row = rows[i];
     std::printf("%s{\"label\":\"%s\",\"rules\":%zu,\"blob_bytes\":%zu,"
-                "\"v1_load_us\":%.1f,\"v2_load_us\":%.1f,"
+                "\"v2_load_us\":%.1f,"
                 "\"v2_attach_us\":%.2f,\"v2_file_attach_us\":%.2f,"
                 "\"first_decision_us\":%.2f}",
                 i == 0 ? "" : ",", row.label.c_str(), row.rules,
-                row.blob_bytes, row.v1_load_us, row.v2_load_us,
-                row.v2_attach_us, row.v2_file_attach_us,
-                row.first_decision_us);
+                row.blob_bytes, row.v2_load_us, row.v2_attach_us,
+                row.v2_file_attach_us, row.first_decision_us);
   }
   std::printf("]}\n");
 

@@ -3,8 +3,8 @@
 //
 // The wire formats' claim is compiler- and toolchain-independence: a
 // blob or delta written by the gcc build must load/apply byte-for-byte
-// in the clang build and vice versa (CI's blob-interop job drives
-// exactly that with this tool). It is also the command-line face of the
+// in the clang build and vice versa (CI's clang leg drives exactly that
+// with this tool). It is also the command-line face of the
 // subsystems for provisioning workflows.
 //
 // Usage:
@@ -18,12 +18,9 @@
 //                    + prove the fingerprints and the full workload
 //                    decision stream match byte for byte (exit 1 on any
 //                    difference or rejection)
-//   example_policy_blob_io write-v1 <path> [version]
-//                    same policy, serialised in the legacy v1 layout
-//                    (the copying-loader compat path CI cross-checks)
 //   example_policy_blob_io info <path>
 //                    print the validated header — detects blob vs delta
-//                    by magic. For a v2 blob, additionally prints the
+//                    by magic. For a blob, additionally prints the
 //                    per-section layout table: offset, size and
 //                    alignment of every zero-copy section
 //   example_policy_blob_io delta <base-blob> <target-blob> <delta-out>
@@ -95,12 +92,12 @@ bool has_magic(std::span<const std::byte> bytes,
 int main(int argc, char** argv) {
   const std::string command = argc >= 2 ? argv[1] : "";
   const bool three_arg = command == "delta" || command == "apply";
-  const bool write_like = command == "write" || command == "write-v1";
+  const bool write = command == "write";
   if ((three_arg && argc != 5) ||
-      (!three_arg && write_like && (argc < 3 || argc > 4)) ||
-      (!three_arg && !write_like && argc != 3)) {
+      (!three_arg && write && (argc < 3 || argc > 4)) ||
+      (!three_arg && !write && argc != 3)) {
     std::fprintf(stderr,
-                 "usage: %s write|write-v1 <blob-path> [version]\n"
+                 "usage: %s write <blob-path> [version]\n"
                  "       %s check|info <path>\n"
                  "       %s delta <base-blob> <target-blob> <delta-out>\n"
                  "       %s apply <base-blob> <delta> <image-out>\n",
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
 
   try {
-    if (write_like) {
+    if (write) {
       std::uint64_t version = 1;
       if (argc == 4) {
         char* end = nullptr;
@@ -122,19 +119,10 @@ int main(int argc, char** argv) {
         }
       }
       const core::PolicySet policy = default_policy(version);
-      if (command == "write-v1") {
-        const std::vector<std::byte> blob =
-            core::PolicyBlobWriter::write_v1(policy.image());
-        core::wire::write_file<core::PolicyBlobError>(blob, path,
-                                                      "policy blob");
-      } else {
-        core::PolicyBlobWriter::write_file(policy.image(), path);
-      }
+      core::PolicyBlobWriter::write_file(policy.image(), path);
       std::printf("wrote %s (format v%u): v%llu, %zu rules, fingerprint "
                   "%016llx\n",
-                  path.c_str(),
-                  command == "write-v1" ? core::kPolicyBlobFormatVersionV1
-                                        : core::kPolicyBlobFormatVersion,
+                  path.c_str(), core::kPolicyBlobFormatVersion,
                   static_cast<unsigned long long>(version),
                   policy.image().size(),
                   static_cast<unsigned long long>(policy.image().fingerprint()));
@@ -168,19 +156,17 @@ int main(int argc, char** argv) {
                   header.format_version, image.size(), image.sids().size(),
                   static_cast<unsigned long long>(image.fingerprint()),
                   static_cast<unsigned long long>(header.total_size));
-      if (header.format_version >= 2) {
-        // The zero-copy layout: every section the loader views in place.
-        std::printf("  %-18s %10s %10s %7s %9s\n", "section", "offset",
-                    "size", "align", "pad-to-8");
-        for (const core::PolicyBlobSection& section :
-             core::policy_blob_layout(bytes)) {
-          std::size_t align = 1;
-          while (align < 8 && section.offset % (align * 2) == 0) align *= 2;
-          const std::size_t padded = (section.size + 7) & ~std::size_t{7};
-          std::printf("  %-18s %10zu %10zu %7zu %9zu\n", section.name,
-                      section.offset, section.size, align,
-                      padded - section.size);
-        }
+      // The zero-copy layout: every section the loader views in place.
+      std::printf("  %-18s %10s %10s %7s %9s\n", "section", "offset", "size",
+                  "align", "pad-to-8");
+      for (const core::PolicyBlobSection& section :
+           core::policy_blob_layout(bytes)) {
+        std::size_t align = 1;
+        while (align < 8 && section.offset % (align * 2) == 0) align *= 2;
+        const std::size_t padded = (section.size + 7) & ~std::size_t{7};
+        std::printf("  %-18s %10zu %10zu %7zu %9zu\n", section.name,
+                    section.offset, section.size, align,
+                    padded - section.size);
       }
       return 0;
     }

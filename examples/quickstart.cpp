@@ -3,7 +3,7 @@
 //   1. Describe your use case: assets, entry points, modes.
 //   2. Identify a threat, classify it with STRIDE, rate it with DREAD.
 //   3. Compile the threat model into an enforceable policy set.
-//   4. Evaluate access requests against the policy engine.
+//   4. Evaluate access requests against the policy set.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
@@ -52,12 +52,11 @@ int main() {
   grant.permission = threat::Permission::kReadWrite;
   grant.modes = {threat::ModeId{"home"}};
   policy.add_rule(grant);
-  core::SimplePolicyEngine engine(std::move(policy));
 
   // 4. Adjudicate accesses.
   const auto ask = [&](core::AccessType access, const char* mode) {
     core::AccessRequest req{"ble", "bolt", access, threat::ModeId{mode}};
-    const core::Decision d = engine.evaluate(req);
+    const core::Decision d = policy.evaluate(req);
     std::cout << "  " << req.to_string() << " -> "
               << (d.allowed ? "ALLOW" : "DENY") << "  (" << d.reason << ")\n";
   };

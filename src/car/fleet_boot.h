@@ -69,7 +69,7 @@ class FleetBoot {
             FleetEvaluatorOptions options = {});
 
   /// As above, loading the blob from a file — mmap-backed where the
-  /// platform allows, so a v2 blob boots as a zero-copy view over the
+  /// platform allows, so a blob boots as a zero-copy view over the
   /// mapping (core/policy_buffer.h). `trust` selects the validation
   /// depth: kUntrusted (default) runs the full one-pass validation;
   /// kSealedStore is the O(1) attach for a blob staged and validated on

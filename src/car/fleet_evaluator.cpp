@@ -53,13 +53,11 @@ std::vector<FleetCheck> default_fleet_checks() {
 FleetEvaluator::FleetEvaluator(const core::CompiledPolicyImage& image,
                                std::vector<FleetCheck> checks,
                                FleetEvaluatorOptions options)
-    : image_(image),
-      checks_(std::move(checks)),
-      batch_chunk_(options.batch_chunk) {
+    : image_(image), batch_chunk_(options.batch_chunk) {
   if (options.fleet_size == 0) {
     throw std::invalid_argument("FleetEvaluator: empty fleet");
   }
-  if (checks_.empty()) {
+  if (checks.empty()) {
     throw std::invalid_argument("FleetEvaluator: empty per-vehicle workload");
   }
   if (batch_chunk_ == 0) {
@@ -71,8 +69,8 @@ FleetEvaluator::FleetEvaluator(const core::CompiledPolicyImage& image,
   // string again. Interning (rather than find) gives entities the policy
   // never names a stable SID too, so the memo of SIDs is total.
   mac::SidTable& sids = *image_.sid_table();
-  resolved_.reserve(checks_.size());
-  for (const FleetCheck& check : checks_) {
+  resolved_.reserve(checks.size());
+  for (const FleetCheck& check : checks) {
     core::SidRequest request;
     request.subject = sids.intern(check.subject);
     request.object = sids.intern(check.object);
@@ -81,9 +79,8 @@ FleetEvaluator::FleetEvaluator(const core::CompiledPolicyImage& image,
     resolved_.push_back(request);
   }
   for (CarMode mode : kAllModes) {
-    const auto slot = static_cast<std::size_t>(mode);
-    mode_ids_[slot] = mode_id(mode);
-    mode_sids_[slot] = image_.mode_sid(mode_ids_[slot]);
+    mode_sids_[static_cast<std::size_t>(mode)] =
+        image_.mode_sid(mode_id(mode));
   }
 
   vehicle_modes_.assign(options.fleet_size,
@@ -106,7 +103,7 @@ CarMode FleetEvaluator::mode(std::size_t vehicle) const {
 
 void FleetEvaluator::flush(FleetTickStats& stats, const ChunkSink& sink) {
   if (batch_.empty()) return;
-  const std::size_t checks = checks_.size();
+  const std::size_t checks = resolved_.size();
   if (sink) {
     decisions_.resize(batch_.size());
     image_.evaluate_batch(batch_, decisions_);
@@ -166,7 +163,7 @@ FleetTickStats FleetEvaluator::tick(const ChunkSink& sink) {
 
 void FleetEvaluator::sweep_range(Worker& worker, std::size_t begin,
                                  std::size_t end, bool capture) {
-  const std::size_t checks = checks_.size();
+  const std::size_t checks = resolved_.size();
   if (capture) {
     // Sink mode: materialise the shard's whole request stream once, then
     // evaluate it in place chunk by chunk. resize() is a no-op after the
@@ -364,39 +361,6 @@ FleetTickStats FleetEvaluator::tick_parallel(std::size_t n_threads,
              std::span<const core::Decision>(&worker.captured_decisions[off],
                                              n));
       }
-    }
-  }
-  return stats;
-}
-
-FleetTickStats FleetEvaluator::tick_scalar() const {
-  FleetTickStats stats;
-  for (const std::uint8_t mode : vehicle_modes_) {
-    const mac::Sid mode_sid = mode_sids_[mode];
-    for (core::SidRequest request : resolved_) {
-      request.mode = mode_sid;
-      const core::Decision decision = image_.evaluate(request);
-      decision.allowed ? ++stats.allowed : ++stats.denied;
-      ++stats.decisions;
-    }
-  }
-  return stats;
-}
-
-FleetTickStats FleetEvaluator::tick_strings(
-    const core::PolicySet& policy) const {
-  FleetTickStats stats;
-  for (const std::uint8_t mode : vehicle_modes_) {
-    const threat::ModeId& mode_id = mode_ids_[mode];
-    for (const FleetCheck& check : checks_) {
-      // The legacy boundary cost, paid per element: an AccessRequest is
-      // assembled (string copies) and every name re-hashed inside
-      // PolicySet::evaluate's interning shim.
-      core::AccessRequest request{check.subject, check.object, check.access,
-                                  mode_id};
-      const core::Decision decision = policy.evaluate(request);
-      decision.allowed ? ++stats.allowed : ++stats.denied;
-      ++stats.decisions;
     }
   }
   return stats;

@@ -17,13 +17,12 @@
 // deterministic merge that makes the decision stream byte-identical to
 // the sequential tick() for ANY thread count (test-pinned).
 //
-// Evaluation paths, so benches can price the pipeline stages:
+// Evaluation paths:
 //   tick()          — batched SID path (the product);
-//   tick_parallel() — the same sweep sharded across n worker threads;
-//   tick_scalar()   — same pre-resolved requests, per-element evaluate;
-//   tick_strings()  — the legacy shim: string requests built and hashed
-//                     per element against a PolicySet.
-// All paths produce byte-identical Decisions for the same fleet state.
+//   tick_parallel() — the same sweep sharded across n worker threads.
+// Both produce byte-identical Decisions for the same fleet state. The
+// per-element and string-pipeline baselines they are priced against
+// live in bench/bench_fleet_eval.cpp.
 #pragma once
 
 #include <array>
@@ -71,8 +70,7 @@ struct FleetTickStats {
   /// fleet-scale telemetry feed: monitor::DenyStreakMonitor consumes it
   /// to flag per-vehicle deny streaks (compromised-vehicle candidates).
   /// Views evaluator-owned storage — valid until the evaluator's next
-  /// tick or destruction. Populated by tick() and tick_parallel(); the
-  /// comparison paths (tick_scalar, tick_strings) leave it empty.
+  /// tick or destruction.
   std::span<const std::uint32_t> vehicle_denied{};
 };
 
@@ -104,7 +102,7 @@ class FleetEvaluator {
     return vehicle_modes_.size();
   }
   [[nodiscard]] std::size_t checks_per_vehicle() const noexcept {
-    return checks_.size();
+    return resolved_.size();
   }
   [[nodiscard]] const core::CompiledPolicyImage& image() const noexcept {
     return image_;
@@ -145,14 +143,6 @@ class FleetEvaluator {
   /// changes; the destructor parks and joins it.
   FleetTickStats tick_parallel(std::size_t n_threads,
                                const ChunkSink& sink = {});
-
-  /// Same requests, per-element image evaluation — what batching saves.
-  [[nodiscard]] FleetTickStats tick_scalar() const;
-
-  /// The legacy string pipeline: builds an AccessRequest per element
-  /// and lets `policy` hash names per request. Pass the set the image
-  /// was compiled from for comparable (byte-identical) decisions.
-  [[nodiscard]] FleetTickStats tick_strings(const core::PolicySet& policy) const;
 
  private:
   /// Per-worker state for tick_parallel, cache-line aligned so one
@@ -198,10 +188,8 @@ class FleetEvaluator {
   void worker_loop(std::size_t w);
 
   const core::CompiledPolicyImage& image_;
-  std::vector<FleetCheck> checks_;             // string form (tick_strings)
-  std::vector<core::SidRequest> resolved_;     // SID form, mode filled per tick
+  std::vector<core::SidRequest> resolved_;     // mode filled per tick
   std::array<mac::Sid, 3> mode_sids_{};        // CarMode -> image mode SID
-  std::array<threat::ModeId, 3> mode_ids_;     // CarMode -> string mode id
   std::vector<std::uint8_t> vehicle_modes_;
   std::size_t batch_chunk_;
   /// Chunk buffers, reused across flushes and ticks (capacity-warm).

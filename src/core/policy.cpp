@@ -175,11 +175,4 @@ std::uint64_t PolicySet::fingerprint() const noexcept {
   return name_hash(serialize());
 }
 
-Decision SimplePolicyEngine::evaluate(const AccessRequest& request) {
-  ++evaluations_;
-  Decision d = set_.evaluate(request);
-  if (!d.allowed) ++denials_;
-  return d;
-}
-
 }  // namespace psme::core

@@ -239,37 +239,13 @@ class PolicySet {
 
 /// Abstract policy decision point. Implemented by the software MAC engine
 /// (psme::mac::MacEngine) and wrapped by the hardware policy engine
-/// (psme::hpe); SimplePolicyEngine is the reference implementation.
+/// (psme::hpe).
 class PolicyEngine {
  public:
   virtual ~PolicyEngine() = default;
 
   [[nodiscard]] virtual Decision evaluate(const AccessRequest& request) = 0;
   [[nodiscard]] virtual std::string_view engine_name() const noexcept = 0;
-};
-
-/// PolicySet-backed engine with decision counters.
-class SimplePolicyEngine final : public PolicyEngine {
- public:
-  explicit SimplePolicyEngine(PolicySet set) : set_(std::move(set)) {}
-
-  [[nodiscard]] Decision evaluate(const AccessRequest& request) override;
-  [[nodiscard]] std::string_view engine_name() const noexcept override {
-    return "simple";
-  }
-
-  /// Swaps in a new policy set (the paper's "policy update"); atomic from
-  /// the caller's perspective — no request ever sees a half-updated set.
-  void load(PolicySet set) { set_ = std::move(set); }
-
-  [[nodiscard]] const PolicySet& policy() const noexcept { return set_; }
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
-  [[nodiscard]] std::uint64_t denials() const noexcept { return denials_; }
-
- private:
-  PolicySet set_;
-  std::uint64_t evaluations_ = 0;
-  std::uint64_t denials_ = 0;
 };
 
 }  // namespace psme::core

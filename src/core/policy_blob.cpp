@@ -15,49 +15,37 @@ namespace {
 //
 // All multi-byte fields are little-endian, written and read through the
 // shared shift-based byte stores (core/wire_format.h) so the encoding is
-// identical on any host. Two layouts share the magic and the first 80
-// header bytes:
-//
-//  v1 (legacy, copying): 80-byte header, then tightly packed sections —
-//  image name, length-prefixed SID names, 28-byte entries, length-
-//  prefixed metas, mode table, index slots, index spans, flat indices.
-//  Loading is a linear reconstruction pass.
-//
-//  v2 (zero-copy): 96-byte header, then ELEVEN sections each starting on
-//  an 8-byte boundary (zero padding between), position-independent and
-//  layout-identical to the in-memory image on a little-endian host:
-//  image name, SID-name offsets (u32[sid_count+1]), SID-name arena, SID
-//  probe slots (u32[sid_slot_count]), 32-byte entries, meta offsets
-//  (u32[2*entry_count+1]), meta arena, mode table, index slot keys
-//  (u64), index spans (u32 pairs), flat indices. A reader validates and
-//  then VIEWS the buffer in place — zero per-element copying. Section
-//  offsets are derived (never stored): the exact-packing equation
-//  "offsets chain by align8 and land on total_size" is itself a
-//  validation gate, so every header count is pinned by the blob size.
-//  DESIGN.md "Zero-copy image views" is the normative description.
+// identical on any host. The layout is zero-copy: a 96-byte header, then
+// ELEVEN sections each starting on an 8-byte boundary (zero padding
+// between), position-independent and layout-identical to the in-memory
+// image on a little-endian host: image name, SID-name offsets
+// (u32[sid_count+1]), SID-name arena, SID probe slots
+// (u32[sid_slot_count]), 32-byte entries, meta offsets
+// (u32[2*entry_count+1]), meta arena, mode table, index slot keys (u64),
+// index spans (u32 pairs), flat indices. A reader validates and then
+// VIEWS the buffer in place — zero per-element copying. Section offsets
+// are derived (never stored): the exact-packing equation "offsets chain
+// by align8 and land on total_size" is itself a validation gate, so
+// every header count is pinned by the blob size. DESIGN.md "Zero-copy
+// image views" is the normative description.
 
 constexpr std::array<std::byte, kPolicyBlobMagicSize> kMagic = {
     std::byte{'P'}, std::byte{'S'}, std::byte{'M'}, std::byte{'E'},
     std::byte{'P'}, std::byte{'I'}, std::byte{'M'}, std::byte{'G'}};
 
 constexpr std::string_view kDomain = "policy blob";
-constexpr std::size_t kHeaderSizeV1 = 80;
-constexpr std::size_t kHeaderSizeV2 = 96;
-/// One packed v1 entry on the wire: subject u32, object u32, permission
-/// u8, specificity u8, 2 reserved bytes, priority i32, mode_mask u64,
-/// meta u32.
-constexpr std::size_t kEntryRecordSizeV1 = 28;
-/// One packed v2 entry on the wire — identical to the in-memory Entry
+constexpr std::size_t kHeaderSize = 96;
+/// One packed entry on the wire — identical to the in-memory Entry
 /// layout (pinned below), reserved bytes zero.
-constexpr std::size_t kEntryRecordSizeV2 = 32;
+constexpr std::size_t kEntryRecordSize = 32;
 
 using Entry = CompiledPolicyImage::Entry;
 using SlotSpan = CompiledPolicyImage::SlotSpan;
 
-// The v2 zero-copy contract: the in-memory Entry/SlotSpan ARE the wire
+// The zero-copy contract: the in-memory Entry/SlotSpan ARE the wire
 // records on a little-endian host. Any layout drift must fail the build,
 // not corrupt a fleet.
-static_assert(sizeof(Entry) == kEntryRecordSizeV2);
+static_assert(sizeof(Entry) == kEntryRecordSize);
 static_assert(alignof(Entry) == 8);
 static_assert(std::is_trivially_copyable_v<Entry>);
 static_assert(offsetof(Entry, subject) == 0);
@@ -79,9 +67,8 @@ static_assert(sizeof(mac::Sid) == 4);
 
 constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
-// Header field offsets (bytes from blob start), shared by both versions
-// through offset 79. Offsets 0..31 are the shared wire prefix
-// (wire::kOffMagic .. wire::kOffPayloadHash).
+// Header field offsets (bytes from blob start). Offsets 0..31 are the
+// shared wire prefix (wire::kOffMagic .. wire::kOffPayloadHash).
 constexpr std::size_t kOffFingerprint = 32;
 constexpr std::size_t kOffImageVersion = 40;
 constexpr std::size_t kOffSidCount = 48;
@@ -92,11 +79,10 @@ constexpr std::size_t kOffFlatCount = 64;
 constexpr std::size_t kOffNameLen = 68;
 constexpr std::size_t kOffWildcardSid = 72;
 constexpr std::size_t kOffDefaultAllow = 76;  // u8; bytes 77..79 reserved 0
-// v2-only header fields.
 constexpr std::size_t kOffSidSlotCount = 80;
 constexpr std::size_t kOffNameArenaLen = 84;
 constexpr std::size_t kOffMetaArenaLen = 88;
-constexpr std::size_t kOffReservedV2 = 92;  // u32, reserved 0
+constexpr std::size_t kOffReserved = 92;  // u32, reserved 0
 
 [[noreturn]] void reject(const std::string& what,
                          WireFault fault = WireFault::kMalformed) {
@@ -106,16 +92,10 @@ constexpr std::size_t kOffReservedV2 = 92;  // u32, reserved 0
 using wire::align8;
 using wire::load_u32;
 using wire::load_u64;
-using wire::put_str;
-using wire::put_u32;
-using wire::put_u64;
 using wire::store_u32;
 using wire::store_u64;
 
-using Cursor = wire::Cursor<PolicyBlobError>;
-
 struct Header {
-  std::uint32_t format_version = 0;
   std::uint64_t total_size = 0;
   std::uint64_t payload_hash = 0;
   std::uint64_t fingerprint = 0;
@@ -128,16 +108,15 @@ struct Header {
   std::uint32_t name_len = 0;
   mac::Sid wildcard_sid = mac::kNullSid;
   bool default_allow = false;
-  // v2 only:
   std::uint32_t sid_slot_count = 0;
   std::uint32_t name_arena_len = 0;
   std::uint32_t meta_arena_len = 0;
 };
 
-/// Derived v2 section offsets (bytes from blob start). Never stored on
+/// Derived section offsets (bytes from blob start). Never stored on
 /// the wire: recomputing them from the header counts and requiring the
 /// chain to land exactly on total_size pins every count.
-struct LayoutV2 {
+struct Layout {
   std::size_t name = 0;
   std::size_t name_offsets = 0;
   std::size_t name_arena = 0;
@@ -152,9 +131,9 @@ struct LayoutV2 {
   std::size_t total = 0;
 };
 
-[[nodiscard]] LayoutV2 layout_v2(const Header& h) noexcept {
-  LayoutV2 layout;
-  std::size_t at = kHeaderSizeV2;
+[[nodiscard]] Layout section_layout(const Header& h) noexcept {
+  Layout layout;
+  std::size_t at = kHeaderSize;
   const auto section = [&at](std::size_t size) {
     const std::size_t offset = at;
     at = align8(at + size);
@@ -164,7 +143,7 @@ struct LayoutV2 {
   layout.name_offsets = section(4 * (std::size_t{h.sid_count} + 1));
   layout.name_arena = section(h.name_arena_len);
   layout.sid_slots = section(4 * std::size_t{h.sid_slot_count});
-  layout.entries = section(kEntryRecordSizeV2 * std::size_t{h.entry_count});
+  layout.entries = section(kEntryRecordSize * std::size_t{h.entry_count});
   layout.meta_offsets = section(4 * (2 * std::size_t{h.entry_count} + 1));
   layout.meta_arena = section(h.meta_arena_len);
   layout.modes = section(4 * std::size_t{h.mode_count});
@@ -175,30 +154,22 @@ struct LayoutV2 {
   return layout;
 }
 
-/// Magic + minimum-length + version peek, so the reader can dispatch on
-/// the layout before running the version-specific header validation.
-[[nodiscard]] std::uint32_t peek_version(std::span<const std::byte> blob) {
-  if (blob.size() < wire::kPrefixSize) {
-    reject("truncated (smaller than the fixed header)");
-  }
-  if (std::memcmp(blob.data() + wire::kOffMagic, kMagic.data(),
-                  kMagic.size()) != 0) {
-    reject("bad magic (not a " + std::string(kDomain) + ")");
-  }
-  const std::uint32_t version =
-      load_u32(blob.data() + wire::kOffFormatVersion);
-  if (version != kPolicyBlobFormatVersionV1 &&
-      version != kPolicyBlobFormatVersion) {
-    reject("unsupported format version " + std::to_string(version) +
-           " (reader speaks versions " +
-           std::to_string(kPolicyBlobFormatVersionV1) + " and " +
-           std::to_string(kPolicyBlobFormatVersion) + ")");
-  }
-  return version;
+[[nodiscard]] constexpr bool power_of_two(std::uint32_t v) noexcept {
+  return v != 0 && (v & (v - 1)) == 0;
 }
 
-/// The header fields both versions share past the wire prefix.
-void read_common_fields(std::span<const std::byte> blob, Header& h) {
+/// Validates everything the fixed header plus the section-packing
+/// equation can prove — all of it O(1) in policy size. This is the
+/// ENTIRE structural gate of a kSealedStore attach; kUntrusted layers
+/// the checksum (via validate_prefix), the semantic content passes and
+/// the fingerprint gate on top.
+[[nodiscard]] Header validate_header(std::span<const std::byte> blob,
+                                     bool verify_payload_hash) {
+  wire::validate_prefix<PolicyBlobError>(blob, kMagic,
+                                         kPolicyBlobFormatVersion,
+                                         kHeaderSize, kDomain,
+                                         verify_payload_hash);
+  Header h;
   h.total_size = blob.size();
   h.payload_hash = load_u64(blob.data() + wire::kOffPayloadHash);
   h.fingerprint = load_u64(blob.data() + kOffFingerprint);
@@ -222,41 +193,10 @@ void read_common_fields(std::span<const std::byte> blob, Header& h) {
       reject("reserved header bytes not zero");
     }
   }
-}
-
-/// Validates everything the v1 fixed header can prove on its own.
-[[nodiscard]] Header validate_header_v1(std::span<const std::byte> blob) {
-  wire::validate_prefix<PolicyBlobError>(blob, kMagic,
-                                         kPolicyBlobFormatVersionV1,
-                                         kHeaderSizeV1, kDomain);
-  Header h;
-  h.format_version = kPolicyBlobFormatVersionV1;
-  read_common_fields(blob, h);
-  return h;
-}
-
-[[nodiscard]] constexpr bool power_of_two(std::uint32_t v) noexcept {
-  return v != 0 && (v & (v - 1)) == 0;
-}
-
-/// Validates everything the v2 fixed header plus the section-packing
-/// equation can prove — all of it O(1) in policy size. This is the
-/// ENTIRE structural gate of a kSealedStore attach; kUntrusted layers
-/// the checksum (via validate_prefix), the semantic content passes and
-/// the fingerprint gate on top.
-[[nodiscard]] Header validate_header_v2(std::span<const std::byte> blob,
-                                        bool verify_payload_hash) {
-  wire::validate_prefix<PolicyBlobError>(blob, kMagic,
-                                         kPolicyBlobFormatVersion,
-                                         kHeaderSizeV2, kDomain,
-                                         verify_payload_hash);
-  Header h;
-  h.format_version = kPolicyBlobFormatVersion;
-  read_common_fields(blob, h);
   h.sid_slot_count = load_u32(blob.data() + kOffSidSlotCount);
   h.name_arena_len = load_u32(blob.data() + kOffNameArenaLen);
   h.meta_arena_len = load_u32(blob.data() + kOffMetaArenaLen);
-  if (load_u32(blob.data() + kOffReservedV2) != 0) {
+  if (load_u32(blob.data() + kOffReserved) != 0) {
     reject("reserved header bytes not zero");
   }
 
@@ -285,9 +225,9 @@ void read_common_fields(std::span<const std::byte> blob, Header& h) {
   // Every count must be payable in payload bytes BEFORE anything is
   // reserved: a crafted header must earn a rejection, not a
   // multi-gigabyte allocation (memory-exhaustion DoS on the OTA path).
-  const std::size_t payload_size = blob.size() - kHeaderSizeV2;
+  const std::size_t payload_size = blob.size() - kHeaderSize;
   if (h.name_len > payload_size || h.sid_count > payload_size / 4 ||
-      h.entry_count > payload_size / kEntryRecordSizeV2 ||
+      h.entry_count > payload_size / kEntryRecordSize ||
       h.slot_count > payload_size / 16 || h.flat_count > payload_size / 4 ||
       h.sid_slot_count > payload_size / 4 ||
       h.name_arena_len > payload_size || h.meta_arena_len > payload_size) {
@@ -296,7 +236,7 @@ void read_common_fields(std::span<const std::byte> blob, Header& h) {
   // The exact-packing gate: the derived section chain must land on the
   // (prefix-validated) total size, so no header count can lie without
   // the sections sliding off the end or leaving slack.
-  if (layout_v2(h).total != blob.size()) {
+  if (section_layout(h).total != blob.size()) {
     reject("section layout does not pack to the blob size");
   }
   return h;
@@ -310,20 +250,17 @@ std::span<const std::byte, kPolicyBlobMagicSize> policy_blob_magic() noexcept {
 
 std::vector<PolicyBlobSection> policy_blob_layout(
     std::span<const std::byte> blob) {
-  if (peek_version(blob) != kPolicyBlobFormatVersion) {
-    reject("layout introspection requires a v2 (zero-copy) blob");
-  }
-  const Header h = validate_header_v2(blob, true);
-  const LayoutV2 layout = layout_v2(h);
+  const Header h = validate_header(blob, true);
+  const Layout layout = section_layout(h);
   return {
-      {"header", 0, kHeaderSizeV2},
+      {"header", 0, kHeaderSize},
       {"image name", layout.name, h.name_len},
       {"sid name offsets", layout.name_offsets,
        4 * (std::size_t{h.sid_count} + 1)},
       {"sid name arena", layout.name_arena, h.name_arena_len},
       {"sid probe slots", layout.sid_slots, 4 * std::size_t{h.sid_slot_count}},
       {"entries", layout.entries,
-       kEntryRecordSizeV2 * std::size_t{h.entry_count}},
+       kEntryRecordSize * std::size_t{h.entry_count}},
       {"meta offsets", layout.meta_offsets,
        4 * (2 * std::size_t{h.entry_count} + 1)},
       {"meta arena", layout.meta_arena, h.meta_arena_len},
@@ -366,7 +303,7 @@ std::vector<std::byte> PolicyBlobWriter::write(
   h.sid_slot_count = static_cast<std::uint32_t>(probe_slots.size());
   h.name_arena_len = static_cast<std::uint32_t>(name_arena_len);
   h.meta_arena_len = static_cast<std::uint32_t>(meta_arena_len);
-  const LayoutV2 layout = layout_v2(h);
+  const Layout layout = section_layout(h);
 
   // One zero-filled allocation: the inter-section padding and every
   // reserved byte are zero by construction.
@@ -402,7 +339,7 @@ std::vector<std::byte> PolicyBlobWriter::write(
   for (std::uint32_t i = 0; i < entry_count; ++i) {
     const Entry& entry = image.entries_[i];
     std::byte* at = blob.data() + layout.entries +
-                    kEntryRecordSizeV2 * std::size_t{i};
+                    kEntryRecordSize * std::size_t{i};
     store_u32(at, entry.subject);
     store_u32(at + 4, entry.object);
     at[8] = std::byte(static_cast<unsigned char>(entry.permission));
@@ -458,7 +395,7 @@ std::vector<std::byte> PolicyBlobWriter::write(
   store_u64(blob.data() + wire::kOffTotalSize, layout.total);
   store_u64(blob.data() + wire::kOffPayloadHash,
             wire::hash_payload(
-                std::span<const std::byte>(blob).subspan(kHeaderSizeV2)));
+                std::span<const std::byte>(blob).subspan(kHeaderSize)));
   store_u64(blob.data() + kOffFingerprint, image.fingerprint());
   store_u64(blob.data() + kOffImageVersion, image.version_);
   store_u32(blob.data() + kOffSidCount, h.sid_count);
@@ -475,84 +412,6 @@ std::vector<std::byte> PolicyBlobWriter::write(
   return blob;
 }
 
-std::vector<std::byte> PolicyBlobWriter::write_v1(
-    const CompiledPolicyImage& image) {
-  const mac::SidTable& sids = image.sids();
-
-  std::vector<std::byte> payload;
-  // Generous reservation: fixed-size sections plus a guess for strings.
-  payload.reserve(128 + sids.size() * 24 + image.entries_.size() * 128 +
-                  image.slot_keys_.size() * 16);
-
-  // Image name, then every interned name in SID order (SID i == position
-  // i-1): replaying intern() over this list reconstructs the exact table.
-  for (const char ch : image.name_) {
-    payload.push_back(std::byte(static_cast<unsigned char>(ch)));
-  }
-  for (mac::Sid sid = 1; sid <= sids.size(); ++sid) {
-    put_str(payload, sids.name_of(sid));
-  }
-
-  // Packed entries, field by field (no struct memcpy: padding bytes and
-  // compiler layout never reach the wire — the interop guarantee).
-  for (const Entry& entry : image.entries_) {
-    put_u32(payload, entry.subject);
-    put_u32(payload, entry.object);
-    payload.push_back(std::byte(static_cast<unsigned char>(entry.permission)));
-    payload.push_back(std::byte(entry.specificity));
-    payload.push_back(std::byte{0});  // reserved
-    payload.push_back(std::byte{0});
-    put_u32(payload, static_cast<std::uint32_t>(entry.priority));
-    put_u64(payload, entry.mode_mask);
-    put_u32(payload, entry.meta);
-  }
-
-  // Audit metas: rule id + the allow reason. The two permission-mismatch
-  // deny texts are derived — identical bytes, never stored.
-  for (std::uint32_t m = 0; m < image.entries_.size(); ++m) {
-    put_str(payload, image.meta_id_view(m));
-    put_str(payload, image.meta_reason_view(m));
-  }
-
-  for (const mac::Sid mode : image.mode_sids_) put_u32(payload, mode);
-
-  for (const std::uint64_t key : image.slot_keys_) put_u64(payload, key);
-  for (const SlotSpan& span : image.slot_spans_) {
-    put_u32(payload, span.offset);
-    put_u32(payload, span.count);
-  }
-  for (const std::uint32_t i : image.flat_index_) put_u32(payload, i);
-
-  std::vector<std::byte> blob(kHeaderSizeV1);
-  std::memcpy(blob.data() + wire::kOffMagic, kMagic.data(), kMagic.size());
-  store_u32(blob.data() + wire::kOffFormatVersion, kPolicyBlobFormatVersionV1);
-  store_u32(blob.data() + wire::kOffEndianTag, wire::kEndianTag);
-  store_u64(blob.data() + wire::kOffTotalSize, kHeaderSizeV1 + payload.size());
-  store_u64(blob.data() + wire::kOffPayloadHash, wire::hash_payload(payload));
-  store_u64(blob.data() + kOffFingerprint, image.fingerprint());
-  store_u64(blob.data() + kOffImageVersion, image.version_);
-  store_u32(blob.data() + kOffSidCount,
-            static_cast<std::uint32_t>(sids.size()));
-  store_u32(blob.data() + kOffEntryCount,
-            static_cast<std::uint32_t>(image.entries_.size()));
-  store_u32(blob.data() + kOffModeCount,
-            static_cast<std::uint32_t>(image.mode_sids_.size()));
-  store_u32(blob.data() + kOffSlotCount,
-            static_cast<std::uint32_t>(image.slot_keys_.size()));
-  store_u32(blob.data() + kOffFlatCount,
-            static_cast<std::uint32_t>(image.flat_index_.size()));
-  store_u32(blob.data() + kOffNameLen,
-            static_cast<std::uint32_t>(image.name_.size()));
-  store_u32(blob.data() + kOffWildcardSid, image.wildcard_sid_);
-  blob[kOffDefaultAllow] = std::byte(image.default_allow_ ? 1 : 0);
-  blob[kOffDefaultAllow + 1] = std::byte{0};
-  blob[kOffDefaultAllow + 2] = std::byte{0};
-  blob[kOffDefaultAllow + 3] = std::byte{0};
-
-  blob.insert(blob.end(), payload.begin(), payload.end());
-  return blob;
-}
-
 void PolicyBlobWriter::write_file(const CompiledPolicyImage& image,
                                   const std::string& path) {
   wire::write_file<PolicyBlobError>(write(image), path, kDomain);
@@ -561,11 +420,9 @@ void PolicyBlobWriter::write_file(const CompiledPolicyImage& image,
 // ------------------------------------------------------------------ reader
 
 PolicyBlobInfo PolicyBlobReader::probe(std::span<const std::byte> blob) {
-  const Header h = peek_version(blob) == kPolicyBlobFormatVersionV1
-                       ? validate_header_v1(blob)
-                       : validate_header_v2(blob, true);
+  const Header h = validate_header(blob, true);
   PolicyBlobInfo info;
-  info.format_version = h.format_version;
+  info.format_version = kPolicyBlobFormatVersion;
   info.fingerprint = h.fingerprint;
   info.image_version = h.image_version;
   info.sid_count = h.sid_count;
@@ -636,173 +493,23 @@ void PolicyBlobReader::validate_index(const CompiledPolicyImage& image,
   }
 }
 
-CompiledPolicyImage PolicyBlobReader::load_v1(
+CompiledPolicyImage PolicyBlobReader::load(
     std::span<const std::byte> blob, std::shared_ptr<mac::SidTable> sids) {
-  const Header h = validate_header_v1(blob);
-  if (h.mode_count > kMaxImageModes) {
-    reject("mode table larger than the 64-bit mask allows");
-  }
-  if (!power_of_two(h.slot_count)) {
-    reject("index slot count is not a power of two");
-  }
-  if (h.flat_count != h.entry_count) {
-    reject("index covers " + std::to_string(h.flat_count) +
-           " entries, image has " + std::to_string(h.entry_count));
-  }
-  // Every count must be payable in payload bytes BEFORE anything is
-  // reserved: a crafted header must earn a rejection, not a
-  // multi-gigabyte allocation (memory-exhaustion DoS on the OTA path).
-  const std::size_t payload_size = blob.size() - kHeaderSizeV1;
-  if (h.name_len > payload_size || h.sid_count > payload_size / 4 ||
-      h.entry_count > payload_size / kEntryRecordSizeV1 ||
-      h.slot_count > payload_size / 16 || h.flat_count > payload_size / 4) {
-    reject("section counts exceed the blob's own size");
-  }
-
-  Cursor cursor(blob.subspan(kHeaderSizeV1), kDomain);
-
-  CompiledPolicyImage image;
-  // Image name: length lives in the header, bytes open the payload.
-  image.name_ = cursor.raw(h.name_len);
-  image.version_ = h.image_version;
-  image.default_allow_ = h.default_allow;
-
-  // SID space: replay every carried name through the interner and demand
-  // the historical SID back. A fresh table trivially satisfies this; a
-  // caller-provided table must be interning-prefix-compatible, anything
-  // else means the packed entries would denote different identities.
-  image.sids_ = sids != nullptr ? std::move(sids)
-                                : std::make_shared<mac::SidTable>();
-  image.sids_->reserve(h.sid_count);
-  for (std::uint32_t i = 0; i < h.sid_count; ++i) {
-    const std::string_view name = cursor.view();
-    const mac::Sid sid = image.sids_->intern(name);
-    if (sid != i + 1) {
-      reject("SID space mismatch: '" + std::string(name) + "' interned to " +
-             std::to_string(sid) + ", blob carries " + std::to_string(i + 1));
-    }
-  }
-  if (h.wildcard_sid == mac::kNullSid || h.wildcard_sid > h.sid_count ||
-      image.sids_->name_of(h.wildcard_sid) != "*") {
-    reject("wildcard SID does not name '*'");
-  }
-  image.wildcard_sid_ = h.wildcard_sid;
-
-  const auto check_sid = [&](mac::Sid sid, const char* what) {
-    if (sid == mac::kNullSid || sid > h.sid_count) {
-      reject(std::string(what) + " SID outside the carried table");
-    }
-  };
-
-  image.entries_store_.reserve(h.entry_count);
-  const std::byte* entry_bytes =
-      cursor.take(std::size_t{h.entry_count} * kEntryRecordSizeV1);
-  for (std::uint32_t i = 0; i < h.entry_count; ++i) {
-    const std::byte* at = entry_bytes + std::size_t{i} * kEntryRecordSizeV1;
-    Entry entry;
-    entry.subject = load_u32(at);
-    entry.object = load_u32(at + 4);
-    const auto permission = std::to_integer<std::uint8_t>(at[8]);
-    entry.specificity = std::to_integer<std::uint8_t>(at[9]);
-    entry.priority = static_cast<std::int32_t>(load_u32(at + 12));
-    entry.mode_mask = load_u64(at + 16);
-    entry.meta = load_u32(at + 24);
-    entry.permission = static_cast<threat::Permission>(permission);
-
-    // Per-entry validation, folded into one predicate so the accept path
-    // is a single branch ((sid - 1) < count is the unsigned both-ends
-    // check: kNullSid wraps). Rejection re-runs the parts for a precise
-    // message — the cold path can afford it.
-    const std::uint8_t specificity = static_cast<std::uint8_t>(
-        (entry.subject != image.wildcard_sid_ ? 1 : 0) +
-        (entry.object != image.wildcard_sid_ ? 1 : 0));
-    const bool mode_bits_ok =
-        h.mode_count >= 64 || (entry.mode_mask >> h.mode_count) == 0;
-    if ((entry.subject - 1) >= h.sid_count || (entry.object - 1) >= h.sid_count ||
-        permission > static_cast<std::uint8_t>(threat::Permission::kReadWrite) ||
-        entry.specificity != specificity || !mode_bits_ok || entry.meta != i) {
-      check_sid(entry.subject, "entry subject");
-      check_sid(entry.object, "entry object");
-      if (permission >
-          static_cast<std::uint8_t>(threat::Permission::kReadWrite)) {
-        reject("entry permission byte out of range");
-      }
-      if (entry.specificity != specificity) {
-        reject("entry specificity inconsistent with its SIDs");
-      }
-      if (!mode_bits_ok) {
-        reject("entry mode mask names bits beyond the mode table");
-      }
-      reject("entry/meta correspondence broken");
-    }
-    image.entries_store_.push_back(entry);
-  }
-
-  image.metas_.reserve(h.entry_count);
-  for (std::uint32_t i = 0; i < h.entry_count; ++i) {
-    std::string id = cursor.str();
-    std::string reason = cursor.str();
-    CompiledPolicyImage::emplace_meta(image.metas_, std::move(id),
-                                      image.entries_store_[i].permission,
-                                      std::move(reason));
-  }
-
-  image.mode_store_.reserve(h.mode_count);
-  for (std::uint32_t i = 0; i < h.mode_count; ++i) {
-    const mac::Sid mode = cursor.u32();
-    check_sid(mode, "mode");
-    for (const mac::Sid seen : image.mode_store_) {
-      if (seen == mode) reject("duplicate mode SID in the mode table");
-    }
-    image.mode_store_.push_back(mode);
-  }
-
-  image.slot_key_store_.reserve(h.slot_count);
-  const std::byte* key_bytes = cursor.take(std::size_t{h.slot_count} * 8);
-  for (std::uint32_t i = 0; i < h.slot_count; ++i) {
-    image.slot_key_store_.push_back(load_u64(key_bytes + std::size_t{i} * 8));
-  }
-  image.slot_span_store_.reserve(h.slot_count);
-  const std::byte* span_bytes = cursor.take(std::size_t{h.slot_count} * 8);
-  for (std::uint32_t i = 0; i < h.slot_count; ++i) {
-    image.slot_span_store_.push_back(
-        {load_u32(span_bytes + std::size_t{i} * 8),
-         load_u32(span_bytes + std::size_t{i} * 8 + 4)});
-  }
-  image.flat_store_.reserve(h.flat_count);
-  const std::byte* flat_bytes = cursor.take(std::size_t{h.flat_count} * 4);
-  for (std::uint32_t i = 0; i < h.flat_count; ++i) {
-    image.flat_store_.push_back(load_u32(flat_bytes + std::size_t{i} * 4));
-  }
-  if (!cursor.exhausted()) {
-    reject("trailing bytes after the last section");
-  }
-
-  image.adopt_owned_storage();
-  validate_index(image, h.entry_count);
-
-  image.default_allow_decision_ =
-      Decision::allow("", "no matching rule; default allow");
-  image.default_deny_decision_ =
-      Decision::deny("", "no matching rule; default deny");
-
-  // The final gate: the reconstructed image must fingerprint to exactly
-  // what the writer recorded — the same integrity anchor the compiled
-  // pipeline uses, now guarding the OTA trust boundary.
-  if (image.fingerprint() != h.fingerprint) {
-    reject("fingerprint mismatch (content does not match manifest)",
-           WireFault::kFingerprintMismatch);
-  }
-  return image;
+  // A span caller owns nothing the image could borrow: copy the blob
+  // once into a refcounted, aligned buffer, then run the zero-copy load
+  // over it (still no per-element copying).
+  return load(PolicyBuffer::copy_of(blob), std::move(sids),
+              BlobTrust::kUntrusted);
 }
 
-CompiledPolicyImage PolicyBlobReader::load_v2(
+CompiledPolicyImage PolicyBlobReader::load(
     std::shared_ptr<const PolicyBuffer> buffer,
     std::shared_ptr<mac::SidTable> sids, BlobTrust trust) {
+  if (buffer == nullptr) reject("null buffer");
   const std::span<const std::byte> blob = buffer->bytes();
   const bool untrusted = trust == BlobTrust::kUntrusted;
-  const Header h = validate_header_v2(blob, untrusted);
-  const LayoutV2 layout = layout_v2(h);
+  const Header h = validate_header(blob, untrusted);
+  const Layout layout = section_layout(h);
   const std::byte* base = blob.data();
   if (reinterpret_cast<std::uintptr_t>(base) % 8 != 0) {
     // operator new and mmap both hand out 8-aligned memory; an unaligned
@@ -849,9 +556,8 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
 
     if (sids != nullptr) {
       // A caller-provided table: replay every carried name and demand
-      // the historical SID back (prefix-compatibility — identical to the
-      // v1 semantics; inherently O(n), so the zero-copy attach does not
-      // apply to this path). Offsets were validated above for untrusted;
+      // the historical SID back (prefix-compatibility; inherently O(n),
+      // so the zero-copy attach does not apply to this path). Offsets were validated above for untrusted;
       // replaying a sealed blob into a foreign table still needs them
       // sane, so walk defensively via name_at-equivalent bounds.
       image.sids_ = std::move(sids);
@@ -880,7 +586,7 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
         // over the carried names: every SID placed once, and every name
         // findable back to its own SID (which proves reachability and
         // rules out shadowing duplicates — the replay-intern equivalence
-        // the v1 path gets for free).
+        // a caller-provided table gets by construction).
         std::vector<bool> placed(h.sid_count, false);
         std::size_t occupied = 0;
         for (const mac::Sid sid : sid_slots) {
@@ -930,7 +636,7 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
   } else {
     // ---- big-endian fallback: decode into owned storage --------------
     // The wire is little-endian; a BE host cannot alias it, so it pays
-    // the v1-style reconstruction (correctness over flatness — no
+    // a decoding reconstruction (correctness over flatness — no
     // supported target is BE, but the format promise holds everywhere).
     const std::byte* off_bytes = base + layout.name_offsets;
     std::vector<std::uint32_t> name_offsets(std::size_t{h.sid_count} + 1);
@@ -964,7 +670,7 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
     image.entries_store_.resize(h.entry_count);
     for (std::uint32_t i = 0; i < h.entry_count; ++i) {
       const std::byte* at =
-          base + layout.entries + kEntryRecordSizeV2 * std::size_t{i};
+          base + layout.entries + kEntryRecordSize * std::size_t{i};
       Entry& entry = image.entries_store_[i];
       entry.subject = load_u32(at);
       entry.object = load_u32(at + 4);
@@ -1015,8 +721,8 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
   }
 
   if (untrusted) {
-    // Per-entry validation over the bound views — identical checks to
-    // the v1 decode loop, plus the v2 reserved bytes.
+    // Per-entry validation over the bound views, reserved bytes
+    // included.
     const auto check_sid = [&](mac::Sid sid, const char* what) {
       if (sid == mac::kNullSid || sid > h.sid_count) {
         reject(std::string(what) + " SID outside the carried table");
@@ -1096,28 +802,6 @@ CompiledPolicyImage PolicyBlobReader::load_v2(
            WireFault::kFingerprintMismatch);
   }
   return image;
-}
-
-CompiledPolicyImage PolicyBlobReader::load(
-    std::span<const std::byte> blob, std::shared_ptr<mac::SidTable> sids) {
-  if (peek_version(blob) == kPolicyBlobFormatVersionV1) {
-    return load_v1(blob, std::move(sids));
-  }
-  // A span caller owns nothing the image could borrow: copy the blob
-  // once into a refcounted, aligned buffer, then run the zero-copy load
-  // over it (still no per-element copying).
-  return load_v2(PolicyBuffer::copy_of(blob), std::move(sids),
-                 BlobTrust::kUntrusted);
-}
-
-CompiledPolicyImage PolicyBlobReader::load(
-    std::shared_ptr<const PolicyBuffer> buffer,
-    std::shared_ptr<mac::SidTable> sids, BlobTrust trust) {
-  if (buffer == nullptr) reject("null buffer");
-  if (peek_version(buffer->bytes()) == kPolicyBlobFormatVersionV1) {
-    return load_v1(buffer->bytes(), std::move(sids));
-  }
-  return load_v2(std::move(buffer), std::move(sids), trust);
 }
 
 CompiledPolicyImage PolicyBlobReader::load_file(

@@ -8,14 +8,13 @@
 // its binary policydb: the sealed image — packed SID-space entries, the
 // open-addressing index, the mode table, the prototype-decision audit
 // strings — and its backing mac::SidTable are serialised once at the OEM,
-// and every vehicle boots by loading the blob. Format v2 goes one step
+// and every vehicle boots by loading the blob. The format goes one step
 // further (the move Android ART makes with OAT files): every section is
 // laid out 8-byte-aligned and position-independent, so the loader VIEWS
 // the validated buffer in place — entries, index, mode table and both
 // string arenas are borrowed, not copied, and boot-to-first-decision is
 // O(1) in policy size. The loaded image produces byte-identical
-// Decisions to the freshly compiled original (test-pinned); v1 blobs
-// still load through the copying compat path.
+// Decisions to the freshly compiled original (test-pinned).
 //
 // Trust boundary: blobs arrive over the air. A malformed blob — truncated,
 // bit-flipped, wrong version, wrong endianness, inconsistent internal
@@ -27,7 +26,7 @@
 // this layer guarantees a hostile byte stream cannot corrupt memory or
 // smuggle in an image that disagrees with its own manifest.)
 //
-// Two trust levels feed the v2 loader (BlobTrust below): kUntrusted runs
+// Two trust levels feed the loader (BlobTrust below): kUntrusted runs
 // the full single-pass validation — checksum, structural bounds,
 // semantic SID-slot and index re-validation, fingerprint cross-check —
 // exactly once per staged blob; kSealedStore attaches a blob that
@@ -41,7 +40,7 @@
 // carries a format version plus an endianness tag. It is independent of
 // compiler, struct padding and standard-library layout: CI round-trips a
 // gcc-written blob through a clang reader and vice versa. See DESIGN.md
-// "Zero-copy image views" for the v2 layout and evolution rules.
+// "Zero-copy image views" for the layout and evolution rules.
 #pragma once
 
 #include <cstddef>
@@ -69,14 +68,10 @@ class PolicyBlobError : public PolicyWireError {
   using PolicyWireError::PolicyWireError;
 };
 
-/// Current on-wire format version (the zero-copy layout). Bump on any
-/// layout change; readers reject versions they do not speak (no silent
-/// best-effort parsing at a trust boundary).
+/// The on-wire format version (the zero-copy layout). Bump on any
+/// layout change; readers reject every version they do not speak (no
+/// silent best-effort parsing at a trust boundary).
 inline constexpr std::uint32_t kPolicyBlobFormatVersion = 2;
-
-/// The legacy copying layout; still readable (and writable, for interop
-/// tooling) via the compat paths.
-inline constexpr std::uint32_t kPolicyBlobFormatVersionV1 = 1;
 
 /// The 8 magic bytes every blob starts with ("PSMEPIMG").
 inline constexpr std::size_t kPolicyBlobMagicSize = 8;
@@ -110,7 +105,7 @@ struct PolicyBlobInfo {
   std::uint64_t total_size = 0;       // whole blob, header included
 };
 
-/// One payload section of a v2 blob, for layout introspection (the
+/// One payload section of a blob, for layout introspection (the
 /// `info` subcommand of examples/policy_blob_io.cpp; nothing on the
 /// boot path uses this).
 struct PolicyBlobSection {
@@ -119,9 +114,8 @@ struct PolicyBlobSection {
   std::size_t size = 0;    // unpadded section bytes
 };
 
-/// The derived v2 section table (header + every payload section, in
-/// file order). Throws PolicyBlobError unless `blob` is a v2 blob with
-/// a valid header.
+/// The derived section table (header + every payload section, in file
+/// order). Throws PolicyBlobError unless `blob` has a valid header.
 [[nodiscard]] std::vector<PolicyBlobSection> policy_blob_layout(
     std::span<const std::byte> blob);
 
@@ -130,7 +124,7 @@ struct PolicyBlobSection {
 /// never on the vehicle's hot path.
 class PolicyBlobWriter {
  public:
-  /// The v2 (zero-copy layout) blob for `image`: header + 8-aligned
+  /// The zero-copy-layout blob for `image`: header + 8-aligned
   /// payload sections, checksummed and carrying image.fingerprint(). The
   /// ENTIRE backing SidTable is serialised (names in SID order plus the
   /// probe-slot array), so identities interned beyond the policy's own
@@ -138,12 +132,6 @@ class PolicyBlobWriter {
   /// their SIDs intact, and a reader can attach the interner without
   /// rebuilding it.
   [[nodiscard]] static std::vector<std::byte> write(
-      const CompiledPolicyImage& image);
-
-  /// The legacy v1 (copying layout) blob — interop tooling and the
-  /// compat read path's test anchor. Same content, packed layout,
-  /// loads via the v1 reconstruction pass.
-  [[nodiscard]] static std::vector<std::byte> write_v1(
       const CompiledPolicyImage& image);
 
   /// write() to a file. Throws PolicyBlobError when the file cannot be
@@ -156,16 +144,14 @@ class PolicyBlobWriter {
 class PolicyBlobReader {
  public:
   /// Header-only inspection; throws PolicyBlobError on a blob whose
-  /// fixed header fails validation (see PolicyBlobInfo). Speaks both
-  /// format versions.
+  /// fixed header fails validation (see PolicyBlobInfo).
   [[nodiscard]] static PolicyBlobInfo probe(std::span<const std::byte> blob);
 
-  /// Full validated load from a non-owning span. A v1 blob runs the
-  /// copying reconstruction; a v2 blob is copied ONCE into a fresh
-  /// PolicyBuffer and then borrowed (callers who already own a buffer
-  /// should use the PolicyBuffer overload — no copy at all). When `sids`
-  /// is null a fresh SidTable is created (v2: attached zero-copy over
-  /// the blob's arena). When a table is provided, every carried name
+  /// Full validated load from a non-owning span: the blob is copied ONCE
+  /// into a fresh PolicyBuffer and then borrowed (callers who already
+  /// own a buffer should use the PolicyBuffer overload — no copy at
+  /// all). When `sids` is null a fresh SidTable is attached zero-copy
+  /// over the blob's arena. When a table is provided, every carried name
   /// must intern to exactly its carried SID — an empty table, or one
   /// whose interning history is a prefix of the blob's, qualifies;
   /// anything else is a SID-space mismatch and is rejected (packed
@@ -180,8 +166,7 @@ class PolicyBlobReader {
   /// Zero-copy load: the returned image (and its attached SidTable)
   /// view `buffer`'s bytes in place, holding the shared_ptr so the
   /// buffer outlives every borrower. `trust` selects the validation
-  /// depth (see BlobTrust; default full). v1 blobs fall back to the
-  /// copying reconstruction (the buffer is then released on return).
+  /// depth (see BlobTrust; default full).
   [[nodiscard]] static CompiledPolicyImage load(
       std::shared_ptr<const PolicyBuffer> buffer,
       std::shared_ptr<mac::SidTable> sids = nullptr,
@@ -195,14 +180,8 @@ class PolicyBlobReader {
       BlobTrust trust = BlobTrust::kUntrusted);
 
  private:
-  static CompiledPolicyImage load_v1(std::span<const std::byte> blob,
-                                     std::shared_ptr<mac::SidTable> sids);
-  static CompiledPolicyImage load_v2(
-      std::shared_ptr<const PolicyBuffer> buffer,
-      std::shared_ptr<mac::SidTable> sids, BlobTrust trust);
   /// Semantic re-validation of a bound (owned or borrowed) image's
-  /// sealed index against its entries — shared by the v1 reconstruction
-  /// and the v2 untrusted pass.
+  /// sealed index against its entries (the untrusted pass).
   static void validate_index(const CompiledPolicyImage& image,
                              std::uint32_t entry_count);
 };

@@ -1,6 +1,6 @@
 // psme::core — refcounted ownership of a policy blob's backing bytes.
 //
-// The zero-copy loader (core/policy_blob.h, format v2) turns a blob into
+// The zero-copy loader (core/policy_blob.h) turns a blob into
 // a CompiledPolicyImage whose entry array, index tables, mode table and
 // name/meta arenas are VIEWS into the blob's own bytes. Something must
 // therefore own those bytes for as long as any image (or the SidTable
@@ -14,7 +14,7 @@
 // drops it.
 //
 // The buffer start is guaranteed 8-byte aligned (operator new and mmap
-// both give at least that), which is what lets the v2 loader reinterpret
+// both give at least that), which is what lets the loader reinterpret
 // aligned sections in place — see DESIGN.md "Zero-copy image views".
 #pragma once
 

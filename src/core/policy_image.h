@@ -12,9 +12,9 @@
 //
 // Storage comes in two modes behind one query API (DESIGN.md "Zero-copy
 // image views"):
-//  - OWNED: the compile, v1-blob-load and delta-apply paths fill the
+//  - OWNED: the compile and delta-apply paths fill the
 //    *_store_ vectors; the evaluation views alias them.
-//  - BORROWED: the v2 zero-copy blob loader points the views straight
+//  - BORROWED: the zero-copy blob loader points the views straight
 //    into the validated blob buffer (entries, index, mode table, meta
 //    arena all used in place; a shared PolicyBuffer pins the bytes).
 //    Audit Metas are then materialised LAZILY, at most once per rule, by
@@ -76,7 +76,7 @@ class CompiledPolicyImage {
   /// semantics are exactly PolicySet::evaluate's.
   ///
   /// The layout is pinned (static_asserts in core/policy_blob.cpp) to
-  /// exactly the 32-byte little-endian v2 wire record, so the zero-copy
+  /// exactly the 32-byte little-endian wire record, so the zero-copy
   /// loader can view a blob's entry section in place on a little-endian
   /// host. The reserved bytes are the wire padding, always zero.
   struct Entry {
@@ -93,7 +93,7 @@ class CompiledPolicyImage {
   };
 
   /// One sealed-index slot's span over the flat entry-index array.
-  /// Layout-pinned like Entry: the pair is the 8-byte v2 wire record.
+  /// Layout-pinned like Entry: the pair is the 8-byte wire record.
   struct SlotSpan {
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
@@ -129,8 +129,8 @@ class CompiledPolicyImage {
   /// processed in stack-resident chunks, each chunk running a resolve
   /// wave (pack pair keys + mode bits, consult a call-local
   /// (pair, mode-bits)→best memo), a probe wave (unresolved keys walk
-  /// the sealed index through the active probe backend, origins
-  /// prefetched ahead), and a copy wave (Decision materialisation).
+  /// the sealed index with probe::find_slot, origins prefetched ahead),
+  /// and a copy wave (Decision materialisation).
   /// Decisions are byte-identical to per-element evaluate() — the memo
   /// is exact because best-entry selection never reads the access type.
   /// The copy-assignment into `out` reuses each Decision's existing
@@ -354,8 +354,8 @@ class CompiledPolicyImage {
   [[nodiscard]] const Decision& evaluate_impl(const SidRequest& request,
                                               std::uint64_t mode_bits) const;
 
-  /// Sealed-index span for one probe key, walked through the active
-  /// probe backend. Bounds-guarded: an absent key or a corrupt span
+  /// Sealed-index span for one probe key, walked with probe::find_slot.
+  /// Bounds-guarded: an absent key or a corrupt span
   /// (offset/count outside the flat index) answers a count-0 span, so a
   /// sealed-trust blob fails CLOSED instead of walking out of bounds.
   [[nodiscard]] SlotSpan index_span(std::uint64_t key) const noexcept;
@@ -392,8 +392,8 @@ class CompiledPolicyImage {
   void seal_index();
 
   /// Points the evaluation views at the owned stores. Every owned-mode
-  /// construction path (build, v1 load, delta apply, deep copy) ends
-  /// with this.
+  /// construction path (build, big-endian blob load, delta apply, deep
+  /// copy) ends with this.
   void adopt_owned_storage() noexcept;
 
   std::string name_;
@@ -402,7 +402,7 @@ class CompiledPolicyImage {
   std::shared_ptr<mac::SidTable> sids_;
   mac::Sid wildcard_sid_ = mac::kNullSid;
 
-  // -- owned stores (compile / v1 load / delta apply; empty when the
+  // -- owned stores (compile / delta apply; empty when the
   //    image borrows from a blob buffer) ---------------------------------
   std::vector<Entry> entries_store_;
   std::vector<Meta> metas_;
@@ -426,7 +426,7 @@ class CompiledPolicyImage {
   std::span<const SlotSpan> slot_spans_;
   std::span<const std::uint32_t> flat_index_;
 
-  // -- borrowed meta table (v2 blob arena) -------------------------------
+  // -- borrowed meta table (blob arena) ----------------------------------
   /// 2*meta_count_+1 offsets into meta_arena_: meta m's id is bytes
   /// [off[2m], off[2m+1]), its allow reason [off[2m+1], off[2m+2]).
   const std::uint32_t* meta_offsets_ = nullptr;

@@ -25,44 +25,6 @@ bool PolicySigner::verify(const PolicySet& set, std::uint64_t tag) const noexcep
   return sign(set) == tag;
 }
 
-std::string_view to_string(UpdateError e) noexcept {
-  switch (e) {
-    case UpdateError::kBadSignature: return "bad-signature";
-    case UpdateError::kVersionRollback: return "version-rollback";
-  }
-  return "?";
-}
-
-UpdateManager::UpdateManager(SimplePolicyEngine& engine, PolicySigner verifier)
-    : engine_(engine), verifier_(verifier) {}
-
-std::optional<UpdateError> UpdateManager::apply(const PolicyBundle& bundle) {
-  if (!verifier_.verify(bundle.set, bundle.tag)) {
-    ++rejected_;
-    return UpdateError::kBadSignature;
-  }
-  if (bundle.version() <= engine_.policy().version()) {
-    ++rejected_;
-    return UpdateError::kVersionRollback;
-  }
-  history_.push_back(engine_.policy());
-  if (history_.size() > history_limit_) history_.pop_front();
-  engine_.load(bundle.set);
-  ++applied_;
-  return std::nullopt;
-}
-
-bool UpdateManager::rollback() {
-  if (history_.empty()) return false;
-  engine_.load(std::move(history_.back()));
-  history_.pop_back();
-  return true;
-}
-
-std::uint64_t UpdateManager::current_version() const noexcept {
-  return engine_.policy().version();
-}
-
 UpdateChannel::UpdateChannel(sim::Scheduler& sched, sim::SimDuration latency,
                              double loss_rate, std::uint64_t seed)
     : sched_(sched), latency_(latency), loss_rate_(loss_rate), rng_(seed) {}

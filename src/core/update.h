@@ -8,16 +8,12 @@
 //    integrity tag (a keyed hash standing in for a real HMAC/signature;
 //    see DESIGN.md's substitution table — the security argument only needs
 //    "device rejects bundles not produced by the OEM key");
-//  * UpdateManager — the on-device agent: verifies, applies atomically,
-//    keeps history, can roll back;
 //  * UpdateChannel — a simulated OTA distribution channel with latency and
 //    loss, so benches can measure the exposure window end to end.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,45 +43,6 @@ struct PolicyBundle {
   std::string origin;     // e.g. "oem.security-team"
 
   [[nodiscard]] std::uint64_t version() const noexcept { return set.version(); }
-};
-
-/// Why an update was rejected.
-enum class UpdateError : std::uint8_t {
-  kBadSignature,
-  kVersionRollback,  // version not strictly greater than current
-};
-
-[[nodiscard]] std::string_view to_string(UpdateError e) noexcept;
-
-/// On-device update agent guarding a SimplePolicyEngine.
-class UpdateManager {
- public:
-  /// `verifier` holds the device's provisioned key. `engine` must outlive
-  /// the manager.
-  UpdateManager(SimplePolicyEngine& engine, PolicySigner verifier);
-
-  /// Validates and applies a bundle. On success the engine's policy is
-  /// swapped atomically and the previous set is pushed onto the history.
-  /// Returns nullopt on success, the rejection reason otherwise.
-  std::optional<UpdateError> apply(const PolicyBundle& bundle);
-
-  /// Restores the previous policy set. Returns false when no history.
-  bool rollback();
-
-  [[nodiscard]] std::uint64_t current_version() const noexcept;
-  [[nodiscard]] std::size_t history_depth() const noexcept {
-    return history_.size();
-  }
-  [[nodiscard]] std::uint64_t applied_count() const noexcept { return applied_; }
-  [[nodiscard]] std::uint64_t rejected_count() const noexcept { return rejected_; }
-
- private:
-  SimplePolicyEngine& engine_;
-  PolicySigner verifier_;
-  std::deque<PolicySet> history_;
-  std::size_t history_limit_ = 8;
-  std::uint64_t applied_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 /// Simulated OTA distribution channel. Devices subscribe; published

@@ -74,9 +74,8 @@ inline constexpr std::size_t kOffFormatVersion = 8;
 inline constexpr std::size_t kOffEndianTag = 12;
 inline constexpr std::size_t kOffTotalSize = 16;
 inline constexpr std::size_t kOffPayloadHash = 24;
-inline constexpr std::size_t kPrefixSize = 32;
 
-/// Rounds up to the next 8-byte boundary. The v2 blob lays every payload
+/// Rounds up to the next 8-byte boundary. The blob lays every payload
 /// section on an 8-byte boundary (zero-padded) so the zero-copy loader
 /// can view u64-bearing sections in place — see DESIGN.md "Zero-copy
 /// image views".

@@ -1,202 +1,6 @@
 #include "mac/batch_probe.h"
 
-#include <atomic>
-#include <bit>
-#include <cstddef>
-
-#if defined(PSME_SIMD) && (defined(__SSE2__) || defined(__x86_64__))
-#define PSME_HAVE_SSE2 1
-#include <emmintrin.h>
-#endif
-#if defined(PSME_SIMD) && defined(__aarch64__)
-#define PSME_HAVE_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace psme::mac::probe {
-
-namespace {
-
-// Every implementation must return the FIRST slot in probe order whose
-// key matches or is empty, over at most one table revolution. The group
-// scans may re-inspect up to three already-visited slots when the
-// revolution ends mid-group; harmless, since a visited slot was neither
-// a match nor empty and cannot produce a hit.
-
-[[nodiscard]] std::size_t find_scalar(const std::uint64_t* slots,
-                                      std::size_t mask, std::uint64_t key,
-                                      std::size_t origin) noexcept {
-  std::size_t i = origin;
-  for (std::size_t steps = 0; steps <= mask; ++steps) {
-    const std::uint64_t k = slots[i];
-    if (k == key || k == 0) return i;
-    i = (i + 1) & mask;
-  }
-  return origin;  // full table, no match, no empty: caller sees a miss
-}
-
-[[nodiscard]] std::size_t find_swar(const std::uint64_t* slots,
-                                    std::size_t mask, std::uint64_t key,
-                                    std::size_t origin) noexcept {
-  const std::size_t size = mask + 1;
-  std::size_t i = origin;
-  for (std::ptrdiff_t remaining = static_cast<std::ptrdiff_t>(size);
-       remaining > 0;) {
-    if (i + 4 <= size) {
-      // Branchless group of four: one combined match-or-empty bitmask,
-      // lowest set bit = first hit in probe order.
-      const std::uint64_t k0 = slots[i], k1 = slots[i + 1];
-      const std::uint64_t k2 = slots[i + 2], k3 = slots[i + 3];
-      const unsigned hit =
-          static_cast<unsigned>(k0 == key || k0 == 0) |
-          (static_cast<unsigned>(k1 == key || k1 == 0) << 1) |
-          (static_cast<unsigned>(k2 == key || k2 == 0) << 2) |
-          (static_cast<unsigned>(k3 == key || k3 == 0) << 3);
-      if (hit != 0) return i + std::countr_zero(hit);
-      i = (i + 4) & mask;
-      remaining -= 4;
-    } else {
-      const std::uint64_t k = slots[i];
-      if (k == key || k == 0) return i;
-      i = (i + 1) & mask;
-      remaining -= 1;
-    }
-  }
-  return origin;
-}
-
-#if defined(PSME_HAVE_SSE2)
-[[nodiscard]] std::size_t find_sse2(const std::uint64_t* slots,
-                                    std::size_t mask, std::uint64_t key,
-                                    std::size_t origin) noexcept {
-  // SSE2 has no 64-bit compare; widen _mm_cmpeq_epi32 by ANDing each
-  // 32-bit half-mask with its partner (a 64-bit lane is equal iff both
-  // halves are). movemask_pd reads one bit per 64-bit lane.
-  const __m128i vkey = _mm_set1_epi64x(static_cast<long long>(key));
-  const __m128i vzero = _mm_setzero_si128();
-  const auto eq64_mask = [](__m128i v, __m128i w) noexcept -> unsigned {
-    const __m128i eq32 = _mm_cmpeq_epi32(v, w);
-    const __m128i swapped = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1));
-    return static_cast<unsigned>(
-        _mm_movemask_pd(_mm_castsi128_pd(_mm_and_si128(eq32, swapped))));
-  };
-  const std::size_t size = mask + 1;
-  std::size_t i = origin;
-  for (std::ptrdiff_t remaining = static_cast<std::ptrdiff_t>(size);
-       remaining > 0;) {
-    if (i + 4 <= size) {
-      const __m128i lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots + i));
-      const __m128i hi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots + i + 2));
-      const unsigned hit = eq64_mask(lo, vkey) | eq64_mask(lo, vzero) |
-                           ((eq64_mask(hi, vkey) | eq64_mask(hi, vzero)) << 2);
-      if (hit != 0) return i + std::countr_zero(hit);
-      i = (i + 4) & mask;
-      remaining -= 4;
-    } else {
-      const std::uint64_t k = slots[i];
-      if (k == key || k == 0) return i;
-      i = (i + 1) & mask;
-      remaining -= 1;
-    }
-  }
-  return origin;
-}
-#endif
-
-#if defined(PSME_HAVE_NEON)
-[[nodiscard]] std::size_t find_neon(const std::uint64_t* slots,
-                                    std::size_t mask, std::uint64_t key,
-                                    std::size_t origin) noexcept {
-  const uint64x2_t vkey = vdupq_n_u64(key);
-  const uint64x2_t vzero = vdupq_n_u64(0);
-  const auto lane_bits = [](uint64x2_t m) noexcept -> unsigned {
-    return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1) |
-           (static_cast<unsigned>(vgetq_lane_u64(m, 1) & 1) << 1);
-  };
-  const std::size_t size = mask + 1;
-  std::size_t i = origin;
-  for (std::ptrdiff_t remaining = static_cast<std::ptrdiff_t>(size);
-       remaining > 0;) {
-    if (i + 4 <= size) {
-      const uint64x2_t lo = vld1q_u64(slots + i);
-      const uint64x2_t hi = vld1q_u64(slots + i + 2);
-      const unsigned hit =
-          lane_bits(vorrq_u64(vceqq_u64(lo, vkey), vceqq_u64(lo, vzero))) |
-          (lane_bits(vorrq_u64(vceqq_u64(hi, vkey), vceqq_u64(hi, vzero)))
-           << 2);
-      if (hit != 0) return i + std::countr_zero(hit);
-      i = (i + 4) & mask;
-      remaining -= 4;
-    } else {
-      const std::uint64_t k = slots[i];
-      if (k == key || k == 0) return i;
-      i = (i + 1) & mask;
-      remaining -= 1;
-    }
-  }
-  return origin;
-}
-#endif
-
-constexpr Backend kAvailable[] = {
-#if defined(PSME_HAVE_SSE2)
-    Backend::kSse2,
-#endif
-#if defined(PSME_HAVE_NEON)
-    Backend::kNeon,
-#endif
-    Backend::kSwar,
-    Backend::kScalar,
-};
-
-std::atomic<Backend> g_backend{kAvailable[0]};
-
-}  // namespace
-
-const char* backend_name(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar: return "scalar";
-    case Backend::kSwar: return "swar";
-    case Backend::kSse2: return "sse2";
-    case Backend::kNeon: return "neon";
-  }
-  return "unknown";
-}
-
-std::span<const Backend> available_backends() noexcept { return kAvailable; }
-
-Backend active_backend() noexcept {
-  return g_backend.load(std::memory_order_relaxed);
-}
-
-Backend set_probe_backend(Backend backend) noexcept {
-  bool carried = false;
-  for (const Backend b : kAvailable) carried = carried || b == backend;
-  if (!carried) backend = Backend::kSwar;
-  return g_backend.exchange(backend, std::memory_order_relaxed);
-}
-
-std::size_t find_slot_with(Backend backend, const std::uint64_t* slots,
-                           std::size_t mask, std::uint64_t key,
-                           std::size_t origin) noexcept {
-  switch (backend) {
-#if defined(PSME_HAVE_SSE2)
-    case Backend::kSse2: return find_sse2(slots, mask, key, origin);
-#endif
-#if defined(PSME_HAVE_NEON)
-    case Backend::kNeon: return find_neon(slots, mask, key, origin);
-#endif
-    case Backend::kSwar: return find_swar(slots, mask, key, origin);
-    default: return find_scalar(slots, mask, key, origin);
-  }
-}
-
-std::size_t find_slot_dispatch(const std::uint64_t* slots, std::size_t mask,
-                               std::uint64_t key, std::size_t origin) noexcept {
-  return find_slot_with(active_backend(), slots, mask, key, origin);
-}
 
 std::uint32_t probe_depth(const std::uint64_t* slots, std::size_t mask,
                           std::uint64_t key, std::size_t origin) noexcept {

@@ -1,56 +1,19 @@
-// psme::mac — group-scan probe primitives for the flat hash tables.
+// psme::mac — probe primitives for the flat hash tables.
 //
 // Every hot table in the repo (the policy AvTable, the sealed
 // CompiledPolicyImage index) is the same shape: a power-of-two
 // open-addressing slot array of 64-bit keys, linear probing, key 0 =
-// empty. A scalar probe walks one dependent load per step; the batch
-// evaluation paths instead scan a GROUP of four consecutive slots per
-// step and pick the first match-or-empty in probe order, which turns
-// the per-step branch chain into one branchless compare wave. Three
-// implementations share the contract:
-//
-//   kScalar — the classic one-slot loop (always built; the semantic
-//             reference the others must match slot-for-slot);
-//   kSwar   — portable groups of four 64-bit lanes, compares combined
-//             into one bitmask with branchless ALU ops (always built);
-//   kSse2 / kNeon — the same group scan through 128-bit vector
-//             compares, built only under PSME_SIMD on hosts that have
-//             the instruction set (SSE2's 32-bit compare is widened to
-//             a 64-bit equality by pairing lane halves; NEON uses
-//             vceqq_u64 directly).
-//
-// All backends return THE SAME slot for the same table and key — the
-// first slot in probe order whose key matches or is empty — so
-// decisions are byte-identical whichever backend runs (test-pinned by
-// tests/test_policy_image.cpp across every available backend). The
-// active backend is chosen once at startup (best available) and may be
-// overridden for tests via set_probe_backend.
+// empty. find_slot below is the one probe walk all of them share.
 //
 // Prefetch: probe waves want the NEXT key's slot line in flight while
 // the current key resolves; prefetch_slot wraps __builtin_prefetch so
 // callers stay portable (it degrades to a no-op where unsupported).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace psme::mac::probe {
-
-enum class Backend : std::uint8_t { kScalar = 0, kSwar = 1, kSse2 = 2, kNeon = 3 };
-
-[[nodiscard]] const char* backend_name(Backend backend) noexcept;
-
-/// Backends compiled into this build, best-first (the first entry is
-/// the startup default). kScalar and kSwar are always present.
-[[nodiscard]] std::span<const Backend> available_backends() noexcept;
-
-/// The backend the probe paths currently dispatch to.
-[[nodiscard]] Backend active_backend() noexcept;
-
-/// Overrides the dispatch (tests sweep every available backend and pin
-/// byte-identical decisions). Returns the previous backend. Selecting a
-/// backend this build does not carry falls back to kSwar.
-Backend set_probe_backend(Backend backend) noexcept;
 
 /// Generic read prefetch (the AVC batch waves request bucket-head lines
 /// ahead of their chain walks). No-op where the builtin is unavailable.
@@ -67,47 +30,32 @@ inline void prefetch_slot(const std::uint64_t* slots, std::size_t index) noexcep
   prefetch(slots + index);
 }
 
-/// Group-scan continuation from `origin` through the active backend;
-/// out-of-line (atomic backend load + dispatch). Callers want find_slot
-/// below, which peels the overwhelmingly common first-slot answer into
-/// an inline compare before paying the call.
-[[nodiscard]] std::size_t find_slot_dispatch(const std::uint64_t* slots,
-                                             std::size_t mask,
-                                             std::uint64_t key,
-                                             std::size_t origin) noexcept;
-
 /// Finds `key` in the open-addressing table `slots` (power-of-two size
 /// `mask + 1`, linear probing, 0 = empty): returns the first slot index
 /// in probe order from `origin` whose key equals `key` OR is empty —
 /// the caller distinguishes hit from miss by re-reading the slot. The
-/// walk is bounded by one full table revolution (a full table with no
-/// match returns a slot the caller will see as a mismatch — the same
-/// fail-closed shape as the scalar loops). All backends agree on the
-/// returned slot exactly.
-///
-/// The first slot is checked INLINE: well-sized tables answer most
-/// probes at depth 1 (the bench probe-depth histograms pin this), and
-/// an inline compare there beats any group scan — the dispatched
-/// backends take over only for the chain tail.
+/// walk covers at most one revolution; a full table with no match
+/// returns `origin`, which the caller sees as a mismatch (fail-closed).
+/// Both tables keep their load factor low (the sealed index at most
+/// 0.5, the AvTable at most 0.7), so most probes answer at the origin
+/// slot (the bench probe-depth histograms pin this) and a plain scalar
+/// walk is the whole kernel.
 [[nodiscard]] inline std::size_t find_slot(const std::uint64_t* slots,
                                            std::size_t mask,
                                            std::uint64_t key,
                                            std::size_t origin) noexcept {
-  const std::uint64_t first = slots[origin];
-  if (first == key || first == 0 || mask == 0) return origin;
-  return find_slot_dispatch(slots, mask, key, (origin + 1) & mask);
+  std::size_t i = origin;
+  for (std::size_t steps = 0; steps <= mask; ++steps) {
+    const std::uint64_t k = slots[i];
+    if (k == key || k == 0) return i;
+    i = (i + 1) & mask;
+  }
+  return origin;
 }
 
-/// find_slot through one explicit backend (the parity tests and the
-/// dispatcher share one implementation table).
-[[nodiscard]] std::size_t find_slot_with(Backend backend,
-                                         const std::uint64_t* slots,
-                                         std::size_t mask, std::uint64_t key,
-                                         std::size_t origin) noexcept;
-
-/// Probe depth (slots inspected, >= 1) the scalar reference walk pays
-/// for `key` — the observability twin of find_slot, feeding the bench
-/// probe-depth histograms. Counts up to the same one-revolution bound.
+/// Probe depth (slots inspected, >= 1) the walk pays for `key` — the
+/// observability twin of find_slot, feeding the bench probe-depth
+/// histograms. Counts up to the same one-revolution bound.
 [[nodiscard]] std::uint32_t probe_depth(const std::uint64_t* slots,
                                         std::size_t mask, std::uint64_t key,
                                         std::size_t origin) noexcept;

@@ -51,7 +51,6 @@ void AvTable::find_batch(std::span<const std::uint64_t> keys,
   }
   const std::size_t mask = keys_.size() - 1;
   const std::uint64_t* slots = keys_.data();
-  const probe::Backend backend = probe::active_backend();
 
   // Block-pipelined: while block b's keys resolve, block b+1's probe
   // origins are already hashed (four-lane splitmix waves) and their
@@ -87,13 +86,7 @@ void AvTable::find_batch(std::span<const std::uint64_t> keys,
     const std::size_t* org = origins[which];
     for (std::size_t j = 0; j < count; ++j) {
       const std::uint64_t key = keys[base + j];
-      // First-slot peel (find_slot's inline fast path, with the backend
-      // load hoisted out of the loop): most probes answer at depth 1.
-      std::size_t slot = org[j];
-      if (const std::uint64_t k = slots[slot]; k != key && k != 0 && mask != 0) {
-        slot = probe::find_slot_with(backend, slots, mask, key,
-                                     (slot + 1) & mask);
-      }
+      const std::size_t slot = probe::find_slot(slots, mask, key, org[j]);
       out[base + j] = slots[slot] == key ? values_[slot] : 0;
     }
   }

@@ -72,9 +72,9 @@ class AvTable {
   /// Batched find: answers `keys[i]` into `out[i]` for every i with the
   /// staged probe pipeline — the whole span is hashed up front in
   /// four-lane waves, each key's probe origin is software-prefetched
-  /// while earlier keys resolve, and slots are scanned four per step
-  /// through the active probe backend (mac/batch_probe.h). Results are
-  /// identical to per-key find() for every key and every backend.
+  /// while earlier keys resolve, and each key then walks its chain with
+  /// probe::find_slot (mac/batch_probe.h). Results are identical to
+  /// per-key find() for every key.
   /// Allocation-free; spans must be equal length (caller-checked by the
   /// public batch entry points).
   void find_batch(std::span<const std::uint64_t> keys,

@@ -39,6 +39,13 @@ bool Scheduler::cancel(EventId id) noexcept {
   return false;
 }
 
+void Scheduler::drop_cancelled_head() noexcept {
+  while (!queue_.empty() && !queue_.front().action) {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+  }
+}
+
 bool Scheduler::step() {
   while (!queue_.empty()) {
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
@@ -61,8 +68,13 @@ std::size_t Scheduler::run() {
 
 std::size_t Scheduler::run_until(SimTime deadline) {
   std::size_t n = 0;
-  while (!queue_.empty() && queue_.front().at <= deadline) {
-    if (step()) ++n;
+  // The head must be live before its time is compared: a cancelled head
+  // would otherwise admit the next event whatever its time.
+  for (drop_cancelled_head();
+       !queue_.empty() && queue_.front().at <= deadline;
+       drop_cancelled_head()) {
+    step();  // runs exactly the live head
+    ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;

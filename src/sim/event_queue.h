@@ -88,6 +88,10 @@ class Scheduler {
     }
   };
 
+  /// Pops cancelled events off the head, so queue_.front() (if any) is
+  /// the next event that will really run.
+  void drop_cancelled_head() noexcept;
+
   std::vector<Event> queue_;  // binary heap under Later
   SimTime now_ = kSimStart;
   EventId next_id_ = 1;

@@ -163,29 +163,5 @@ TEST(FailureInjection, GatewaySurvivesCrossSegmentFlood) {
   EXPECT_GT(vehicle.gateway().stats().forwarded_a_to_b, 100u);
 }
 
-TEST(FailureInjection, RollbackAfterBadUpdateRestoresEnforcement) {
-  // An update that (hypothetically) shipped too-permissive rules can be
-  // rolled back on-device; enforcement returns to the previous set.
-  core::PolicySet strict("fleet", 1);
-  core::PolicyRule deny;
-  deny.id = "lockdown";
-  deny.subject = "*";
-  deny.object = "asset";
-  deny.permission = threat::Permission::kNone;
-  strict.add_rule(deny);
-  core::SimplePolicyEngine engine(strict);
-  const core::PolicySigner signer(5);
-  core::UpdateManager manager(engine, signer);
-
-  core::PolicySet loose("fleet", 2);
-  loose.set_default_allow(true);
-  ASSERT_EQ(manager.apply({loose, signer.sign(loose), "oem"}), std::nullopt);
-  core::AccessRequest req{"x", "asset", core::AccessType::kWrite, {}};
-  EXPECT_TRUE(engine.evaluate(req).allowed);
-
-  ASSERT_TRUE(manager.rollback());
-  EXPECT_FALSE(engine.evaluate(req).allowed);
-}
-
 }  // namespace
 }  // namespace psme

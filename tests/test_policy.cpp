@@ -182,26 +182,6 @@ TEST(Intersect, MostRestrictiveWins) {
   EXPECT_EQ(intersect(Permission::kNone, Permission::kReadWrite), Permission::kNone);
 }
 
-TEST(SimplePolicyEngine, CountsEvaluationsAndDenials) {
-  PolicySet set("t", 1);
-  set.add_rule(rule("r", "a", "o", Permission::kRead));
-  SimplePolicyEngine engine(std::move(set));
-  EXPECT_TRUE(engine.evaluate(request("a", "o", AccessType::kRead)).allowed);
-  EXPECT_FALSE(engine.evaluate(request("a", "o", AccessType::kWrite)).allowed);
-  EXPECT_EQ(engine.evaluations(), 2u);
-  EXPECT_EQ(engine.denials(), 1u);
-}
-
-TEST(SimplePolicyEngine, LoadSwapsAtomically) {
-  SimplePolicyEngine engine(PolicySet("old", 1));
-  EXPECT_FALSE(engine.evaluate(request("a", "o", AccessType::kRead)).allowed);
-  PolicySet fresh("new", 2);
-  fresh.add_rule(rule("r", "a", "o", Permission::kRead));
-  engine.load(std::move(fresh));
-  EXPECT_TRUE(engine.evaluate(request("a", "o", AccessType::kRead)).allowed);
-  EXPECT_EQ(engine.policy().version(), 2u);
-}
-
 TEST(AccessRequest, ToStringIsReadable) {
   const auto req = request("ep.sensors", "ev-ecu", AccessType::kWrite, "normal");
   const std::string s = req.to_string();

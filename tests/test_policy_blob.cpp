@@ -229,13 +229,23 @@ TEST(PolicyBlobRejection, FlippedMagic) {
 }
 
 TEST(PolicyBlobRejection, UnsupportedFormatVersion) {
-  std::vector<std::byte> blob = car_blob();
-  blob[8] = std::byte{99};  // format-version field (little-endian u32 at 8)
-  try {
-    (void)PolicyBlobReader::load(blob);
-    FAIL() << "version 99 accepted";
-  } catch (const PolicyBlobError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos);
+  // The reader speaks exactly one version: the retired v1 layout is as
+  // foreign as a future one, and both entry points say so by name.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{99}}) {
+    std::vector<std::byte> blob = car_blob();
+    blob[8] = std::byte{version};  // format-version field (LE u32 at 8)
+    const auto expect_version_rejection = [&](const auto& read) {
+      try {
+        (void)read();
+        ADD_FAILURE() << "version " << int{version} << " accepted";
+      } catch (const PolicyBlobError& e) {
+        EXPECT_NE(std::string(e.what()).find("format version"),
+                  std::string::npos)
+            << "version " << int{version} << ": " << e.what();
+      }
+    };
+    expect_version_rejection([&] { return PolicyBlobReader::load(blob); });
+    expect_version_rejection([&] { return PolicyBlobReader::probe(blob); });
   }
 }
 
@@ -371,58 +381,21 @@ TEST(FleetBoot, OtaUpdateSwapsPolicyAndRefusesRollback) {
   EXPECT_EQ(boot.policy_version(), 2u);
 }
 
-// ------------------------------------------------------- v1 compat path
-
-TEST(PolicyBlobV1Compat, V1BlobLoadsWithByteIdenticalDecisions) {
-  const CompiledPolicyImage& original = car_policy().image();
-  const std::vector<std::byte> v1 = PolicyBlobWriter::write_v1(original);
-
-  const core::PolicyBlobInfo info = PolicyBlobReader::probe(v1);
-  EXPECT_EQ(info.format_version, core::kPolicyBlobFormatVersionV1);
-  EXPECT_EQ(info.fingerprint, original.fingerprint());
-
-  const CompiledPolicyImage loaded = PolicyBlobReader::load(v1);
-  EXPECT_FALSE(loaded.borrowed());  // v1 runs the copying reconstruction
-  EXPECT_EQ(loaded.fingerprint(), original.fingerprint());
-  for (const AccessRequest& request : workload_requests()) {
-    expect_same_decision(loaded.evaluate(loaded.resolve(request)),
-                         original.evaluate(original.resolve(request)),
-                         request.to_string());
-  }
-}
-
-TEST(PolicyBlobV1Compat, EverySingleByteCorruptionIsDetected) {
-  // The v1 reader is the compat path for already-deployed blobs; its
-  // trust boundary must stay as tight as v2's.
-  const std::vector<std::byte> blob =
-      PolicyBlobWriter::write_v1(car_policy().image());
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    std::vector<std::byte> bad = blob;
-    bad[i] ^= std::byte{0xFF};
-    EXPECT_THROW((void)PolicyBlobReader::load(bad), PolicyBlobError)
-        << "flip at byte " << i << " was accepted";
-  }
-}
-
 // ------------------------------------------------------- zero-copy views
 
-/// Compiled, v1-loaded and v2-borrowed images answering one request —
-/// the acceptance criterion is byte-identical Decisions across all three.
+/// Compiled (owned) and blob-borrowed images answering one request —
+/// the acceptance criterion is byte-identical Decisions.
 TEST(PolicyBlobZeroCopy, CompiledV1AndBorrowedAnswerIdentically) {
   const CompiledPolicyImage& compiled = car_policy().image();
-  const CompiledPolicyImage via_v1 =
-      PolicyBlobReader::load(PolicyBlobWriter::write_v1(compiled));
-  const CompiledPolicyImage via_v2 = PolicyBlobReader::load(
+  const CompiledPolicyImage borrowed = PolicyBlobReader::load(
       PolicyBuffer::take(PolicyBlobWriter::write(compiled)));
-  ASSERT_TRUE(via_v2.borrowed());
-  ASSERT_FALSE(via_v1.borrowed());
+  ASSERT_TRUE(borrowed.borrowed());
+  ASSERT_FALSE(compiled.borrowed());
 
   for (const AccessRequest& request : workload_requests()) {
-    const Decision want = compiled.evaluate(compiled.resolve(request));
-    expect_same_decision(via_v1.evaluate(via_v1.resolve(request)), want,
-                         "v1 " + request.to_string());
-    expect_same_decision(via_v2.evaluate(via_v2.resolve(request)), want,
-                         "v2 " + request.to_string());
+    expect_same_decision(borrowed.evaluate(borrowed.resolve(request)),
+                         compiled.evaluate(compiled.resolve(request)),
+                         request.to_string());
   }
 }
 
@@ -530,11 +503,6 @@ TEST(PolicyBlobZeroCopy, LayoutSectionsAreAlignedAndPack) {
     previous_end = section.offset + section.size;
   }
   EXPECT_EQ((previous_end + 7) & ~std::size_t{7}, blob.size());
-
-  // v1 blobs have no section table.
-  EXPECT_THROW((void)core::policy_blob_layout(
-                   PolicyBlobWriter::write_v1(car_policy().image())),
-               PolicyBlobError);
 }
 
 TEST(PolicyBlobZeroCopy, ConcurrentEvaluationOnOneBorrowedImage) {

@@ -1,9 +1,9 @@
 // Corruption and parity at scale: a 50k-rule synthetic policy blob
-// (core/policy_synth.h) run through the v2 zero-copy loader's whole
+// (core/policy_synth.h) run through the zero-copy loader's whole
 // trust boundary — seeded single-byte flips across every section, every
 // header byte, truncation at structural boundaries — all rejected before
 // a single decision; plus the byte-identical-decisions parity suite
-// (owned vs borrowed vs v1-loaded, shuffled batches, post-delta-apply)
+// (owned vs borrowed vs sealed, shuffled batches, post-delta-apply)
 // mirroring tests/delta_oracle.h. The ASan/UBSan CI job runs this file:
 // a rejection that reads out of bounds first fails there.
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ using core::SynthPolicyOptions;
 
 constexpr std::size_t kScaleRules = 50000;
 
-/// The 50k-rule image and its v2 blob, built once for the whole file
+/// The 50k-rule image and its blob, built once for the whole file
 /// (compilation and serialisation are seconds-scale under sanitizers).
 const CompiledPolicyImage& scale_image() {
   static const CompiledPolicyImage image =
@@ -155,18 +155,15 @@ TEST(PolicyBlobScale, TruncationAtEveryBoundaryIsRejected) {
 
 TEST(PolicyBlobScale, OwnedV1AndBorrowedAnswerIdenticallyInShuffledBatches) {
   const CompiledPolicyImage& compiled = scale_image();
-  const CompiledPolicyImage via_v1 =
-      PolicyBlobReader::load(PolicyBlobWriter::write_v1(compiled));
-  const CompiledPolicyImage via_v2 =
+  const CompiledPolicyImage borrowed =
       PolicyBlobReader::load(PolicyBuffer::take(scale_blob()),  // copy of blob
                              nullptr, BlobTrust::kUntrusted);
   const CompiledPolicyImage sealed = PolicyBlobReader::load(
       PolicyBuffer::take(scale_blob()), nullptr, BlobTrust::kSealedStore);
-  ASSERT_TRUE(via_v2.borrowed());
+  ASSERT_TRUE(borrowed.borrowed());
   ASSERT_TRUE(sealed.borrowed());
-  ASSERT_FALSE(via_v1.borrowed());
-  EXPECT_EQ(via_v1.fingerprint(), compiled.fingerprint());
-  EXPECT_EQ(via_v2.fingerprint(), compiled.fingerprint());
+  ASSERT_FALSE(compiled.borrowed());
+  EXPECT_EQ(borrowed.fingerprint(), compiled.fingerprint());
 
   sim::Rng rng(20260808);
   std::vector<AccessRequest> requests = synth_requests(rng, 3000);
@@ -186,12 +183,11 @@ TEST(PolicyBlobScale, OwnedV1AndBorrowedAnswerIdenticallyInShuffledBatches) {
   };
 
   const std::vector<Decision> want = batch_answers(compiled);
-  const std::vector<Decision> got_v1 = batch_answers(via_v1);
-  const std::vector<Decision> got_v2 = batch_answers(via_v2);
+  const std::vector<Decision> got_borrowed = batch_answers(borrowed);
   const std::vector<Decision> got_sealed = batch_answers(sealed);
   for (std::size_t i = 0; i < want.size(); ++i) {
-    expect_same_decision(got_v1[i], want[i], "v1 " + requests[i].to_string());
-    expect_same_decision(got_v2[i], want[i], "v2 " + requests[i].to_string());
+    expect_same_decision(got_borrowed[i], want[i],
+                         "borrowed " + requests[i].to_string());
     expect_same_decision(got_sealed[i], want[i],
                          "sealed " + requests[i].to_string());
   }

@@ -109,6 +109,22 @@ TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
   EXPECT_EQ(sched.pending(), 1u);
 }
 
+TEST(Scheduler, RunUntilSkipsCancelledHeadWithoutPassingDeadline) {
+  // A cancelled earliest event must not let the next event in the queue
+  // run early: the deadline applies to the first LIVE event.
+  Scheduler sched;
+  int fired = 0;
+  const EventId early = sched.schedule_at(SimTime{5ns}, [&] { ++fired; });
+  sched.schedule_at(SimTime{50ns}, [&] { ++fired; });
+  ASSERT_TRUE(sched.cancel(early));
+  const std::size_t executed = sched.run_until(SimTime{10ns});
+  EXPECT_EQ(executed, 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sched.now(), SimTime{10ns});
+  EXPECT_EQ(sched.run_until(SimTime{50ns}), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(Scheduler, EventsCanScheduleFurtherEvents) {
   Scheduler sched;
   int depth = 0;

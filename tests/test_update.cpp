@@ -1,5 +1,5 @@
-// Unit tests for policy signing, on-device update management and the
-// simulated OTA channel (psme::core).
+// Unit tests for policy signing and the simulated OTA channel
+// (psme::core).
 #include <gtest/gtest.h>
 
 #include "core/update.h"
@@ -39,64 +39,6 @@ TEST(PolicySigner, TagBindsContent) {
   const std::uint64_t tag = signer.sign(make_set(1));
   EXPECT_FALSE(signer.verify(make_set(2), tag));          // version changed
   EXPECT_FALSE(signer.verify(make_set(1, "other"), tag)); // rule changed
-}
-
-TEST(UpdateManager, AppliesValidBundle) {
-  SimplePolicyEngine engine(make_set(1));
-  const PolicySigner signer(42);
-  UpdateManager manager(engine, signer);
-
-  PolicyBundle bundle{make_set(2), signer.sign(make_set(2)), "oem"};
-  EXPECT_EQ(manager.apply(bundle), std::nullopt);
-  EXPECT_EQ(manager.current_version(), 2u);
-  EXPECT_EQ(manager.applied_count(), 1u);
-}
-
-TEST(UpdateManager, RejectsBadSignature) {
-  SimplePolicyEngine engine(make_set(1));
-  UpdateManager manager(engine, PolicySigner(42));
-  PolicyBundle bundle{make_set(2), 0xBAD, "mallory"};
-  EXPECT_EQ(manager.apply(bundle), UpdateError::kBadSignature);
-  EXPECT_EQ(manager.current_version(), 1u);
-  EXPECT_EQ(manager.rejected_count(), 1u);
-}
-
-TEST(UpdateManager, RejectsVersionRollback) {
-  SimplePolicyEngine engine(make_set(5));
-  const PolicySigner signer(42);
-  UpdateManager manager(engine, signer);
-  PolicyBundle stale{make_set(4), signer.sign(make_set(4)), "oem"};
-  EXPECT_EQ(manager.apply(stale), UpdateError::kVersionRollback);
-  PolicyBundle same{make_set(5), signer.sign(make_set(5)), "oem"};
-  EXPECT_EQ(manager.apply(same), UpdateError::kVersionRollback);
-}
-
-TEST(UpdateManager, RollbackRestoresPrevious) {
-  SimplePolicyEngine engine(make_set(1));
-  const PolicySigner signer(42);
-  UpdateManager manager(engine, signer);
-  PolicyBundle b2{make_set(2), signer.sign(make_set(2)), "oem"};
-  PolicyBundle b3{make_set(3), signer.sign(make_set(3)), "oem"};
-  ASSERT_EQ(manager.apply(b2), std::nullopt);
-  ASSERT_EQ(manager.apply(b3), std::nullopt);
-  EXPECT_EQ(manager.history_depth(), 2u);
-
-  EXPECT_TRUE(manager.rollback());
-  EXPECT_EQ(manager.current_version(), 2u);
-  EXPECT_TRUE(manager.rollback());
-  EXPECT_EQ(manager.current_version(), 1u);
-  EXPECT_FALSE(manager.rollback());  // history exhausted
-}
-
-TEST(UpdateManager, ApplyThenRollbackIsIdentity) {
-  SimplePolicyEngine engine(make_set(1));
-  const PolicySigner signer(42);
-  UpdateManager manager(engine, signer);
-  const std::uint64_t before = engine.policy().fingerprint();
-  PolicyBundle b2{make_set(2), signer.sign(make_set(2)), "oem"};
-  ASSERT_EQ(manager.apply(b2), std::nullopt);
-  ASSERT_TRUE(manager.rollback());
-  EXPECT_EQ(engine.policy().fingerprint(), before);
 }
 
 TEST(UpdateChannel, DeliversAfterLatency) {
@@ -154,11 +96,6 @@ TEST(UpdateChannel, GivesUpAfterMaxAttempts) {
   sched.run();
   EXPECT_EQ(count, 0);
   EXPECT_EQ(channel.lost(), 1u);
-}
-
-TEST(UpdateError, Names) {
-  EXPECT_EQ(to_string(UpdateError::kBadSignature), "bad-signature");
-  EXPECT_EQ(to_string(UpdateError::kVersionRollback), "version-rollback");
 }
 
 }  // namespace
