@@ -32,7 +32,6 @@
 #include "core/policy_compiler.h"
 #include "core/policy_image.h"
 #include "host_note.h"
-#include "mac/stage_counters.h"
 #include "sim/rng.h"
 
 using namespace psme;
@@ -214,7 +213,6 @@ int main() {
     std::size_t fleet_size;
     std::size_t checks;
     PathResult strings, scalar, batched;
-    mac::StageCounters stages;  // batched sweep only; zeros when disabled
   };
   std::vector<Row> rows;
   bool parity_ok = true;
@@ -243,9 +241,7 @@ int main() {
                           [&] { return tick_strings(policy, checks, modes); });
     row.scalar = measure(sid_target,
                          [&] { return tick_scalar(image, resolved, modes); });
-    mac::stage_counters().reset();
     row.batched = measure(sid_target, [&] { return fleet.tick(); });
-    row.stages = mac::stage_counters();
 
     const auto rate = [](const PathResult& r) {
       return static_cast<double>(r.allowed) / static_cast<double>(r.decisions);
@@ -317,35 +313,14 @@ int main() {
   // Machine-readable record (BENCH_fleet_eval.json).
   std::printf("JSON: {\"bench\":\"fleet_eval\",\"unit\":\"ns/decision\",");
   benchhost::print_host_json();
-  std::printf(",\"stage_counters\":\"%s\",",
-              mac::stage_counters_enabled() ? "enabled" : "disabled");
-  std::printf("\"rows\":[");
+  std::printf(",\"rows\":[");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::printf("%s{\"fleet_size\":%zu,\"checks_per_vehicle\":%zu,"
-                "\"strings\":%.1f,\"scalar\":%.1f,\"batched\":%.1f",
+                "\"strings\":%.1f,\"scalar\":%.1f,\"batched\":%.1f}",
                 i == 0 ? "" : ",", row.fleet_size, row.checks,
                 row.strings.ns_per_decision, row.scalar.ns_per_decision,
                 row.batched.ns_per_decision);
-    if (mac::stage_counters_enabled()) {
-      // Per-stage share of the batched sweep: wall ns and element count
-      // per pipeline stage (resolve / index probe / copy; the avc stages
-      // are idle here — tick() drives the image directly).
-      const mac::StageCounters& s = row.stages;
-      std::printf(",\"stages\":{\"resolve_ns\":%llu,\"resolve_ops\":%llu,"
-                  "\"avc_probe_ns\":%llu,\"avc_probe_ops\":%llu,"
-                  "\"db_probe_ns\":%llu,\"db_probe_ops\":%llu,"
-                  "\"copy_ns\":%llu,\"copy_ops\":%llu}",
-                  static_cast<unsigned long long>(s.resolve_ns),
-                  static_cast<unsigned long long>(s.resolve_ops),
-                  static_cast<unsigned long long>(s.avc_probe_ns),
-                  static_cast<unsigned long long>(s.avc_probe_ops),
-                  static_cast<unsigned long long>(s.db_probe_ns),
-                  static_cast<unsigned long long>(s.db_probe_ops),
-                  static_cast<unsigned long long>(s.copy_ns),
-                  static_cast<unsigned long long>(s.copy_ops));
-    }
-    std::printf("}");
   }
   std::printf("],\"probe_depth_histogram\":{");
   bool first_bucket = true;

@@ -80,6 +80,8 @@ core::PolicySet deny_storm_after(const core::PolicySet& prev) {
 
 int main() {
   std::cout << "=== OTA policy update closing a newly discovered threat ===\n\n";
+  // Every "(BUG!)" line below also fails the run.
+  bool ok = true;
 
   // A fleet vehicle running policy v1 (no content rules — the fleet does
   // not yet know spoofed crash-acceleration readings are exploitable).
@@ -191,6 +193,9 @@ int main() {
   car::FleetBoot store_boot(store_path, car::default_fleet_checks(),
                             fleet_options, core::BlobTrust::kSealedStore);
   const car::FleetTickStats store_sweep = store_boot.fleet().tick();
+  const bool store_matches = store_sweep.decisions == before.decisions &&
+                             store_sweep.denied == before.denied;
+  ok &= store_matches;
   std::printf("[fleet] re-boot from policy store '%s' (mmap, sealed attach): "
               "policy v%llu, %llu decisions/sweep, %llu denied — %s the "
               "in-memory boot\n",
@@ -198,27 +203,28 @@ int main() {
               static_cast<unsigned long long>(store_boot.policy_version()),
               static_cast<unsigned long long>(store_sweep.decisions),
               static_cast<unsigned long long>(store_sweep.denied),
-              store_sweep.decisions == before.decisions &&
-                      store_sweep.denied == before.denied
-                  ? "matches"
-                  : "DIVERGES FROM (BUG!)");
+              store_matches ? "matches" : "DIVERGES FROM (BUG!)");
   std::remove(store_path.c_str());
 
   // A corrupted delta arrives first (bit error in transit / tampering):
   // the validated apply rejects it and the running policy is untouched.
   std::vector<std::byte> corrupted = delta;
   corrupted[corrupted.size() / 2] ^= std::byte{0x20};
-  try {
-    (void)fleet_boot.apply_delta_update(corrupted);
+  const car::UpdateResult corrupted_result =
+      fleet_boot.try_apply_delta_update(corrupted);
+  if (corrupted_result == car::UpdateResult::kOk) {
     std::printf("[fleet] corrupted delta accepted (BUG!)\n");
-  } catch (const core::PolicyDeltaError& error) {
-    std::printf("[fleet] corrupted delta rejected: %s\n", error.what());
+    ok = false;
+  } else {
+    std::printf("[fleet] corrupted delta rejected: %s\n",
+                std::string(to_string(corrupted_result)).c_str());
   }
 
   // The intact delta: validate the base anchor -> apply the edit script
   // -> swap -> stale decisions flushed (the evaluator re-resolves
   // everything against the applied image).
-  if (fleet_boot.apply_delta_update(delta)) {
+  const car::UpdateResult applied = fleet_boot.try_apply_delta_update(delta);
+  if (applied == car::UpdateResult::kOk) {
     const car::FleetTickStats after = fleet_boot.fleet().tick();
     std::printf("[fleet] v1->v2 delta applied (policy v%llu), caches "
                 "flushed: %llu denied/sweep (was %llu — the quarantine "
@@ -226,21 +232,29 @@ int main() {
                 static_cast<unsigned long long>(fleet_boot.policy_version()),
                 static_cast<unsigned long long>(after.denied),
                 static_cast<unsigned long long>(before.denied));
+  } else {
+    std::printf("[fleet] intact v1->v2 delta rejected: %s (BUG!)\n",
+                std::string(to_string(applied)).c_str());
+    ok = false;
   }
 
   // Replaying the same delta cannot touch the fleet: it is anchored to
   // v1's fingerprint and the fleet now runs v2.
-  try {
-    (void)fleet_boot.apply_delta_update(delta);
+  const car::UpdateResult replayed = fleet_boot.try_apply_delta_update(delta);
+  if (replayed == car::UpdateResult::kOk) {
     std::printf("[fleet] replayed delta accepted (BUG!)\n");
-  } catch (const core::PolicyDeltaError&) {
-    std::printf("[fleet] replayed v1->v2 delta rejected: base fingerprint "
-                "no longer matches\n");
+    ok = false;
+  } else {
+    std::printf("[fleet] replayed v1->v2 delta rejected: %s\n",
+                std::string(to_string(replayed)).c_str());
   }
 
   // A replayed v1 blob must not downgrade the fleet either.
+  const bool downgraded =
+      fleet_boot.try_apply_update(blob_v1) == car::UpdateResult::kOk;
+  ok &= !downgraded;
   std::printf("[fleet] replayed v1 blob accepted: %s\n",
-              fleet_boot.apply_update(blob_v1) ? "YES (BUG!)" : "no (version rollback)");
+              downgraded ? "YES (BUG!)" : "no (version rollback)");
 
   // OTA distribution with realistic latency and loss (the signed-bundle
   // layer: authenticity comes from the OEM key, not the blob checksum).
@@ -259,6 +273,7 @@ int main() {
   downgrade.set_default_allow(true);
   const bool forged = vehicle.apply_policy_update(
       {downgrade, 0xF01DED, "mallory"}, oem_key);
+  ok &= !forged;
   std::printf("[car]   forged downgrade accepted: %s\n",
               forged ? "YES (BUG!)" : "no (bad signature)");
 
@@ -374,5 +389,5 @@ int main() {
               "full timeline model, bench_policy_blob for the\nzero-recompile "
               "boot numbers).\n",
               core::ResponseModel::exposure_ratio());
-  return 0;
+  return ok ? 0 : 1;
 }

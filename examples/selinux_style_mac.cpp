@@ -18,6 +18,8 @@ using namespace psme;
 
 int main() {
   std::cout << "=== SELinux-style MAC inside the infotainment unit ===\n\n";
+  // Every "(BUG)" line below also fails the run.
+  bool ok = true;
 
   mac::MacEngine engine;
 
@@ -66,12 +68,13 @@ int main() {
   try {
     engine.load_module(widen);
     std::cout << "  module loaded (BUG!)\n";
+    ok = false;
   } catch (const std::logic_error& e) {
     std::printf("  rejected: %s\n", e.what());
   }
-  std::printf("  browser still confined: %s\n",
-              engine.allowed("browser_t", "system_ctl_t", "write") ? "NO (BUG)"
-                                                                   : "yes");
+  const bool escaped = engine.allowed("browser_t", "system_ctl_t", "write");
+  ok &= !escaped;
+  std::printf("  browser still confined: %s\n", escaped ? "NO (BUG)" : "yes");
 
   // Permissive mode: introduce a new policy to a live fleet without
   // breaking it — denials are logged, not enforced.
@@ -93,5 +96,5 @@ int main() {
               static_cast<unsigned long long>(engine.avc_stats().hits),
               static_cast<unsigned long long>(engine.avc_stats().misses),
               engine.avc_stats().hit_ratio());
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -22,7 +22,6 @@
 #include "can/channel.h"
 #include "can/frame.h"
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
 

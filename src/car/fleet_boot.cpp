@@ -57,42 +57,38 @@ void FleetBoot::boot(core::CompiledPolicyImage image,
   fleet_ = std::make_unique<FleetEvaluator>(*image_, checks_, options_);
 }
 
-bool FleetBoot::apply_update(std::span<const std::byte> blob) {
+UpdateResult FleetBoot::try_apply_update(std::span<const std::byte> blob) {
   // Validate BEFORE touching live state: a malformed blob throws here and
   // the running policy keeps answering. The update loads into a fresh SID
   // space — the blob is self-contained, so the old and new interners need
-  // not agree (the evaluator re-resolves its workload below).
-  return commit_update(std::make_unique<core::CompiledPolicyImage>(
-      core::PolicyBlobReader::load(blob)));
-}
-
-bool FleetBoot::apply_delta_update(std::span<const std::byte> delta) {
-  // The delta channel validates against the RUNNING image: the anchor
-  // fingerprint must match *image_ or apply() throws PolicyDeltaError
-  // and the running policy keeps answering. Like the blob path, the
-  // applied image owns a fresh SID space (base prefix + carried
-  // extension) and the evaluator re-resolves its workload below.
-  return commit_update(std::make_unique<core::CompiledPolicyImage>(
-      core::PolicyDeltaReader::apply(*image_, delta)));
-}
-
-UpdateResult FleetBoot::try_apply_update(std::span<const std::byte> blob) {
+  // not agree (the evaluator re-resolves its workload in commit_update).
+  std::unique_ptr<core::CompiledPolicyImage> updated;
   try {
-    return apply_update(blob) ? UpdateResult::kOk
-                              : UpdateResult::kRollbackRefused;
+    updated = std::make_unique<core::CompiledPolicyImage>(
+        core::PolicyBlobReader::load(blob));
   } catch (const core::PolicyBlobError& error) {
     return to_update_result(error.fault());
   }
+  return commit_update(std::move(updated)) ? UpdateResult::kOk
+                                           : UpdateResult::kRollbackRefused;
 }
 
 UpdateResult FleetBoot::try_apply_delta_update(
     std::span<const std::byte> delta) {
+  // The delta channel validates against the RUNNING image: the anchor
+  // fingerprint must match *image_ or apply() throws PolicyDeltaError
+  // and the running policy keeps answering. Like the blob path, the
+  // applied image owns a fresh SID space (base prefix + carried
+  // extension) and the evaluator re-resolves its workload.
+  std::unique_ptr<core::CompiledPolicyImage> updated;
   try {
-    return apply_delta_update(delta) ? UpdateResult::kOk
-                                     : UpdateResult::kRollbackRefused;
+    updated = std::make_unique<core::CompiledPolicyImage>(
+        core::PolicyDeltaReader::apply(*image_, delta));
   } catch (const core::PolicyDeltaError& error) {
     return to_update_result(error.fault());
   }
+  return commit_update(std::move(updated)) ? UpdateResult::kOk
+                                           : UpdateResult::kRollbackRefused;
 }
 
 bool FleetBoot::commit_update(

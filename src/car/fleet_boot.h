@@ -10,15 +10,15 @@
 // space) and the evaluator over it, so callers hold one object instead
 // of wiring image lifetime by hand.
 //
-// OTA updates ride two channels over one staging flow: apply_update()
-// takes a full self-contained blob, apply_delta_update() takes a
-// fingerprint-anchored binary delta against the RUNNING image
-// (core/policy_delta.h — a fraction of the blob's bytes when few rules
-// changed). Both validate first, refuse version rollbacks, swap the
-// image in, and rebuild the evaluator — every cached SID resolution and
-// prototype decision from the old policy is flushed; per-vehicle
-// operating modes survive the swap (a fail-safe car stays in fail-safe
-// through an update).
+// OTA updates ride two channels over one staging flow:
+// try_apply_update() takes a full self-contained blob,
+// try_apply_delta_update() takes a fingerprint-anchored binary delta
+// against the RUNNING image (core/policy_delta.h — a fraction of the
+// blob's bytes when few rules changed). Both validate first, refuse
+// version rollbacks, swap the image in, and rebuild the evaluator —
+// every cached SID resolution and prototype decision from the old policy
+// is flushed; per-vehicle operating modes survive the swap (a fail-safe
+// car stays in fail-safe through an update).
 #pragma once
 
 #include <cstddef>
@@ -92,48 +92,27 @@ class FleetBoot {
   }
 
   /// Stages an OTA policy update delivered as a blob: validated load
-  /// (malformed blobs throw core::PolicyBlobError and change nothing),
-  /// version-rollback refusal (returns false and changes nothing — a
-  /// replayed old blob must not downgrade the fleet), then the swap: the
-  /// new image replaces the old and the evaluator is rebuilt against it,
-  /// flushing every cached resolution and prototype decision. Vehicle
-  /// modes carry over. Returns true when the update is live. Strong
-  /// guarantee: the replacement image AND evaluator are fully built
-  /// before the old ones are released, so a throw at any point (bad
-  /// blob, allocation failure at the OTA moment of peak memory) leaves
-  /// the running policy answering exactly as before.
-  [[nodiscard]] bool apply_update(std::span<const std::byte> blob);
+  /// (malformed bytes earn kValidationFailed, or kFingerprintMismatch
+  /// when the structure parsed and only the final content gate failed),
+  /// version-rollback refusal (kRollbackRefused — a replayed old blob
+  /// must not downgrade the fleet), then the swap: the new image
+  /// replaces the old and the evaluator is rebuilt against it, flushing
+  /// every cached resolution and prototype decision. Vehicle modes carry
+  /// over. Returns kOk when the update is live. Strong guarantee: the
+  /// replacement image AND evaluator are fully built before the old ones
+  /// are released, so anything but kOk — or a throw such as an
+  /// allocation failure at the OTA moment of peak memory — leaves the
+  /// running policy answering exactly as before.
+  [[nodiscard]] UpdateResult try_apply_update(std::span<const std::byte> blob);
 
   /// Stages an OTA policy update delivered as a fingerprint-anchored
   /// binary delta (core/policy_delta.h) — the bandwidth-frugal channel:
-  /// validate that the delta is anchored to the RUNNING image's
-  /// fingerprint, apply the edit script into a fresh sealed image
-  /// (malformed, wrong-base or tampered deltas throw
-  /// core::PolicyDeltaError and change nothing), refuse version
-  /// rollbacks (returns false, changes nothing), then the same swap as
-  /// apply_update: evaluator rebuilt, every cached resolution and
-  /// prototype decision flushed, vehicle modes carried over. Returns
-  /// true when the update is live. Same strong guarantee: the
-  /// replacement image AND evaluator are fully built before the old
-  /// ones are released.
-  [[nodiscard]] bool apply_delta_update(std::span<const std::byte> delta);
-
-  /// apply_update with the failure REASON surfaced instead of thrown:
-  /// same staging flow and the same strong guarantee (anything but kOk
-  /// leaves the running policy answering exactly as before), but a
-  /// malformed blob earns UpdateResult::kValidationFailed (or
-  /// kFingerprintMismatch when the structure parsed and only the final
-  /// content gate failed) rather than a PolicyBlobError. The campaign
-  /// engine and fleet telemetry consume this form; the bool overload
-  /// above remains the throw-on-malformed shim for callers that treat
-  /// a bad artefact as exceptional.
-  [[nodiscard]] UpdateResult try_apply_update(std::span<const std::byte> blob);
-
-  /// apply_delta_update with the failure reason surfaced: additionally
-  /// distinguishes kAnchorMismatch (delta anchored to a different base
-  /// than the RUNNING image — re-plan, the bytes may be pristine) from
-  /// corrupt-byte kValidationFailed and manifest-gate
-  /// kFingerprintMismatch. Same strong guarantee as the bool shim.
+  /// the delta must be anchored to the RUNNING image's fingerprint
+  /// (kAnchorMismatch otherwise: re-plan, the bytes may be pristine); the
+  /// edit script applies into a fresh sealed image (corrupt bytes earn
+  /// kValidationFailed, a manifest-gate failure kFingerprintMismatch);
+  /// version rollbacks earn kRollbackRefused; then the same swap and the
+  /// same strong guarantee as try_apply_update.
   [[nodiscard]] UpdateResult try_apply_delta_update(
       std::span<const std::byte> delta);
 

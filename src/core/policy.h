@@ -1,4 +1,4 @@
-// psme::core — policies, policy sets and the policy engine interface.
+// psme::core — policies and policy sets.
 //
 // The paper's central artefact: a security model expressed not as prose
 // guidelines but as machine-enforceable rules. A PolicyRule grants (or
@@ -59,10 +59,10 @@ inline constexpr mac::Sid kUnresolvedSid = 0xFFFFFFFFu;
 /// An access request whose identities are already resolved to SIDs — the
 /// native currency of the compiled pipeline. For core::PolicySet /
 /// CompiledPolicyImage the SIDs name the request's subject/object/mode in
-/// the image's interner; for mac::MacEngine::evaluate_batch they are the
-/// pre-resolved source/target *type* SIDs (mode is ignored there, as in
-/// the scalar MacEngine::evaluate). Resolve once at the fleet boundary,
-/// evaluate millions of times.
+/// the image's interner; for mac::MacEngine::evaluate_batch_allowed_shared
+/// they are the pre-resolved source/target *type* SIDs (mode is ignored
+/// there, as in the scalar MacEngine::evaluate). Resolve once at the
+/// fleet boundary, evaluate millions of times.
 struct SidRequest {
   mac::Sid subject = mac::kNullSid;
   mac::Sid object = mac::kNullSid;
@@ -70,12 +70,10 @@ struct SidRequest {
   mac::Sid mode = mac::kNullSid;  // kNullSid => mode-independent request
 };
 
-/// Batch chunk size the staged decision pipelines are tuned for.
-/// mac::MacEngine sizes its batch scratch to it (reserving up front and
-/// shrinking back after an oversized batch) and car::FleetEvaluatorOptions
-/// defaults batch_chunk to it, so the layers agree on one number: large
-/// enough to amortise per-batch costs, small enough that a chunk's
-/// requests and decisions stay cache-resident.
+/// Batch chunk size the staged image pipeline is tuned for;
+/// car::FleetEvaluatorOptions defaults batch_chunk to it. Large enough to
+/// amortise per-batch costs, small enough that a chunk's requests and
+/// decisions stay cache-resident.
 inline constexpr std::size_t kRecommendedBatchChunk = 4096;
 
 /// Outcome of policy evaluation.
@@ -235,17 +233,6 @@ class PolicySet {
     }
   };
   mutable ThreadPin eval_pin_;
-};
-
-/// Abstract policy decision point. Implemented by the software MAC engine
-/// (psme::mac::MacEngine) and wrapped by the hardware policy engine
-/// (psme::hpe).
-class PolicyEngine {
- public:
-  virtual ~PolicyEngine() = default;
-
-  [[nodiscard]] virtual Decision evaluate(const AccessRequest& request) = 0;
-  [[nodiscard]] virtual std::string_view engine_name() const noexcept = 0;
 };
 
 }  // namespace psme::core

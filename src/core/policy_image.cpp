@@ -7,7 +7,6 @@
 
 #include "core/policy_buffer.h"
 #include "mac/batch_probe.h"
-#include "mac/stage_counters.h"
 
 namespace psme::core {
 
@@ -476,36 +475,32 @@ void CompiledPolicyImage::evaluate_batch_staged(
   for (std::size_t base = 0; base < n; base += kChunk) {
     const std::size_t count = std::min(kChunk, n - base);
     std::size_t miss_count = 0;
-    {
-      PSME_STAGE_TIMER(resolve, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        const SidRequest& request = requests[base + j];
-        if (!have_run || request.mode != run_mode) {
-          run_mode = request.mode;
-          mode_bits = request_mode_bits(run_mode);
-          have_run = true;
-        }
-        const std::uint64_t pk = pair_key(request.subject, request.object);
-        pair_keys[j] = pk;
-        bits[j] = mode_bits;
-        const std::size_t m = static_cast<std::size_t>(
-                                  mac::mix_av_key(pk ^ mode_bits)) &
-                              (kMemoSets - 1);
-        memo_slot_of[j] = static_cast<std::uint32_t>(m);
-        const MemoSet& set = memo[m];
-        if (set.way[0].used && set.way[0].pair == pk &&
-            set.way[0].bits == mode_bits) {
-          best[j] = set.way[0].best;
-        } else if (set.way[1].used && set.way[1].pair == pk &&
-                   set.way[1].bits == mode_bits) {
-          best[j] = set.way[1].best;
-        } else {
-          miss[miss_count++] = static_cast<std::uint32_t>(j);
-        }
+    for (std::size_t j = 0; j < count; ++j) {
+      const SidRequest& request = requests[base + j];
+      if (!have_run || request.mode != run_mode) {
+        run_mode = request.mode;
+        mode_bits = request_mode_bits(run_mode);
+        have_run = true;
+      }
+      const std::uint64_t pk = pair_key(request.subject, request.object);
+      pair_keys[j] = pk;
+      bits[j] = mode_bits;
+      const std::size_t m = static_cast<std::size_t>(
+                                mac::mix_av_key(pk ^ mode_bits)) &
+                            (kMemoSets - 1);
+      memo_slot_of[j] = static_cast<std::uint32_t>(m);
+      const MemoSet& set = memo[m];
+      if (set.way[0].used && set.way[0].pair == pk &&
+          set.way[0].bits == mode_bits) {
+        best[j] = set.way[0].best;
+      } else if (set.way[1].used && set.way[1].pair == pk &&
+                 set.way[1].bits == mode_bits) {
+        best[j] = set.way[1].best;
+      } else {
+        miss[miss_count++] = static_cast<std::uint32_t>(j);
       }
     }
     if (miss_count != 0) {
-      PSME_STAGE_TIMER(db_probe, miss_count);
       // Request every miss's first-probe cache line before any of them
       // resolves, so the index loads overlap each other instead of
       // serialising behind the candidate scans.
@@ -540,11 +535,8 @@ void CompiledPolicyImage::evaluate_batch_staged(
         set.way[0] = MemoSlot{pair_keys[j], bits[j], b, true};
       }
     }
-    {
-      PSME_STAGE_TIMER(copy, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        materialise(base + j, best[j], requests[base + j].access);
-      }
+    for (std::size_t j = 0; j < count; ++j) {
+      materialise(base + j, best[j], requests[base + j].access);
     }
   }
 }

@@ -1,12 +1,9 @@
 #include "mac/avc.h"
 
-#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <thread>
 
-#include "mac/batch_probe.h"
-#include "mac/stage_counters.h"
 
 // ThreadSanitizer does not model memory fences, so under TSan the
 // seqlock reader validates with a value-preserving RMW instead (which
@@ -133,93 +130,29 @@ void Avc::revalidate(const PolicyDb& db) noexcept {
 
 AccessVector Avc::query(const PolicyDb& db, Sid source, Sid target, Sid cls) {
   revalidate(db);
-  return lookup(db, pack_av_key(source, target, cls));
-}
-
-void Avc::query_batch(const PolicyDb& db, std::span<const std::uint64_t> keys,
-                      std::span<AccessVector> out) {
-  if (keys.size() != out.size()) {
-    throw std::invalid_argument("Avc::query_batch: span lengths differ");
-  }
-  revalidate(db);  // one seqno check for the whole batch
-
-  // Staged waves over stack-resident chunks: hash+prefetch bucket heads,
-  // probe the cache, collect the misses, answer them in one
-  // PolicyDb::lookup_batch sweep, then fill. The fill wave RE-PROBES
-  // each missed key first — an earlier fill in the same wave may have
-  // inserted a duplicate key, and the re-probe reproduces the scalar
-  // interleaving's counts exactly (second occurrence = hit). Stat and
-  // eviction totals are therefore identical to per-key lookup(); only
-  // the LRU RECENCY ORDER may differ (a chunk's hits bump before its
-  // fills land), which no totals-level observer can see.
-  constexpr std::size_t kChunk = 256;
-  std::uint32_t bucket_idx[kChunk];
-  std::uint32_t miss[kChunk];
-  std::uint64_t miss_keys[kChunk];
-  AccessVector miss_avs[kChunk];
-
-  const std::size_t n = keys.size();
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t count = std::min(kChunk, n - base);
-    std::size_t miss_count = 0;
-    {
-      PSME_STAGE_TIMER(avc_probe, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        bucket_idx[j] = bucket_of(keys[base + j]);
-        probe::prefetch(&buckets_[bucket_idx[j]]);
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint64_t key = keys[base + j];
-        const std::uint32_t slot = probe_owner(bucket_idx[j], key);
-        if (slot != kNil) {
-          out[base + j] = hit_slot(slot);
-        } else {
-          miss[miss_count] = static_cast<std::uint32_t>(j);
-          miss_keys[miss_count] = key;
-          ++miss_count;
-        }
-      }
-    }
-    if (miss_count != 0) {
-      {
-        PSME_STAGE_TIMER(db_probe, miss_count);
-        db.lookup_batch(std::span<const std::uint64_t>(miss_keys, miss_count),
-                        std::span<AccessVector>(miss_avs, miss_count));
-      }
-      PSME_STAGE_TIMER(avc_probe, 0);
-      for (std::size_t k = 0; k < miss_count; ++k) {
-        const std::uint32_t j = miss[k];
-        const std::uint32_t slot = probe_owner(bucket_idx[j], miss_keys[k]);
-        if (slot != kNil) {
-          out[base + j] = hit_slot(slot);
-        } else {
-          ++stats_.misses;
-          fill_slot(bucket_idx[j], miss_keys[k], miss_avs[k]);
-          out[base + j] = miss_avs[k];
-        }
-      }
-    }
-  }
-}
-
-std::uint32_t Avc::probe_owner(std::uint32_t bucket,
-                               std::uint64_t key) const noexcept {
+  const std::uint64_t key = pack_av_key(source, target, cls);
+  const std::uint32_t bucket = bucket_of(key);
   for (std::uint32_t n = buckets_[bucket].load(std::memory_order_relaxed);
        n != kNil; n = nodes_[n].hash_next.load(std::memory_order_relaxed)) {
-    if (nodes_[n].key.load(std::memory_order_relaxed) == key) return n;
+    if (nodes_[n].key.load(std::memory_order_relaxed) != key) continue;
+    ++stats_.hits;
+    if (lru_head_ != n) {
+      // LRU links are owner-private (readers never follow them), so a
+      // hit's recency bump needs no seqlock bracket.
+      lru_unlink(n);
+      lru_push_front(n);
+    }
+    return nodes_[n].av.load(std::memory_order_relaxed);
   }
-  return kNil;
-}
 
-AccessVector Avc::hit_slot(std::uint32_t n) noexcept {
-  ++stats_.hits;
-  if (lru_head_ != n) {
-    // LRU links are owner-private (readers never follow them), so a
-    // hit's recency bump needs no seqlock bracket.
-    lru_unlink(n);
-    lru_push_front(n);
-  }
-  return nodes_[n].av.load(std::memory_order_relaxed);
+  ++stats_.misses;
+  // Consult the database on the unpacked key, so the cached vector always
+  // answers the key it is filed under; null components fall out of
+  // pack_av_key unchanged, so a null-SID query still answers 0.
+  const AvKeyParts parts = unpack_av_key(key);
+  const AccessVector av = db.lookup(parts.source, parts.target, parts.cls);
+  fill_slot(bucket, key, av);
+  return av;
 }
 
 void Avc::fill_slot(std::uint32_t bucket, std::uint64_t key,
@@ -245,20 +178,6 @@ void Avc::fill_slot(std::uint32_t bucket, std::uint64_t key,
   buckets_[bucket].store(n, std::memory_order_relaxed);
   lru_push_front(n);
   end_mutation();
-}
-
-AccessVector Avc::lookup(const PolicyDb& db, std::uint64_t key) {
-  const std::uint32_t bucket = bucket_of(key);
-  const std::uint32_t n = probe_owner(bucket, key);
-  if (n != kNil) return hit_slot(n);
-
-  ++stats_.misses;
-  // Unpack the triple for the database consultation; null components fall
-  // out of pack_av_key unchanged, so a null-SID query still answers 0.
-  const AvKeyParts parts = unpack_av_key(key);
-  const AccessVector av = db.lookup(parts.source, parts.target, parts.cls);
-  fill_slot(bucket, key, av);
-  return av;
 }
 
 AccessVector Avc::query(const PolicyDb& db, std::string_view source_type,
@@ -377,61 +296,6 @@ AccessVector Avc::query_shared(const PolicyDb& db, Sid source, Sid target,
   }
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   return db.lookup(source, target, cls);
-}
-
-void Avc::query_batch_shared(const PolicyDb& db,
-                             std::span<const std::uint64_t> keys,
-                             std::span<AccessVector> out) const {
-  if (keys.size() != out.size()) {
-    throw std::invalid_argument("Avc::query_batch_shared: span lengths differ");
-  }
-  SharedShard& shard = shared_shard();
-  const std::uint64_t db_gen = db.seqno();
-  std::uint64_t hits = 0;
-
-  // Staged like the owner batch, minus the fill wave (shared readers
-  // never mutate): prefetch bucket heads, run the seqlock probe wave,
-  // collect misses, answer them through one db.lookup_batch sweep.
-  // Per-element results and the hit/miss totals are exactly the scalar
-  // interleaving's — a probe's outcome depends only on the cache state
-  // racing past it, never on this batch's own earlier elements.
-  constexpr std::size_t kChunk = 256;
-  std::uint32_t miss[kChunk];
-  std::uint64_t miss_keys[kChunk];
-  AccessVector miss_avs[kChunk];
-
-  const std::size_t n = keys.size();
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t count = std::min(kChunk, n - base);
-    std::size_t miss_count = 0;
-    {
-      PSME_STAGE_TIMER(avc_probe, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        probe::prefetch(&buckets_[bucket_of(keys[base + j])]);
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        AccessVector av = 0;
-        if (probe_shared(keys[base + j], db_gen, av)) {
-          ++hits;
-          out[base + j] = av;
-        } else {
-          miss[miss_count] = static_cast<std::uint32_t>(j);
-          miss_keys[miss_count] = keys[base + j];
-          ++miss_count;
-        }
-      }
-    }
-    if (miss_count != 0) {
-      PSME_STAGE_TIMER(db_probe, miss_count);
-      db.lookup_batch(std::span<const std::uint64_t>(miss_keys, miss_count),
-                      std::span<AccessVector>(miss_avs, miss_count));
-      for (std::size_t k = 0; k < miss_count; ++k) {
-        out[base + miss[k]] = miss_avs[k];
-      }
-    }
-  }
-  shard.hits.fetch_add(hits, std::memory_order_relaxed);
-  shard.misses.fetch_add(n - hits, std::memory_order_relaxed);
 }
 
 AvcStats Avc::shared_stats() const noexcept {

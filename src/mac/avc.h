@@ -15,24 +15,22 @@
 //
 // Concurrency (DESIGN.md "Concurrency model"): the cache follows the
 // kernel AVC's reader/writer asymmetry. Exactly ONE thread — the owner —
-// may call the mutating entry points (query, query_batch, flush, the
-// string shims); any number of OTHER threads may concurrently call the
-// `_shared` read path. Shared readers are protected by a seqlock
-// (`fill_seq_`): the owner bumps the sequence to odd around every
-// slot/chain mutation, readers validate the generation after an optimistic
-// probe and retry on a torn read — they never block and never write to
-// the cache. A shared miss (or a reader that keeps losing the seqlock
-// race) falls through to the lock-free sealed PolicyDb table WITHOUT
-// filling a slot; fills remain owner-only. Shared-read hit/miss counters
-// live in padded per-shard relaxed atomics merged on demand
-// (shared_stats()); the owner's stats() stays a plain struct and must not
-// be read concurrently with owner mutations.
+// may call the mutating entry points (query, flush, the string shims);
+// any number of OTHER threads may concurrently call query_shared. Shared
+// readers are protected by a seqlock (`fill_seq_`): the owner bumps the
+// sequence to odd around every slot/chain mutation, readers validate the
+// generation after an optimistic probe and retry on a torn read — they
+// never block and never write to the cache. A shared miss (or a reader
+// that keeps losing the seqlock race) falls through to the lock-free
+// sealed PolicyDb table WITHOUT filling a slot; fills remain owner-only.
+// Shared-read hit/miss counters live in padded per-shard relaxed atomics
+// merged on demand (shared_stats()); the owner's stats() stays a plain
+// struct and must not be read concurrently with owner mutations.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -70,22 +68,6 @@ class Avc {
   /// SID-space hot path: zero heap allocations.
   [[nodiscard]] AccessVector query(const PolicyDb& db, Sid source, Sid target,
                                    Sid cls);
-
-  /// Batched lookup: answers `keys[i]` (a pack_av_key triple) into
-  /// `out[i]` for every i. The db seqno is validated once for the whole
-  /// span, and the span then runs the staged wave pipeline (DESIGN.md
-  /// "Vectorised decision core"): per stack-resident chunk, bucket heads
-  /// are hashed and prefetched up front, the cache probe wave collects
-  /// the misses, one PolicyDb::lookup_batch sweep answers them, and the
-  /// fill wave inserts — re-probing each key first so a duplicate missed
-  /// key counts its second occurrence as the hit it would have been
-  /// under per-key query(). Per-element results, stat totals and
-  /// eviction counts are identical to the scalar loop; only the LRU
-  /// recency ORDER within a chunk may differ (hits bump before the
-  /// chunk's fills land). Throws std::invalid_argument when the spans
-  /// differ in length.
-  void query_batch(const PolicyDb& db, std::span<const std::uint64_t> keys,
-                   std::span<AccessVector> out);
 
   /// True when every bit of `required` is granted (one bit = one perm).
   ///
@@ -126,21 +108,11 @@ class Avc {
   /// blocks, never fills a slot, never touches the LRU. Safe against a
   /// concurrent owner filling/evicting/flushing THIS cache; the caller
   /// must ensure `db` itself outlives the call (snapshot it — see
-  /// MacEngine::evaluate_batch_shared). Entries cached from a different
-  /// policy generation (seqno mismatch) are bypassed, never served.
+  /// MacEngine::evaluate_batch_allowed_shared). Entries cached from a
+  /// different policy generation (seqno mismatch) are bypassed, never
+  /// served.
   [[nodiscard]] AccessVector query_shared(const PolicyDb& db, Sid source,
                                           Sid target, Sid cls) const noexcept;
-
-  /// Batched form of query_shared over packed pack_av_key triples. The
-  /// db-seqno filter is evaluated once for the span, and the span runs
-  /// the staged wave pipeline (probe wave with prefetched bucket heads →
-  /// miss collection → one PolicyDb::lookup_batch sweep); there is no
-  /// fill wave — shared readers never mutate. Per-element answers and
-  /// the shard hit/miss totals are exactly the scalar interleaving's.
-  /// Throws std::invalid_argument when the spans differ in length.
-  void query_batch_shared(const PolicyDb& db,
-                          std::span<const std::uint64_t> keys,
-                          std::span<AccessVector> out) const;
 
   /// Merged shared-read counters (hits answered from a stable slot,
   /// misses that fell through to the db). evictions/flushes are always 0
@@ -184,22 +156,8 @@ class Avc {
     return static_cast<std::uint32_t>(mix_av_key(key) & (buckets_.size() - 1));
   }
 
-  /// Flushes on a policy reload; both owner query paths call this exactly
-  /// once per entry point before probing.
+  /// Flushes on a policy reload; query() calls this before probing.
   void revalidate(const PolicyDb& db) noexcept;
-
-  /// One probe-or-fill against an already-revalidated database.
-  [[nodiscard]] AccessVector lookup(const PolicyDb& db, std::uint64_t key);
-
-  /// Owner-thread chain walk: slot index for `key` in `bucket`, kNil on
-  /// a miss. No stats, no LRU — the callers decide what the outcome
-  /// means (the batch fill wave re-probes before inserting).
-  [[nodiscard]] std::uint32_t probe_owner(std::uint32_t bucket,
-                                          std::uint64_t key) const noexcept;
-
-  /// Owner-thread hit bookkeeping: counts the hit, bumps recency,
-  /// returns the cached vector.
-  [[nodiscard]] AccessVector hit_slot(std::uint32_t n) noexcept;
 
   /// Owner-thread insert of a freshly-consulted vector (seqlock-
   /// bracketed; recycles the LRU tail when full).

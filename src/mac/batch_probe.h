@@ -15,8 +15,7 @@
 
 namespace psme::mac::probe {
 
-/// Generic read prefetch (the AVC batch waves request bucket-head lines
-/// ahead of their chain walks). No-op where the builtin is unavailable.
+/// Generic read prefetch. No-op where the builtin is unavailable.
 inline void prefetch(const void* address) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(address, 0 /* read */, 1 /* low temporal locality */);

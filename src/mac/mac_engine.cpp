@@ -9,11 +9,6 @@ namespace psme::mac {
 MacEngine::MacEngine(std::size_t avc_capacity)
     : sids_(std::make_shared<SidTable>()), avc_(avc_capacity) {
   default_type_sid_ = sids_->intern(default_context_.type());
-  // Size the batch scratch for the chunk the fleet layer feeds by
-  // default, so even the first batch of a fresh engine allocates nothing
-  // on the evaluate path.
-  batch_keys_.reserve(core::kRecommendedBatchChunk);
-  batch_avs_.reserve(core::kRecommendedBatchChunk);
   rebuild();  // empty database: everything denied (least privilege)
 }
 
@@ -161,10 +156,7 @@ core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
   }
   // Denials reverse-map SIDs to names for the audit trail; this is where
   // the interner's reverse table earns its keep. SIDs the interner never
-  // issued (possible only via hand-built batch requests) still deny with
-  // a placeholder name instead of throwing mid-batch. Safe for shared
-  // readers: name_of is a const read, and the single-writer rule forbids
-  // interning new names while readers are active.
+  // issued still deny with a placeholder name instead of throwing.
   constexpr std::string_view kInvalidSid = "<invalid-sid>";
   const std::string_view source_name =
       sids_->contains(source) ? sids_->name_of(source) : kInvalidSid;
@@ -204,100 +196,6 @@ core::SidRequest MacEngine::resolve(const core::AccessRequest& request) const {
   return resolved;
 }
 
-void MacEngine::evaluate_batch(std::span<const core::SidRequest> requests,
-                               std::span<core::Decision> out) {
-  if (requests.size() != out.size()) {
-    throw std::invalid_argument("MacEngine::evaluate_batch: span lengths differ");
-  }
-  const DbSnapshot& snap = *active_;  // owner thread: direct read is safe
-  // One pass, three phases: pack keys, answer them all against the AVC
-  // (one seqno check for the span, staged probe/db/fill waves inside),
-  // then materialise Decisions. The scratch buffers and the caller's
-  // Decision storage are reused, so a warm batch over cached allows
-  // never touches the heap.
-  {
-    PSME_STAGE_TIMER(resolve, requests.size());
-    batch_keys_.resize(requests.size());
-    batch_avs_.resize(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      // SIDs beyond the packed 24-bit field (never issued by the interner;
-      // e.g. core::kUnresolvedSid from a hand-built request) would alias a
-      // real type — clamp them to the null SID, which can only deny.
-      const Sid source =
-          requests[i].subject <= kMaxTypeSid ? requests[i].subject : kNullSid;
-      const Sid target =
-          requests[i].object <= kMaxTypeSid ? requests[i].object : kNullSid;
-      batch_keys_[i] = pack_av_key(source, target, snap.asset_class_sid);
-    }
-  }
-  avc_.query_batch(snap.db, batch_keys_, batch_avs_);
-  const bool permissive_mode = permissive();  // one mode for the batch
-  {
-    PSME_STAGE_TIMER(copy, requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      out[i] = decide(snap, requests[i].subject, requests[i].object,
-                      batch_avs_[i], requests[i].access, permissive_mode);
-    }
-  }
-  if (batch_keys_.capacity() > core::kRecommendedBatchChunk) {
-    // An oversized batch grew the scratch; release the high-water
-    // capacity now rather than pinning it for the engine's lifetime
-    // (the next reserve re-establishes the tuned steady state).
-    batch_keys_.clear();
-    batch_keys_.shrink_to_fit();
-    batch_keys_.reserve(core::kRecommendedBatchChunk);
-    batch_avs_.clear();
-    batch_avs_.shrink_to_fit();
-    batch_avs_.reserve(core::kRecommendedBatchChunk);
-  }
-}
-
-void MacEngine::evaluate_batch_shared(
-    std::span<const core::SidRequest> requests,
-    std::span<core::Decision> out) const {
-  if (requests.size() != out.size()) {
-    throw std::invalid_argument(
-        "MacEngine::evaluate_batch_shared: span lengths differ");
-  }
-  // Pin one policy generation AND one enforcement mode for the whole
-  // span: every element is adjudicated against the same database, masks
-  // and permissive flag, even if the owner publishes a new snapshot or
-  // toggles set_permissive mid-batch.
-  const std::shared_ptr<const DbSnapshot> snap = snapshot();
-  const bool permissive_mode = permissive();
-  // Stack chunks keep this const and scratch-free for any number of
-  // concurrent callers, and batching through query_batch_shared
-  // amortises the shared-stat updates (one RMW pair per chunk, not per
-  // element).
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t keys[kChunk];
-  AccessVector avs[kChunk];
-  for (std::size_t base = 0; base < requests.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, requests.size() - base);
-    {
-      PSME_STAGE_TIMER(resolve, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const Sid source =
-            request.subject <= kMaxTypeSid ? request.subject : kNullSid;
-        const Sid target =
-            request.object <= kMaxTypeSid ? request.object : kNullSid;
-        keys[j] = pack_av_key(source, target, snap->asset_class_sid);
-      }
-    }
-    avc_.query_batch_shared(snap->db, std::span<const std::uint64_t>(keys, n),
-                            std::span<AccessVector>(avs, n));
-    {
-      PSME_STAGE_TIMER(copy, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        out[base + j] = decide(*snap, request.subject, request.object, avs[j],
-                               request.access, permissive_mode);
-      }
-    }
-  }
-}
-
 void MacEngine::evaluate_batch_allowed_shared(
     std::span<const core::SidRequest> requests,
     std::span<std::uint8_t> allowed_out) const {
@@ -305,45 +203,33 @@ void MacEngine::evaluate_batch_allowed_shared(
     throw std::invalid_argument(
         "MacEngine::evaluate_batch_allowed_shared: span lengths differ");
   }
-  // Same pinning discipline as evaluate_batch_shared: one policy
-  // generation and one enforcement mode for the whole span.
+  // Pin one policy generation AND one enforcement mode for the whole
+  // span: every element is adjudicated against the same database, masks
+  // and permissive flag, even if the owner publishes a new snapshot or
+  // toggles set_permissive mid-call.
   const std::shared_ptr<const DbSnapshot> snap = snapshot();
   const bool permissive_mode = permissive();
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t keys[kChunk];
-  AccessVector avs[kChunk];
-  for (std::size_t base = 0; base < requests.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, requests.size() - base);
-    {
-      PSME_STAGE_TIMER(resolve, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const Sid source =
-            request.subject <= kMaxTypeSid ? request.subject : kNullSid;
-        const Sid target =
-            request.object <= kMaxTypeSid ? request.object : kNullSid;
-        keys[j] = pack_av_key(source, target, snap->asset_class_sid);
-      }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const core::SidRequest& request = requests[i];
+    // SIDs beyond the packed 24-bit field (never issued by the interner;
+    // e.g. core::kUnresolvedSid from a hand-built request) would alias a
+    // real type — clamp them to the null SID, which can only deny.
+    const Sid source =
+        request.subject <= kMaxTypeSid ? request.subject : kNullSid;
+    const Sid target =
+        request.object <= kMaxTypeSid ? request.object : kNullSid;
+    const AccessVector av =
+        avc_.query_shared(snap->db, source, target, snap->asset_class_sid);
+    const AccessVector need = request.access == core::AccessType::kRead
+                                  ? snap->read_mask
+                                  : snap->write_mask;
+    const bool allowed = (av & need) != 0;
+    // Permissive parity with decide(): a would-be denial is allowed but
+    // counted, so telemetry sees the same totals either path.
+    if (!allowed && permissive_mode) {
+      permissive_denials_.fetch_add(1, std::memory_order_relaxed);
     }
-    avc_.query_batch_shared(snap->db, std::span<const std::uint64_t>(keys, n),
-                            std::span<AccessVector>(avs, n));
-    {
-      PSME_STAGE_TIMER(copy, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const AccessVector need = request.access == core::AccessType::kRead
-                                      ? snap->read_mask
-                                      : snap->write_mask;
-        const bool allowed = (avs[j] & need) != 0;
-        // Permissive parity with decide(): a would-be denial is allowed
-        // but counted, so telemetry sees the same totals either path.
-        if (!allowed && permissive_mode) {
-          permissive_denials_.fetch_add(1, std::memory_order_relaxed);
-        }
-        allowed_out[base + j] =
-            static_cast<std::uint8_t>(allowed || permissive_mode);
-      }
-    }
+    allowed_out[i] = static_cast<std::uint8_t>(allowed || permissive_mode);
   }
 }
 

@@ -1,7 +1,7 @@
 // psme::mac — the software policy-enforcement engine.
 //
-// MacEngine implements core::PolicyEngine by translating generic access
-// requests into type-enforcement queries:
+// MacEngine translates generic access requests into type-enforcement
+// queries:
 //   subject id --(label map)--> source type SID
 //   object  id --(label map)--> target type SID
 //   read/write --> permission bit of the "asset" object class
@@ -23,9 +23,9 @@
 //
 // Concurrency (DESIGN.md "Concurrency model"): MacEngine follows the
 // single-writer/many-readers split. ONE owner thread drives labelling,
-// module lifecycle and the mutating evaluate paths; any number of OTHER
-// threads may call evaluate_batch_shared concurrently, including while
-// the owner reloads policy. Each rebuild publishes an immutable snapshot
+// module lifecycle and evaluate(); any number of OTHER threads may call
+// evaluate_batch_allowed_shared concurrently, including while the owner
+// reloads policy. Each rebuild publishes an immutable snapshot
 // (database + derived class/permission coordinates) behind a shared_ptr;
 // readers pin a snapshot for the duration of a batch, probe the AVC
 // through its seqlock read path, and fall through to the snapshot's
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -51,7 +50,6 @@
 #include "mac/avc.h"
 #include "mac/context.h"
 #include "mac/sid_table.h"
-#include "mac/stage_counters.h"
 #include "mac/te_policy.h"
 
 namespace psme::mac {
@@ -77,7 +75,7 @@ struct PolicyModule {
   std::vector<ConditionalRule> conditional_allows;
 };
 
-class MacEngine final : public core::PolicyEngine {
+class MacEngine final {
  public:
   /// The object class used for asset accesses and its permission names.
   static constexpr const char* kAssetClass = "asset";
@@ -118,49 +116,25 @@ class MacEngine final : public core::PolicyEngine {
 
   // -- enforcement -------------------------------------------------------
 
-  [[nodiscard]] core::Decision evaluate(const core::AccessRequest& request) override;
-  [[nodiscard]] std::string_view engine_name() const noexcept override {
-    return "mac";
-  }
+  [[nodiscard]] core::Decision evaluate(const core::AccessRequest& request);
 
   /// Translates one request into the engine's SID space: subject/object
   /// become source/target *type* SIDs via the label map. The result feeds
-  /// evaluate_batch; resolve once per entity, evaluate every tick.
+  /// evaluate_batch_allowed_shared; resolve once per entity, evaluate
+  /// every tick.
   [[nodiscard]] core::SidRequest resolve(const core::AccessRequest& request) const;
 
-  /// Answers `requests[i]` (pre-resolved type-SID triples; mode is
-  /// ignored, as in scalar evaluate) into `out[i]`. One policy-seqno
-  /// check covers the whole span, cache probes run over packed keys with
-  /// no per-element virtual dispatch, and the Decision assignments reuse
-  /// the caller's string capacity — a warm batch over cached allows
-  /// performs zero heap allocations. Decisions are byte-identical to
-  /// scalar evaluate on the equivalent requests. Throws
-  /// std::invalid_argument when the spans differ in length.
-  /// Owner thread only: fills the AVC and uses member scratch buffers.
-  void evaluate_batch(std::span<const core::SidRequest> requests,
-                      std::span<core::Decision> out);
-
-  /// Concurrent-reader form of evaluate_batch: any number of threads may
-  /// call it simultaneously, including while the owner reloads policy.
-  /// Pins the engine's current immutable snapshot for the span, answers
-  /// each element through the AVC's lock-free seqlock probe (falling
-  /// through to the snapshot's sealed table on a miss — readers never
-  /// fill the cache), and materialises the same Decisions as the owner
-  /// path would against that snapshot. Decisions adjudicated mid-reload
-  /// reflect either the old or the new policy, never a mix. Throws
-  /// std::invalid_argument when the spans differ in length.
-  void evaluate_batch_shared(std::span<const core::SidRequest> requests,
-                             std::span<core::Decision> out) const;
-
-  /// Verdict-only twin of evaluate_batch_shared: `allowed_out[i]` is 1
-  /// when `requests[i]` would be allowed, 0 when denied — always equal
-  /// to evaluate_batch_shared's `out[i].allowed` (test-pinned). Same
-  /// concurrency contract (any number of threads, one pinned snapshot
-  /// and enforcement mode per call), but materialises a byte instead of
-  /// a three-string Decision, which is what wire-rate consumers
-  /// (can::WireMac adjudicating bus batches) actually read. Permissive
-  /// mode still converts denials to allows and counts them. Throws
-  /// std::invalid_argument when the spans differ in length.
+  /// Concurrent-reader verdicts: `allowed_out[i]` is 1 when `requests[i]`
+  /// (pre-resolved type SIDs; mode is ignored) would be allowed, 0 when
+  /// denied — equal to evaluate() on the equivalent labelled request
+  /// (test-pinned). Any number of threads may call it, including while
+  /// the owner reloads policy: each call pins one snapshot and one
+  /// enforcement mode, so a mid-reload call reflects the old or the new
+  /// policy, never a mix. Each element is one Avc::query_shared, so
+  /// readers never fill the cache. SIDs beyond kMaxTypeSid deny;
+  /// permissive mode allows would-be denials and counts them.
+  /// can::WireMac's engine backend calls it. Throws std::invalid_argument
+  /// when the spans differ in length.
   void evaluate_batch_allowed_shared(
       std::span<const core::SidRequest> requests,
       std::span<std::uint8_t> allowed_out) const;
@@ -178,21 +152,8 @@ class MacEngine final : public core::PolicyEngine {
     return avc_.shared_stats();
   }
 
-  /// One-stop perf observation over the staged decision core: the owner
-  /// AVC counters, the merged shared-read counters, and the CALLING
-  /// thread's per-stage pipeline counters (resolve / avc-probe /
-  /// db-probe / copy — all zero unless the build enables
-  /// PSME_STAGE_COUNTERS; check mac::stage_counters_enabled()).
-  struct Stats {
-    AvcStats avc;
-    AvcStats avc_shared;
-    StageCounters stages;
-  };
-  [[nodiscard]] Stats stats() const noexcept {
-    return Stats{avc_.stats(), avc_.shared_stats(), stage_counters()};
-  }
   /// The active database (owner-thread view; readers inside
-  /// evaluate_batch_shared pin their own snapshot instead). The
+  /// evaluate_batch_allowed_shared pin their own snapshot instead). The
   /// reference is valid only until the next policy mutation
   /// (load_module / unload_module / set_boolean) — each rebuild
   /// publishes a fresh database and retires the old one. Re-call after
@@ -237,11 +198,8 @@ class MacEngine final : public core::PolicyEngine {
     return active_;
   }
 
-  /// Maps an answered access vector to the Decision all evaluate paths
-  /// share (factored so batch, shared-batch and scalar stay
-  /// byte-identical). `permissive` is loaded ONCE per entry point and
-  /// passed in, so a whole batch adjudicates in one enforcement mode
-  /// even if set_permissive races it.
+  /// Maps an answered access vector to evaluate()'s Decision.
+  /// `permissive` is loaded once by the caller and passed in.
   [[nodiscard]] core::Decision decide(const DbSnapshot& snap, Sid source,
                                       Sid target, AccessVector av,
                                       core::AccessType access,
@@ -265,13 +223,6 @@ class MacEngine final : public core::PolicyEngine {
   std::uint64_t next_seqno_ = 1;
   std::atomic<bool> permissive_{false};
   mutable std::atomic<std::uint64_t> permissive_denials_{0};
-  /// Scratch for evaluate_batch, reused across calls so a warm batch
-  /// allocates nothing. Reserved to core::kRecommendedBatchChunk at
-  /// construction; a larger batch grows it for its own duration, and
-  /// the capacity is released back to the recommended chunk afterwards
-  /// so one oversized call cannot pin its high-water scratch forever.
-  std::vector<std::uint64_t> batch_keys_;
-  std::vector<AccessVector> batch_avs_;
 };
 
 }  // namespace psme::mac

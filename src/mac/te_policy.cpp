@@ -22,10 +22,12 @@ void AvTable::grow() {
   values_.assign(new_cap, 0);
   const std::size_t mask = new_cap - 1;
   for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == 0) continue;
-    std::size_t j = mix_av_key(old_keys[i]) & mask;
-    while (keys_[j] != 0) j = (j + 1) & mask;
-    keys_[j] = old_keys[i];
+    const std::uint64_t key = old_keys[i];
+    if (key == 0) continue;
+    // Keys are unique, so the walk stops at the first empty slot.
+    const std::size_t j =
+        probe::find_slot(keys_.data(), mask, key, mix_av_key(key) & mask);
+    keys_[j] = key;
     values_[j] = old_values[i];
   }
 }
@@ -34,62 +36,13 @@ void AvTable::merge(std::uint64_t key, AccessVector av) {
   // Keep load below ~0.7 so probe sequences stay short.
   if (keys_.empty() || (size_ + 1) * 10 > keys_.size() * 7) grow();
   const std::size_t mask = keys_.size() - 1;
-  std::size_t i = mix_av_key(key) & mask;
-  while (keys_[i] != 0 && keys_[i] != key) i = (i + 1) & mask;
+  const std::size_t i =
+      probe::find_slot(keys_.data(), mask, key, mix_av_key(key) & mask);
   if (keys_[i] == 0) {
     keys_[i] = key;
     ++size_;
   }
   values_[i] |= av;
-}
-
-void AvTable::find_batch(std::span<const std::uint64_t> keys,
-                         std::span<AccessVector> out) const noexcept {
-  if (size_ == 0) {
-    std::fill(out.begin(), out.end(), AccessVector{0});
-    return;
-  }
-  const std::size_t mask = keys_.size() - 1;
-  const std::uint64_t* slots = keys_.data();
-
-  // Block-pipelined: while block b's keys resolve, block b+1's probe
-  // origins are already hashed (four-lane splitmix waves) and their
-  // cache lines requested, so the table loads overlap the hash work of
-  // the next block instead of stalling the probe loop.
-  constexpr std::size_t kBlock = 8;
-  std::size_t origins[2][kBlock];
-  const std::size_t n = keys.size();
-
-  const auto hash_and_prefetch = [&](std::size_t base, std::size_t count,
-                                     std::size_t* org) noexcept {
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-      org[j] = mix_av_key(keys[base + j]) & mask;
-      org[j + 1] = mix_av_key(keys[base + j + 1]) & mask;
-      org[j + 2] = mix_av_key(keys[base + j + 2]) & mask;
-      org[j + 3] = mix_av_key(keys[base + j + 3]) & mask;
-    }
-    for (; j < count; ++j) org[j] = mix_av_key(keys[base + j]) & mask;
-    for (j = 0; j < count; ++j) probe::prefetch_slot(slots, org[j]);
-  };
-
-  const std::size_t first = n < kBlock ? n : kBlock;
-  hash_and_prefetch(0, first, origins[0]);
-  for (std::size_t base = 0, which = 0; base < n; base += kBlock, which ^= 1) {
-    const std::size_t count = n - base < kBlock ? n - base : kBlock;
-    const std::size_t next_base = base + count;
-    if (next_base < n) {
-      const std::size_t next_count =
-          n - next_base < kBlock ? n - next_base : kBlock;
-      hash_and_prefetch(next_base, next_count, origins[which ^ 1]);
-    }
-    const std::size_t* org = origins[which];
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint64_t key = keys[base + j];
-      const std::size_t slot = probe::find_slot(slots, mask, key, org[j]);
-      out[base + j] = slots[slot] == key ? values_[slot] : 0;
-    }
-  }
 }
 
 const ClassDef* PolicyDb::find_class(Sid cls) const noexcept {

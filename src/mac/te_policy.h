@@ -23,11 +23,11 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "mac/batch_probe.h"
 #include "mac/sid_table.h"
 
 namespace psme::mac {
@@ -56,29 +56,20 @@ struct TeRule {
 
 /// Flat open-addressing hash table: packed SID key -> access vector.
 /// Linear probing over a power-of-two slot array; key 0 marks an empty
-/// slot (valid packed keys always carry a non-zero class SID). Grows only
-/// at build time; find() never allocates.
+/// slot (valid packed keys always carry a non-zero class SID). Every walk
+/// (find, merge, grow) is probe::find_slot, bounded to one revolution;
+/// merge keeps the load factor at or below 0.7, so a walk always meets
+/// its key or an empty slot. Grows only at build time; find() never
+/// allocates.
 class AvTable {
  public:
   [[nodiscard]] AccessVector find(std::uint64_t key) const noexcept {
     if (size_ == 0) return 0;
     const std::size_t mask = keys_.size() - 1;
-    for (std::size_t i = mix_av_key(key) & mask;; i = (i + 1) & mask) {
-      if (keys_[i] == key) return values_[i];
-      if (keys_[i] == 0) return 0;
-    }
+    const std::size_t i =
+        probe::find_slot(keys_.data(), mask, key, mix_av_key(key) & mask);
+    return keys_[i] == key ? values_[i] : 0;
   }
-
-  /// Batched find: answers `keys[i]` into `out[i]` for every i with the
-  /// staged probe pipeline — the whole span is hashed up front in
-  /// four-lane waves, each key's probe origin is software-prefetched
-  /// while earlier keys resolve, and each key then walks its chain with
-  /// probe::find_slot (mac/batch_probe.h). Results are identical to
-  /// per-key find() for every key.
-  /// Allocation-free; spans must be equal length (caller-checked by the
-  /// public batch entry points).
-  void find_batch(std::span<const std::uint64_t> keys,
-                  std::span<AccessVector> out) const noexcept;
 
   /// ORs `av` into the slot for `key`, growing as needed.
   void merge(std::uint64_t key, AccessVector av);
@@ -114,26 +105,6 @@ class PolicyDb {
   [[nodiscard]] AccessVector lookup(Sid source, Sid target, Sid cls) const noexcept {
     if (source == kNullSid || target == kNullSid || cls == kNullSid) return 0;
     return av_.find(pack_av_key(source, target, cls));
-  }
-
-  /// Batched lookup over pre-packed pack_av_key triples: answers
-  /// `keys[i]` into `out[i]` with AvTable::find_batch's staged probe
-  /// pipeline. Element-for-element identical to scalar lookup on the
-  /// unpacked triple (a key with any null field answers 0). The AVC's
-  /// staged batch paths drive their miss waves through this.
-  void lookup_batch(std::span<const std::uint64_t> keys,
-                    std::span<AccessVector> out) const noexcept {
-    av_.find_batch(keys, out);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      // pack_av_key of a triple with a null component has a zero field;
-      // mirror scalar lookup's null guard exactly (such a key can never
-      // be in the table, but the guard is the documented semantics).
-      const AvKeyParts parts = unpack_av_key(keys[i]);
-      if (parts.source == kNullSid || parts.target == kNullSid ||
-          parts.cls == kNullSid) {
-        out[i] = 0;
-      }
-    }
   }
 
   /// True when every bit of `required` is granted (pass a single

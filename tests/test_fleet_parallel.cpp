@@ -2,12 +2,12 @@
 // parity with the sequential tick() (byte-identical decision streams and
 // per-vehicle telemetry for k in {1, 2, 8}, including mid-sweep mode
 // scatter), seqlock-protected AVC shared reads (correctness against the
-// db truth, generation bypass across reloads), a TSan torture test (N
-// reader threads hammering query_batch_shared / evaluate_batch_shared
+// db truth, generation bypass across reloads), TSan torture tests (N
+// reader threads hammering query_shared / evaluate_batch_allowed_shared
 // while one writer reloads the policy and the owner keeps filling the
-// cache), the relaxed PolicySet const-evaluation pin, the documented
-// empty-required-set rejection of Avc::allowed, and the
-// DenyStreakMonitor fleet telemetry.
+// cache through query / evaluate), the relaxed PolicySet const-evaluation
+// pin, the documented empty-required-set rejection of Avc::allowed, and
+// the DenyStreakMonitor fleet telemetry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -265,11 +265,6 @@ TEST(AvcSharedRead, BypassesEntriesFromAnotherPolicyGeneration) {
   // A shared reader holding the WIDE generation must not be served the
   // stale cached zero — the seqno filter bypasses to its own db.
   EXPECT_NE(0u, avc.query_shared(wide, diag, asset, cls));
-  // And a batch sees the same filter.
-  const std::uint64_t keys[] = {mac::pack_av_key(diag, asset, cls)};
-  mac::AccessVector avs[1] = {};
-  avc.query_batch_shared(wide, keys, avs);
-  EXPECT_NE(0u, avs[0]);
 }
 
 TEST(AvcAllowed, EmptyRequiredSetIsDenied) {
@@ -303,12 +298,12 @@ mac::PolicyModule torture_module() {
   return module;
 }
 
-// N reader threads hammer the shared batch paths while the one writer
-// thread keeps reloading the policy (boolean toggles — each rebuild bumps
-// the db seqno) and filling the AVC through the owner path. Run under
-// ThreadSanitizer in CI (PSME_SANITIZE=thread); the assertions here are
-// deliberately weak invariants — the point of the test is the absence of
-// data races and of torn decisions.
+// N reader threads hammer evaluate_batch_allowed_shared while the one
+// writer thread keeps reloading the policy (boolean toggles — each
+// rebuild bumps the db seqno) and filling the AVC through evaluate(). Run
+// under ThreadSanitizer in CI (PSME_SANITIZE=thread); beyond the absence
+// of data races, every call's verdicts must come from ONE policy
+// generation.
 TEST(ConcurrencyTorture, SharedBatchReadersSurvivePolicyReloads) {
   mac::MacEngine engine(64);
   engine.label("app", mac::SecurityContext("system", "object", "app_t"));
@@ -317,13 +312,15 @@ TEST(ConcurrencyTorture, SharedBatchReadersSurvivePolicyReloads) {
   engine.load_module(torture_module());
 
   // Pre-resolve every identity before the readers start (the label map
-  // and interner are then read-only; single-writer rule).
+  // and interner are then read-only; single-writer rule). Order: app,
+  // diag, asset subjects, each read then write.
+  std::vector<core::AccessRequest> labelled;
   std::vector<SidRequest> requests;
   for (const char* subject : {"app", "diag", "asset"}) {
     for (const core::AccessType access :
          {core::AccessType::kRead, core::AccessType::kWrite}) {
-      core::AccessRequest request{subject, "asset", access, {}};
-      requests.push_back(engine.resolve(request));
+      labelled.push_back(core::AccessRequest{subject, "asset", access, {}});
+      requests.push_back(engine.resolve(labelled.back()));
     }
   }
 
@@ -335,21 +332,16 @@ TEST(ConcurrencyTorture, SharedBatchReadersSurvivePolicyReloads) {
 
   auto reader = [&] {
     while (!start.load(std::memory_order_acquire)) {}
-    std::vector<Decision> out(requests.size());
+    std::vector<std::uint8_t> out(requests.size());
     for (int i = 0; i < kReaderIterations; ++i) {
-      engine.evaluate_batch_shared(requests, out);
-      for (const Decision& decision : out) {
-        // Whatever the generation, a decision is one of the known
-        // outcomes — never a torn mix of allow flag and deny text.
-        const bool allow_shape =
-            decision.allowed && decision.rule_id == "te" &&
-            decision.reason == "avc: granted";
-        const bool deny_shape =
-            !decision.allowed && decision.rule_id == "te" &&
-            decision.reason.find("no allow rule") == 0;
-        if (!allow_shape && !deny_shape) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
+      engine.evaluate_batch_allowed_shared(requests, out);
+      // Whatever the generation: app reads, never writes; asset gets
+      // nothing; diag's read and write flip together with the boolean,
+      // so a call that mixed two generations would split them.
+      const bool fixed = out[0] == 1 && out[1] == 0 && out[4] == 0 &&
+                         out[5] == 0;
+      if (!fixed || out[2] != out[3]) {
+        torn.fetch_add(1, std::memory_order_relaxed);
       }
     }
   };
@@ -361,10 +353,11 @@ TEST(ConcurrencyTorture, SharedBatchReadersSurvivePolicyReloads) {
 
   // The writer: policy reloads (seqno bumps + AVC flushes) interleaved
   // with owner queries that keep refilling the cache the readers probe.
-  std::vector<Decision> owner_out(requests.size());
   for (int i = 0; i < kWriterReloads; ++i) {
     engine.set_boolean("diagnostics", i % 2 == 1);
-    engine.evaluate_batch(requests, owner_out);
+    for (const core::AccessRequest& request : labelled) {
+      (void)engine.evaluate(request);
+    }
   }
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(0u, torn.load());
@@ -376,8 +369,8 @@ TEST(ConcurrencyTorture, SharedBatchReadersSurvivePolicyReloads) {
                 requests.size());
 }
 
-// Same shape one layer down: readers hammer Avc::query_batch_shared
-// directly while the owner alternates flushes and refills on one db.
+// Same shape one layer down: readers hammer Avc::query_shared directly
+// while the owner alternates flushes and refills on one db.
 TEST(ConcurrencyTorture, AvcSharedBatchSurvivesOwnerFillsAndFlushes) {
   auto sids = std::make_shared<mac::SidTable>();
   const mac::PolicyDb db = make_db(1, sids);
@@ -401,7 +394,10 @@ TEST(ConcurrencyTorture, AvcSharedBatchSurvivesOwnerFillsAndFlushes) {
   auto reader = [&] {
     mac::AccessVector out[4] = {};
     while (!stop.load(std::memory_order_acquire)) {
-      avc.query_batch_shared(db, keys, out);
+      for (std::size_t k = 0; k < 4; ++k) {
+        const mac::AvKeyParts parts = mac::unpack_av_key(keys[k]);
+        out[k] = avc.query_shared(db, parts.source, parts.target, parts.cls);
+      }
       // One generation, one db: every answer must equal the db truth.
       if (out[0] != truth_app || out[1] != truth_diag || out[2] != 0 ||
           out[3] != 0) {
@@ -415,9 +411,8 @@ TEST(ConcurrencyTorture, AvcSharedBatchSurvivesOwnerFillsAndFlushes) {
   for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader);
   for (int i = 0; i < kIterations; ++i) {
     for (const std::uint64_t key : keys) {
-      (void)avc.query(db, static_cast<mac::Sid>(key >> 40),
-                      static_cast<mac::Sid>((key >> 16) & 0xFFFFFFu),
-                      static_cast<mac::Sid>(key & 0xFFFFu));
+      const mac::AvKeyParts parts = mac::unpack_av_key(key);
+      (void)avc.query(db, parts.source, parts.target, parts.cls);
     }
     if (i % 64 == 0) avc.flush();
   }
@@ -426,25 +421,23 @@ TEST(ConcurrencyTorture, AvcSharedBatchSurvivesOwnerFillsAndFlushes) {
   EXPECT_EQ(0u, wrong.load());
 }
 
-// The staged shared loop specifically: batches three chunks wide (the
-// probe wave, the miss-collect wave and the PolicyDb wave each cross the
-// 256-element chunk boundary every iteration) against a tiny AVC whose
-// owner keeps refilling and flushing it through the staged OWNER loop —
-// so shared probes race live fills and recycles constantly. Readers are
-// split across two policy generations; because the seqno filter routes
-// every foreign-generation probe to the reader's own db, every element of
-// every batch must equal that reader's db truth, whatever the cache
-// held. Run under ThreadSanitizer in CI (PSME_SANITIZE=thread).
+// Shared misses under owner traffic: readers sweep 600 keys through
+// query_shared against a tiny AVC whose owner keeps refilling it through
+// query() and flushing it — so shared probes race live fills and
+// recycles constantly. Readers are split across two policy generations;
+// because the seqno filter routes every foreign-generation probe to the
+// reader's own db, every answer must equal that reader's db truth,
+// whatever the cache held. Run under ThreadSanitizer in CI
+// (PSME_SANITIZE=thread).
 TEST(ConcurrencyTorture, StagedSharedMissWavesSurviveConcurrentOwnerTraffic) {
   auto sids = std::make_shared<mac::SidTable>();
   const mac::PolicyDb narrow = make_db(1, sids);
   const mac::PolicyDb wide = make_db(2, sids, /*widen=*/true);
   const mac::Sid cls = narrow.find_class(std::string_view("asset"))->sid;
 
-  // 600 keys (> 2 chunks) over a sid range far wider than the real
-  // types: most answer 0, a few hit the allow rules, and an 8-entry AVC
-  // can never hold more than a sliver of them — every shared batch runs
-  // real miss waves.
+  // 600 keys over a sid range far wider than the real types: most answer
+  // 0, a few hit the allow rules, and an 8-entry AVC can never hold more
+  // than a sliver of them — every sweep takes real shared misses.
   sim::Rng rng(606);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 600; ++i) {
@@ -472,11 +465,11 @@ TEST(ConcurrencyTorture, StagedSharedMissWavesSurviveConcurrentOwnerTraffic) {
   auto reader = [&](const mac::PolicyDb& db,
                     const std::vector<mac::AccessVector>& truth) {
     while (!start.load(std::memory_order_acquire)) {}
-    std::vector<mac::AccessVector> out(keys.size());
     for (int i = 0; i < kIterations; ++i) {
-      avc.query_batch_shared(db, keys, out);
       for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (out[k] != truth[k]) {
+        const mac::AvKeyParts parts = mac::unpack_av_key(keys[k]);
+        if (avc.query_shared(db, parts.source, parts.target, parts.cls) !=
+            truth[k]) {
           wrong.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -492,18 +485,20 @@ TEST(ConcurrencyTorture, StagedSharedMissWavesSurviveConcurrentOwnerTraffic) {
   }
   start.store(true, std::memory_order_release);
 
-  // The owner: staged batch fills from the NARROW generation (so the
-  // wide-generation readers exercise the bypass on every probe),
-  // punctuated by flushes that recycle every slot mid-probe-wave.
-  std::vector<mac::AccessVector> owner_out(keys.size());
+  // The owner: fills from the NARROW generation (so the wide-generation
+  // readers exercise the bypass on every probe), punctuated by flushes
+  // that recycle every slot mid-sweep.
   for (int i = 0; i < 120; ++i) {
-    avc.query_batch(narrow, keys, owner_out);
+    for (const std::uint64_t key : keys) {
+      const mac::AvKeyParts parts = mac::unpack_av_key(key);
+      (void)avc.query(narrow, parts.source, parts.target, parts.cls);
+    }
     if (i % 8 == 0) avc.flush();
   }
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(0u, wrong.load());
 
-  // Every element of every shared batch was tallied exactly once.
+  // Every shared query was tallied exactly once.
   const mac::AvcStats shared = avc.shared_stats();
   EXPECT_EQ(shared.hits + shared.misses,
             static_cast<std::uint64_t>(kReaders) * kIterations * keys.size());

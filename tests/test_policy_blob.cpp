@@ -366,18 +366,20 @@ TEST(FleetBoot, OtaUpdateSwapsPolicyAndRefusesRollback) {
   // Malformed staging blob: rejected, live policy untouched.
   std::vector<std::byte> corrupt = blob_v2;
   corrupt[corrupt.size() - 1] ^= std::byte{0xFF};
-  EXPECT_THROW((void)boot.apply_update(corrupt), PolicyBlobError);
+  EXPECT_EQ(boot.try_apply_update(corrupt),
+            car::UpdateResult::kValidationFailed);
   EXPECT_EQ(boot.policy_version(), 1u);
 
   // The real update: applied, modes preserved, decisions now v2's.
-  EXPECT_TRUE(boot.apply_update(blob_v2));
+  EXPECT_EQ(boot.try_apply_update(blob_v2), car::UpdateResult::kOk);
   EXPECT_EQ(boot.policy_version(), 2u);
   EXPECT_EQ(boot.fleet().mode(3), car::CarMode::kFailSafe);
   const std::uint64_t denied_v2 = boot.fleet().tick().denied;
   EXPECT_GT(denied_v2, denied_v1);
 
   // Replaying the old blob must not downgrade.
-  EXPECT_FALSE(boot.apply_update(blob_v1));
+  EXPECT_EQ(boot.try_apply_update(blob_v1),
+            car::UpdateResult::kRollbackRefused);
   EXPECT_EQ(boot.policy_version(), 2u);
 }
 

@@ -394,24 +394,20 @@ TEST(FleetBootDelta, DeltaUpdateSwapsPolicyAndPreservesModes) {
   const std::vector<std::byte> delta = car_delta();
   std::vector<std::byte> corrupt = delta;
   corrupt[corrupt.size() - 1] ^= std::byte{0xFF};
-  EXPECT_THROW((void)boot.apply_delta_update(corrupt), PolicyDeltaError);
+  EXPECT_EQ(boot.try_apply_delta_update(corrupt),
+            car::UpdateResult::kValidationFailed);
   EXPECT_EQ(boot.policy_version(), 1u);
 
   // The real delta: applied, modes preserved, the quarantine rule bites.
-  EXPECT_TRUE(boot.apply_delta_update(delta));
+  EXPECT_EQ(boot.try_apply_delta_update(delta), car::UpdateResult::kOk);
   EXPECT_EQ(boot.policy_version(), 2u);
   EXPECT_EQ(boot.fleet().mode(3), car::CarMode::kFailSafe);
   EXPECT_GT(boot.fleet().tick().denied, denied_v1);
 
   // Replaying the SAME delta now fails its base anchor: the fleet runs
   // v2, the delta is anchored to v1's fingerprint.
-  try {
-    (void)boot.apply_delta_update(delta);
-    FAIL() << "replayed delta accepted against the wrong base";
-  } catch (const PolicyDeltaError& e) {
-    EXPECT_NE(std::string(e.what()).find("base fingerprint"),
-              std::string::npos);
-  }
+  EXPECT_EQ(boot.try_apply_delta_update(delta),
+            car::UpdateResult::kAnchorMismatch);
   EXPECT_EQ(boot.policy_version(), 2u);
 }
 
@@ -432,7 +428,8 @@ TEST(FleetBootDelta, RollbackDeltaIsRefused) {
       core::replicate_sid_prefix(running.sids(), running.sids().size()));
   const std::vector<std::byte> delta =
       PolicyDeltaWriter::write(running, downgrade);
-  EXPECT_FALSE(boot.apply_delta_update(delta));
+  EXPECT_EQ(boot.try_apply_delta_update(delta),
+            car::UpdateResult::kRollbackRefused);
   EXPECT_EQ(boot.policy_version(), 2u);
 }
 

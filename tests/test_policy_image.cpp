@@ -2,11 +2,12 @@
 // with the legacy string evaluation (byte-identical Decisions against a
 // linear-scan oracle), the compiler's direct-to-image path, batched
 // evaluation (shuffled batch == scalar per element, including deny/audit
-// paths and the post-reload AVC seqno flush), and the FleetEvaluator
-// against the legacy string pipeline.
+// paths), the PolicyDb flat table against a rule oracle, and the
+// FleetEvaluator against the legacy string pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -295,9 +296,9 @@ TEST(ProbeBackends, ShuffledBatchByteIdenticalAcrossAllBackends) {
   }
 }
 
-TEST(ProbeBackends, PolicyDbLookupBatchMatchesScalarLookupAcrossBackends) {
-  // A policy database large enough that the flat table grows a few times
-  // and carries real probe chains.
+TEST(PolicyDb, LookupMatchesRuleOracleAfterGrowth) {
+  // A policy database large enough that the flat table grows several
+  // times and carries real probe chains.
   mac::PolicyDbBuilder builder;
   builder.add_class("asset", {"read", "write"});
   std::vector<std::string> types;
@@ -305,6 +306,7 @@ TEST(ProbeBackends, PolicyDbLookupBatchMatchesScalarLookupAcrossBackends) {
     types.push_back("t" + std::to_string(t));
     builder.add_type(types.back());
   }
+  std::vector<mac::TeRule> rules;
   sim::Rng rng(9090);
   for (int r = 0; r < 200; ++r) {
     mac::TeRule rule;
@@ -312,27 +314,40 @@ TEST(ProbeBackends, PolicyDbLookupBatchMatchesScalarLookupAcrossBackends) {
     rule.target = types[rng.uniform(0, types.size() - 1)];
     rule.object_class = "asset";
     rule.permissions = {rng.chance(0.5) ? "read" : "write"};
+    rules.push_back(rule);
     builder.allow(std::move(rule));
   }
   const mac::PolicyDb db = builder.build();
+  const mac::ClassDef& asset = *db.find_class(std::string_view("asset"));
+  // The oracle: every rule's permission bit OR-ed per (source, target).
+  std::map<std::pair<mac::Sid, mac::Sid>, mac::AccessVector> oracle;
+  for (const mac::TeRule& rule : rules) {
+    oracle[{db.sids().find(rule.source), db.sids().find(rule.target)}] |=
+        *asset.bit(rule.permissions[0]);
+  }
+  // One slot per distinct pair: merge OR-ed duplicates in place.
+  EXPECT_EQ(db.rule_count(), oracle.size());
 
   // Key mix: real triples, unknown SIDs, null components (the guard
-  // path), duplicates — everything the AVC miss waves can feed through.
-  const mac::Sid cls = db.find_class(std::string_view("asset"))->sid;
+  // path), duplicates.
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 1000; ++i) {
     const mac::Sid source = static_cast<mac::Sid>(rng.uniform(0, 40));
     const mac::Sid target = static_cast<mac::Sid>(rng.uniform(0, 40));
-    const mac::Sid key_cls = rng.chance(0.9) ? cls : mac::kNullSid;
+    const mac::Sid key_cls = rng.chance(0.9) ? asset.sid : mac::kNullSid;
     keys.push_back(mac::pack_av_key(source, target, key_cls));
     if (rng.chance(0.2)) keys.push_back(keys.back());  // duplicate
   }
 
-  std::vector<mac::AccessVector> out(keys.size());
-  db.lookup_batch(keys, out);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const mac::AvKeyParts parts = mac::unpack_av_key(keys[i]);
-    EXPECT_EQ(out[i], db.lookup(parts.source, parts.target, parts.cls))
+    mac::AccessVector expected = 0;
+    if (parts.source != mac::kNullSid && parts.target != mac::kNullSid &&
+        parts.cls == asset.sid) {
+      const auto it = oracle.find({parts.source, parts.target});
+      if (it != oracle.end()) expected = it->second;
+    }
+    EXPECT_EQ(db.lookup(parts.source, parts.target, parts.cls), expected)
         << "key " << i;
   }
 }
@@ -400,7 +415,7 @@ TEST(ProbeWalk, FindSlotContractOnHandBuiltTables) {
   EXPECT_EQ(mac::probe::find_slot(empty, 0, kKey, 0), 0u);
 }
 
-// -------------------------------------- MacEngine batch, reload, flush
+// ---------------------------------------- MacEngine shared verdicts
 
 mac::PolicyModule tiny_module(const std::string& name,
                               std::vector<mac::TeRule> allows) {
@@ -441,39 +456,39 @@ TEST(MacEngineBatch, ShuffledBatchByteIdenticalToScalarAcrossReload) {
   }
 
   const auto check_parity = [&](const char* phase) {
-    std::vector<Decision> batch(requests.size());
-    engine.evaluate_batch(requests, batch);
+    std::vector<std::uint8_t> batch(requests.size(), 2);
+    engine.evaluate_batch_allowed_shared(requests, batch);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       // Scalar evaluate goes through the string request (label map and
-      // all) — the batch of pre-resolved SIDs must answer identically,
-      // allow and deny/audit text alike.
-      expect_same_decision(batch[i], engine.evaluate(string_requests[i]),
-                           std::string(phase) + " element " +
-                               std::to_string(i) + ": " +
-                               string_requests[i].to_string());
+      // all) — each verdict byte of the pre-resolved SID batch must be
+      // exactly 0 or 1 and equal its allow.
+      const std::uint8_t want =
+          engine.evaluate(string_requests[i]).allowed ? 1 : 0;
+      EXPECT_EQ(batch[i], want) << phase << " element " << i << ": "
+                                << string_requests[i].to_string();
     }
   };
 
   check_parity("initial");
   EXPECT_GT(engine.avc_stats().hits, 0u);
 
-  // A policy reload bumps the seqno; the batch path must notice (one
-  // check for the whole span) and answer from the new database.
+  // A policy reload bumps the seqno; the batch path must notice and
+  // answer from the new database, and the owner's next query flushes.
   const std::uint64_t flushes_before = engine.avc_stats().flushes;
   engine.load_module(
       tiny_module("extra", {{"doors_t", "ecu_t", "asset", {"write"}}}));
   AccessRequest doors_write{"doors", "ecu", AccessType::kWrite, {}};
   std::vector<SidRequest> one = {engine.resolve(doors_write)};
-  std::vector<Decision> one_out(1);
-  engine.evaluate_batch(one, one_out);
-  EXPECT_TRUE(one_out[0].allowed) << "post-reload batch must see new rule";
-  EXPECT_GT(engine.avc_stats().flushes, flushes_before);
+  std::vector<std::uint8_t> one_out(1);
+  engine.evaluate_batch_allowed_shared(one, one_out);
+  EXPECT_EQ(one_out[0], 1u) << "post-reload batch must see new rule";
   check_parity("post-reload");
+  EXPECT_GT(engine.avc_stats().flushes, flushes_before);
 
-  // Permissive mode: batch and scalar must agree on the audit text too.
+  // Permissive mode: batch and scalar must agree too.
   engine.set_permissive(true);
   check_parity("permissive");
-  EXPECT_THROW(engine.evaluate_batch(requests, one_out),
+  EXPECT_THROW(engine.evaluate_batch_allowed_shared(requests, one_out),
                std::invalid_argument);
 }
 
@@ -587,21 +602,29 @@ TEST(MacEngineBatch, UnissuedSidsDenyWithoutThrowing) {
   mac::MacEngine engine;
   engine.load_module(
       tiny_module("base", {{"doors_t", "ecu_t", "asset", {"read"}}}));
+  const mac::Sid doors = engine.sids().find("doors_t");
+  const mac::Sid ecu = engine.sids().find("ecu_t");
   // Null and never-issued SIDs (including core::kUnresolvedSid, which
-  // exceeds the packed 24-bit field) must deny with placeholder audit
-  // text, not throw mid-batch or alias a real type.
+  // exceeds the packed 24-bit field) must deny, not throw or alias a real
+  // type. The last request would pack onto the granted doors -> ecu read
+  // if the subject were not clamped to the null SID.
   const std::vector<SidRequest> requests = {
       SidRequest{},
       SidRequest{core::kUnresolvedSid, 1, AccessType::kRead, mac::kNullSid},
       SidRequest{1, 0x00FFFFFFu, AccessType::kWrite, mac::kNullSid},
+      SidRequest{(mac::Sid{1} << 24) | doors, ecu, AccessType::kRead,
+                 mac::kNullSid},
   };
-  std::vector<Decision> out(requests.size());
-  engine.evaluate_batch(requests, out);
-  for (const Decision& decision : out) {
-    EXPECT_FALSE(decision.allowed);
-    EXPECT_EQ(decision.rule_id, "te");
+  std::vector<std::uint8_t> verdicts(requests.size(), 1);
+  EXPECT_NO_THROW(engine.evaluate_batch_allowed_shared(requests, verdicts));
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i], 0u) << "request " << i;
   }
-  EXPECT_NE(out[0].reason.find("<invalid-sid>"), std::string::npos);
+  // The aliased pair really is granted.
+  const SidRequest granted{doors, ecu, AccessType::kRead, mac::kNullSid};
+  std::uint8_t verdict = 0;
+  engine.evaluate_batch_allowed_shared({&granted, 1}, {&verdict, 1});
+  EXPECT_EQ(verdict, 1u);
 }
 
 }  // namespace

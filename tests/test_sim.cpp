@@ -2,14 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
 
@@ -226,54 +224,6 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (parent() == child()) ++equal;
   }
   EXPECT_LT(equal, 3);
-}
-
-TEST(Histogram, BasicStatistics) {
-  Histogram h;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) h.add(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);
-  EXPECT_NEAR(h.stddev(), std::sqrt(2.0), 1e-9);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h;
-  h.add(0.0);
-  h.add(10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 2.5);
-}
-
-TEST(Histogram, EmptyThrows) {
-  Histogram h;
-  EXPECT_THROW((void)h.mean(), std::logic_error);
-  EXPECT_THROW((void)h.quantile(0.5), std::logic_error);
-}
-
-TEST(Histogram, BadQuantileThrows) {
-  Histogram h;
-  h.add(1.0);
-  EXPECT_THROW((void)h.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW((void)h.quantile(1.1), std::invalid_argument);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.add(1.0);
-  h.reset();
-  EXPECT_TRUE(h.empty());
-}
-
-TEST(MetricRegistry, NamedAccessAndRender) {
-  MetricRegistry reg;
-  reg.counter("a.count").increment(3);
-  reg.histogram("a.lat").add(1.5);
-  EXPECT_EQ(reg.counter("a.count").value(), 3u);
-  const std::string out = reg.render();
-  EXPECT_NE(out.find("a.count = 3"), std::string::npos);
-  EXPECT_NE(out.find("a.lat"), std::string::npos);
 }
 
 TEST(Trace, FiltersBelowMinLevel) {

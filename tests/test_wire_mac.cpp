@@ -364,27 +364,57 @@ TEST(WireDropMonitor, CountsByReasonAndId) {
 // -- verdict-only shared batch parity (the mac/ entry point) ----------------
 
 TEST(MacEngineAllowedShared, MatchesDecisionPathExactly) {
+  // Every verdict equals scalar evaluate() on the equivalent labelled
+  // request: before a policy reload, after it, and in permissive mode.
   WireWorld world;
-  const mac::Sid subjects[] = {world.sid("ecu"), world.sid("ivi"),
-                               world.sid("diag"), mac::kNullSid};
-  const mac::Sid objects[] = {world.sid("engine"), world.sid("telemetry"),
-                              world.sid("doors"), mac::kNullSid};
+  const std::string entities[] = {"ecu", "ivi", "diag", "engine",
+                                  "telemetry", "doors", "never-labelled"};
+  std::vector<core::AccessRequest> labelled;
   std::vector<core::SidRequest> requests;
-  for (const mac::Sid s : subjects) {
-    for (const mac::Sid o : objects) {
-      for (const core::AccessType a :
+  for (const std::string& subject : entities) {
+    for (const std::string& object : entities) {
+      for (const core::AccessType access :
            {core::AccessType::kRead, core::AccessType::kWrite}) {
-        requests.push_back(core::SidRequest{s, o, a, mac::kNullSid});
+        labelled.push_back(core::AccessRequest{subject, object, access, {}});
+        requests.push_back(world.engine.resolve(labelled.back()));
       }
     }
   }
-  std::vector<core::Decision> decisions(requests.size());
-  std::vector<std::uint8_t> verdicts(requests.size());
-  world.engine.evaluate_batch_shared(requests, decisions);
-  world.engine.evaluate_batch_allowed_shared(requests, verdicts);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(verdicts[i] != 0, decisions[i].allowed) << i;
+  // Null SIDs have no labelled equivalent: they must read deny (allow
+  // only in permissive mode), even next to a granted pair.
+  for (const core::AccessType access :
+       {core::AccessType::kRead, core::AccessType::kWrite}) {
+    requests.push_back({mac::kNullSid, world.sid("engine"), access,
+                        mac::kNullSid});
+    requests.push_back({world.sid("ecu"), mac::kNullSid, access,
+                        mac::kNullSid});
   }
+
+  const auto check = [&](const char* phase) {
+    std::vector<std::uint8_t> verdicts(requests.size());
+    world.engine.evaluate_batch_allowed_shared(requests, verdicts);
+    for (std::size_t i = 0; i < labelled.size(); ++i) {
+      EXPECT_EQ(verdicts[i] != 0, world.engine.evaluate(labelled[i]).allowed)
+          << phase << ": " << labelled[i].to_string();
+    }
+    const std::uint8_t null_verdict = world.engine.permissive() ? 1 : 0;
+    for (std::size_t i = labelled.size(); i < requests.size(); ++i) {
+      EXPECT_EQ(verdicts[i], null_verdict) << phase << ": null SID " << i;
+    }
+  };
+
+  // The reload flips one answer the verdicts are compared on.
+  const core::AccessRequest diag_write{"diag", "doors",
+                                       core::AccessType::kWrite, {}};
+  check("initial");
+  EXPECT_FALSE(world.engine.evaluate(diag_write).allowed);
+  world.engine.set_boolean("diag_mode", true);
+  check("after reload");
+  EXPECT_TRUE(world.engine.evaluate(diag_write).allowed);
+  world.engine.set_permissive(true);
+  check("permissive");
+
+  std::vector<std::uint8_t> verdicts(requests.size());
   EXPECT_THROW(world.engine.evaluate_batch_allowed_shared(
                    requests, std::span<std::uint8_t>(verdicts.data(), 1)),
                std::invalid_argument);
