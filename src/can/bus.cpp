@@ -67,7 +67,8 @@ void Bus::arbitrate() {
   busy_time_ += duration;
   if (tracing(sim::TraceLevel::kDebug)) {
     trace(sim::TraceLevel::kDebug,
-          ports_[winner]->name() + " wins arbitration: " + frame.to_string());
+          sim::TraceText{ports_[winner]->name(), " wins arbitration: ",
+                         frame.text()});
   }
   sched_.schedule_in(duration, [this, winner] { complete(winner); },
                      "can.bus.complete");
@@ -86,7 +87,7 @@ void Bus::complete(std::size_t winner_index) {
     ++frames_corrupted_;
     if (tracing(sim::TraceLevel::kError)) {
       trace(sim::TraceLevel::kError,
-            "frame destroyed by bus error: " + frame.to_string());
+            sim::TraceText{"frame destroyed by bus error: ", frame.text()});
     }
     if (tx.sink_ != nullptr) tx.sink_->on_transmit_complete(frame, false, now);
   } else {
@@ -134,8 +135,8 @@ bool Bus::tracing(sim::TraceLevel level) const noexcept {
   return trace_ != nullptr && trace_->keeps(level);
 }
 
-void Bus::trace(sim::TraceLevel level, std::string msg) {
-  trace_->record(sched_.now(), level, "can.bus", std::move(msg));
+void Bus::trace(sim::TraceLevel level, std::string_view msg) {
+  trace_->record(sched_.now(), level, "can.bus", msg);
 }
 
 }  // namespace psme::can

@@ -131,7 +131,7 @@ class Bus {
   /// True when an attached trace keeps `level`; every trace() call is
   /// guarded by it, so unkept messages are never formatted.
   [[nodiscard]] bool tracing(sim::TraceLevel level) const noexcept;
-  void trace(sim::TraceLevel level, std::string msg);
+  void trace(sim::TraceLevel level, std::string_view msg);
 
   sim::Scheduler& sched_;
   std::uint32_t bit_rate_;

@@ -57,7 +57,7 @@ void Controller::pump() {
     // head.
     if (tracing(sim::TraceLevel::kSecurity)) {
       trace(sim::TraceLevel::kSecurity,
-            "TX blocked by policy shim: " + head.to_string());
+            sim::TraceText{"TX blocked by policy shim: ", head.text()});
     }
     ++stats_.tx_dropped;
     tx_queue_.erase(tx_queue_.begin());
@@ -115,7 +115,7 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
     ++stats_.rx_quarantined;
     if (tracing(sim::TraceLevel::kSecurity)) {
       trace(sim::TraceLevel::kSecurity,
-            "RX dropped by quarantine block: " + frame.to_string());
+            sim::TraceText{"RX dropped by quarantine block: ", frame.text()});
     }
     return;
   }
@@ -130,7 +130,7 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
     ++stats_.rx_wire_denied;
     if (tracing(sim::TraceLevel::kSecurity)) {
       trace(sim::TraceLevel::kSecurity,
-            "RX dropped by wire MAC: " + frame.to_string());
+            sim::TraceText{"RX dropped by wire MAC: ", frame.text()});
     }
     return;
   }
@@ -174,7 +174,7 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
   if (current_attempts_ >= retransmit_limit_) {
     if (tracing(sim::TraceLevel::kError)) {
       trace(sim::TraceLevel::kError,
-            "retransmit limit reached, dropping " + frame.to_string());
+            sim::TraceText{"retransmit limit reached, dropping ", frame.text()});
     }
     in_flight_.reset();
     ++stats_.tx_dropped;
@@ -200,7 +200,7 @@ bool Controller::tracing(sim::TraceLevel level) const noexcept {
 
 void Controller::trace(sim::TraceLevel level, std::string_view msg) {
   if (tracing(level)) {
-    trace_->record(sched_.now(), level, trace_component_, std::string(msg));
+    trace_->record(sched_.now(), level, trace_component_, msg);
   }
 }
 

@@ -12,8 +12,29 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace psme::can {
+
+class CanId;
+class Frame;
+
+/// Text of an id or a frame in a fixed buffer held by value, so a trace
+/// emitter can format one without a heap string. Views its own buffer:
+/// keep it alive while the view is used.
+template <std::size_t N>
+class FixedText {
+ public:
+  // Implicit so that text() passes wherever a std::string_view is taken.
+  operator std::string_view() const noexcept { return {chars_.data(), size_}; }
+
+ private:
+  friend class CanId;
+  friend class Frame;
+
+  std::array<char, N> chars_{};
+  std::size_t size_ = 0;  // <= N
+};
 
 /// CAN identifier. Standard frames carry 11 bits, extended frames 29.
 /// Lower numeric values are higher priority during arbitration (a 0 bit is
@@ -22,6 +43,8 @@ class CanId {
  public:
   static constexpr std::uint32_t kMaxStandard = 0x7FF;
   static constexpr std::uint32_t kMaxExtended = 0x1FFF'FFFF;
+  /// Longest to_string() text: "0x1FFFFFFFx".
+  static constexpr std::size_t kMaxText = 11;
 
   constexpr CanId() noexcept = default;
 
@@ -40,6 +63,8 @@ class CanId {
   /// (the IDE bit of a standard frame is dominant).
   [[nodiscard]] std::uint64_t arbitration_key() const noexcept;
 
+  /// "0x123" for a standard id, "0x18DAF110x" for an extended one.
+  [[nodiscard]] FixedText<kMaxText> text() const noexcept;
   [[nodiscard]] std::string to_string() const;
 
   friend constexpr bool operator==(CanId a, CanId b) noexcept = default;
@@ -73,6 +98,8 @@ class CanId {
 class Frame {
  public:
   static constexpr std::size_t kMaxData = 8;
+  /// Longest to_string() text: "id=0x1FFFFFFFx dlc=8 [00 11 22 33 44 55 66 77]".
+  static constexpr std::size_t kMaxText = 46;
 
   Frame() = default;
 
@@ -101,9 +128,14 @@ class Frame {
 
   /// Exact number of bits on the wire including stuff bits, CRC, ACK, EOF
   /// and the 3-bit interframe space. Determines transmission time.
+  /// Computed a byte at a time from constant tables for the CRC-15 and the
+  /// stuffing state, with the same result as a walk over every bit; only
+  /// the header's leading partial byte and the CRC's last 7 bits step one
+  /// bit at a time.
   [[nodiscard]] std::size_t wire_bits() const noexcept;
 
   /// "id=0x123 dlc=8 [de ad be ef ...]" for traces.
+  [[nodiscard]] FixedText<kMaxText> text() const noexcept;
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const Frame& a, const Frame& b) noexcept = default;

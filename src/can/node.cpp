@@ -20,7 +20,7 @@ bool Node::tracing(sim::TraceLevel level) const noexcept {
 
 void Node::trace(sim::TraceLevel level, std::string_view msg) {
   if (tracing(level)) {
-    trace_->record(sched_.now(), level, trace_component_, std::string(msg));
+    trace_->record(sched_.now(), level, trace_component_, msg);
   }
 }
 

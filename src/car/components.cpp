@@ -365,7 +365,7 @@ void GatewayNode::change_mode(CarMode new_mode) {
   current_ = new_mode;
   if (tracing(sim::TraceLevel::kInfo)) {
     trace(sim::TraceLevel::kInfo,
-          "mode change -> " + std::string(to_string(new_mode)));
+          sim::TraceText{"mode change -> ", to_string(new_mode)});
   }
   send(command_frame(msg::kModeChange, static_cast<std::uint8_t>(new_mode)));
   if (on_change_) on_change_(new_mode);

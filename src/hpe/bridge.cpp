@@ -82,9 +82,10 @@ void Bridge::forward(const Frame& frame, BridgeDirection direction,
     ++stats_.dropped_b_to_a;
   }
   if (trace_ != nullptr) {
-    trace_->record(at, sim::TraceLevel::kSecurity, "bridge." + name_,
-                   std::string(to_string(direction)) + " dropped " +
-                       frame.id().to_string());
+    trace_->record(at, sim::TraceLevel::kSecurity,
+                   sim::TraceText{"bridge.", name_},
+                   sim::TraceText{to_string(direction), " dropped ",
+                                  frame.id().text()});
   }
 }
 

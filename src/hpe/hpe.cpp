@@ -67,11 +67,9 @@ void HardwarePolicyEngine::record_block(can::CanId id, Direction direction,
     audit_.push_back(AuditRecord{at, direction, id, mode_});
   }
   if (trace_ != nullptr && trace_->keeps(sim::TraceLevel::kSecurity)) {
-    std::string message(to_string(direction));
-    message += " blocked id=";
-    message += id.to_string();
-    trace_->record(at, sim::TraceLevel::kSecurity, trace_component_,
-                   std::move(message));
+    trace_->record(
+        at, sim::TraceLevel::kSecurity, trace_component_,
+        sim::TraceText{to_string(direction), " blocked id=", id.text()});
   }
 }
 

@@ -84,7 +84,7 @@ void FrameRateMonitor::on_frame(const can::Frame& frame, sim::SimTime at) {
     alerts_.push_back(Alert{at, AlertKind::kUnknownId, frame.id(), 1, 0});
     if (trace_ != nullptr) {
       trace_->record(at, sim::TraceLevel::kSecurity, "monitor.ids",
-                     "unknown id " + frame.id().to_string());
+                     sim::TraceText{"unknown id ", frame.id().text()});
     }
     // Register so a flood of one unknown id produces one alert per window
     // rather than one per frame.
@@ -114,7 +114,7 @@ void FrameRateMonitor::on_frame(const can::Frame& frame, sim::SimTime at) {
                             state.count_in_window, known->second});
     if (trace_ != nullptr) {
       trace_->record(at, sim::TraceLevel::kSecurity, "monitor.ids",
-                     "rate anomaly on " + frame.id().to_string());
+                     sim::TraceText{"rate anomaly on ", frame.id().text()});
     }
   }
 }

@@ -14,9 +14,18 @@ EventId Scheduler::schedule_at(SimTime at, Action action,
   if (!action) {
     throw std::invalid_argument("Scheduler::schedule_at: empty action");
   }
+  std::uint32_t slot = free_slot_;
+  if (slot != kNoSlot) {
+    free_slot_ = slots_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].action = std::move(action);
+  slots_[slot].label = label;
   const EventId id = next_id_++;
-  queue_.push_back(Event{at, id, label, std::move(action)});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  heap_.push_back(Key{at, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
@@ -26,35 +35,48 @@ EventId Scheduler::schedule_in(SimDuration delay, Action action,
 }
 
 bool Scheduler::cancel(EventId id) noexcept {
-  // Only queued events can be cancelled; an executed one has left the
-  // queue. The mark is the emptied action, which step() skips; the label
-  // goes too, so a cancelled event keeps no view of its owner's storage.
-  for (Event& ev : queue_) {
-    if (ev.id != id) continue;
-    if (!ev.action) return false;
-    ev.action = nullptr;
-    ev.label = {};
+  // Only queued events can be cancelled: an executed one has left the
+  // heap, and its slot may already hold a later event. The mark is the
+  // emptied action, which step() skips; the label goes too, so a
+  // cancelled event keeps no view of its owner's storage.
+  for (const Key& key : heap_) {
+    if (key.id != id) continue;
+    Slot& slot = slots_[key.slot];
+    if (!slot.action) return false;
+    slot.action = nullptr;
+    slot.label = {};
     return true;
   }
   return false;
 }
 
+Scheduler::Action Scheduler::pop_head() noexcept {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t index = heap_.back().slot;
+  heap_.pop_back();
+  Slot& slot = slots_[index];
+  Action action = std::move(slot.action);
+  slot.action = nullptr;  // a moved-from std::function is unspecified
+  slot.label = {};
+  slot.next_free = free_slot_;
+  free_slot_ = index;
+  return action;
+}
+
 void Scheduler::drop_cancelled_head() noexcept {
-  while (!queue_.empty() && !queue_.front().action) {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
-  }
+  while (!heap_.empty() && !slots_[heap_.front().slot].action) pop_head();
 }
 
 bool Scheduler::step() {
-  while (!queue_.empty()) {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Event ev = std::move(queue_.back());
-    queue_.pop_back();
-    if (!ev.action) continue;  // cancelled
-    now_ = ev.at;
+  while (!heap_.empty()) {
+    const SimTime at = heap_.front().at;
+    // The slot is free before the action runs, so the action may schedule
+    // into it (and may grow slots_, which the local copy survives).
+    const Action action = pop_head();
+    if (!action) continue;  // cancelled
+    now_ = at;
     ++executed_;
-    ev.action();
+    action();
     return true;
   }
   return false;
@@ -71,7 +93,7 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   // The head must be live before its time is compared: a cancelled head
   // would otherwise admit the next event whatever its time.
   for (drop_cancelled_head();
-       !queue_.empty() && queue_.front().at <= deadline;
+       !heap_.empty() && heap_.front().at <= deadline;
        drop_cancelled_head()) {
     step();  // runs exactly the live head
     ++n;

@@ -68,31 +68,47 @@ class Scheduler {
   bool step();
 
   /// Number of events waiting (including cancelled-but-not-reaped ones).
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Event {
+  /// Heap entry: the event's time and id, which order it, and the slot
+  /// that holds its action. Small and trivially copyable, so sifting the
+  /// heap moves 24 bytes per entry and never a std::function.
+  struct Key {
     SimTime at;
-    EventId id;             // issued in insertion order: the FIFO tie-breaker
-    std::string_view label;
-    Action action;          // empty once cancelled
+    EventId id;          // issued in insertion order: the FIFO tie-breaker
+    std::uint32_t slot;  // index into slots_
   };
-  /// Heap order: the earliest (time, id) sits at queue_.front().
+  /// Heap order: the earliest (time, id) sits at heap_.front().
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.id > b.id;
     }
   };
+  /// Holds one queued event's action and label. A free slot links to
+  /// the next free one, so freeing a slot never allocates.
+  struct Slot {
+    Action action;  // empty once cancelled, and while the slot is free
+    std::string_view label;
+    std::uint32_t next_free = kNoSlot;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xFFFF'FFFF;
 
-  /// Pops cancelled events off the head, so queue_.front() (if any) is
+  /// Pops the head key and frees its slot; returns the slot's action,
+  /// which is empty when the event was cancelled.
+  Action pop_head() noexcept;
+
+  /// Pops cancelled events off the head, so heap_.front() (if any) is
   /// the next event that will really run.
   void drop_cancelled_head() noexcept;
 
-  std::vector<Event> queue_;  // binary heap under Later
+  std::vector<Key> heap_;     // binary heap under Later
+  std::vector<Slot> slots_;   // grows to the most events ever queued at once
+  std::uint32_t free_slot_ = kNoSlot;  // head of the free list
   SimTime now_ = kSimStart;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;

@@ -5,8 +5,11 @@
 // frame-level detail be filtered from security-relevant decisions.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -26,12 +29,34 @@ enum class TraceLevel : std::uint8_t {
 [[nodiscard]] std::string_view to_string(TraceLevel level) noexcept;
 
 /// One recorded trace entry. `component` views the recording Trace's
-/// table of component names, so it stays valid while that Trace lives.
+/// table of component names and `message` views its text arena, so both
+/// stay valid while that Trace lives and until its clear().
 struct TraceEntry {
   SimTime at{};
   TraceLevel level{TraceLevel::kInfo};
   std::string_view component;  // e.g. "can.bus", "hpe.ecu", "core.update"
-  std::string message;
+  std::string_view message;
+};
+
+/// A trace message joined from pieces in a buffer on the stack, so an
+/// emitter can compose one without a heap string. A message longer than
+/// the buffer (only an unusually long node name makes one) is joined on
+/// the heap instead, so the text is always exact. Views its own storage:
+/// pass it straight to Trace::record().
+class TraceText {
+ public:
+  explicit TraceText(std::initializer_list<std::string_view> pieces);
+
+  TraceText(const TraceText&) = delete;
+  TraceText& operator=(const TraceText&) = delete;
+
+  // Implicit so that it passes wherever a message view is taken.
+  operator std::string_view() const noexcept { return text_; }
+
+ private:
+  std::array<char, 128> buffer_;  // only [0, text_.size()) is written
+  std::string spill_;             // the text when it outgrows buffer_
+  std::string_view text_;
 };
 
 /// Append-only trace log with level filtering at record time.
@@ -42,18 +67,24 @@ struct TraceEntry {
 /// allocation.
 class Trace {
  public:
+  /// Size of one chunk of the text arena that kept messages are copied
+  /// into. A message longer than this gets a chunk of its own.
+  static constexpr std::size_t kTextChunk = 16 * 1024;
+
   explicit Trace(TraceLevel min_level = TraceLevel::kInfo)
       : min_level_(min_level) {}
 
-  // Entries view this trace's component table, so a copy's entries would
-  // still view the original's.
+  // Entries view this trace's component table and text arena, so a
+  // copy's entries would still view the original's.
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
   /// Records an entry if `level >= min_level()`. Each distinct component
-  /// name is stored once, so a kept entry allocates for its message only.
+  /// name is stored once and the message is copied into the text arena,
+  /// so a kept entry allocates only when the entry vector or the arena
+  /// needs to grow.
   void record(SimTime at, TraceLevel level, std::string_view component,
-              std::string message);
+              std::string_view message);
 
   /// True when record() at `level` would store the entry.
   [[nodiscard]] bool keeps(TraceLevel level) const noexcept {
@@ -67,7 +98,8 @@ class Trace {
     return entries_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  void clear() noexcept { entries_.clear(); }
+  /// Drops every entry and the text they view; the component table stays.
+  void clear() noexcept;
 
   /// Number of entries at exactly `level`.
   [[nodiscard]] std::size_t count(TraceLevel level) const noexcept;
@@ -84,9 +116,18 @@ class Trace {
   [[nodiscard]] std::string render() const;
 
  private:
+  /// Copies `text` into the arena and returns the copy.
+  std::string_view store(std::string_view text);
+
   TraceLevel min_level_;
   std::set<std::string, std::less<>> components_;  // nodes never move
   std::vector<TraceEntry> entries_;
+  // The text arena: chunks never move or shrink while the trace keeps
+  // them, so entries may view them. Messages fill the open chunk at
+  // `cursor_`, which has `room_` characters left.
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* cursor_ = nullptr;
+  std::size_t room_ = 0;
 };
 
 }  // namespace psme::sim

@@ -212,7 +212,7 @@ TEST(Bus, DebugTraceRecordsEveryArbitrationWin) {
   std::vector<std::string> wins;
   trace_two_frames(trace).for_each("can.bus", [&](const sim::TraceEntry& e) {
     EXPECT_EQ(e.level, sim::TraceLevel::kDebug);
-    wins.push_back(e.message);
+    wins.emplace_back(e.message);
   });
   EXPECT_EQ(wins, (std::vector<std::string>{
                       "b wins arbitration: id=0x100 dlc=2 [ab 02]",

@@ -4,8 +4,10 @@
 
 #include <array>
 #include <iomanip>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "can/frame.h"
@@ -14,9 +16,9 @@
 namespace psme::can {
 namespace {
 
-// The std::vector<bool> bit walk and std::ostringstream formatters that
-// Frame used before its single-pass, buffer-writing rewrite. They are the
-// reference the production code is diffed against below.
+// A std::vector<bool> walk over every bit and std::ostringstream
+// formatters: the reference that Frame's table-driven CRC and stuffing
+// count and its buffer-writing text are diffed against below.
 namespace reference {
 
 void push_bits(std::vector<bool>& bits, std::uint32_t value, int width) {
@@ -58,29 +60,40 @@ std::uint16_t crc15(const Frame& frame) {
   return crc;
 }
 
-std::size_t wire_bits(const Frame& frame) {
-  std::vector<bool> bits = bitstream(frame);
-  push_bits(bits, crc15(frame), 15);
+/// The stuffing rule walked over the first `n` bits of `bits`: the stuff
+/// bits inserted, and the last bit on the wire with its run length.
+struct Stuffing {
   std::size_t stuffed = 0;
-  int run = 0;
   bool prev = false;
+  int run = 0;
+};
+
+Stuffing stuff(const std::vector<bool>& bits, std::size_t n) {
+  Stuffing s;
   bool first = true;
-  for (const bool b : bits) {
-    if (!first && b == prev) {
-      ++run;
-      if (run == 5) {
-        ++stuffed;
-        prev = !b;
-        run = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool b = bits[i];
+    if (!first && b == s.prev) {
+      ++s.run;
+      if (s.run == 5) {
+        ++s.stuffed;
+        s.prev = !b;
+        s.run = 1;
         continue;
       }
     } else {
-      run = 1;
+      s.run = 1;
     }
-    prev = b;
+    s.prev = b;
     first = false;
   }
-  return bits.size() + stuffed + 1 + 1 + 1 + 7 + 3;
+  return s;
+}
+
+std::size_t wire_bits(const Frame& frame) {
+  std::vector<bool> bits = bitstream(frame);
+  push_bits(bits, crc15(frame), 15);
+  return bits.size() + stuff(bits, bits.size()).stuffed + 1 + 1 + 1 + 7 + 3;
 }
 
 std::string id_text(CanId id) {
@@ -307,6 +320,34 @@ TEST(Frame, BitWalkAndTextMatchReferenceOnSeededFrames) {
     expect_matches_reference(frame);
     if (HasFailure()) return;  // one diff is enough to report
   }
+}
+
+// Every two-byte payload under ids whose headers end in different runs
+// of both polarities. The stuffing state entering the second data byte
+// then takes every reachable value (last bit 0 or 1, run 1..4), so each
+// state's row of the stuffing table meets every byte value.
+TEST(Frame, WireBitsMatchReferenceOnEveryTwoBytePayload) {
+  const std::array<CanId, 6> ids{
+      CanId::standard(0x000),  CanId::standard(0x7FF),
+      CanId::standard(0x555),  CanId::standard(0x2AA),
+      CanId::extended(0),      CanId::extended(0x1FFFFFFF)};
+  std::set<std::pair<bool, int>> entering_second_byte;
+  for (const CanId id : ids) {
+    const std::size_t header_bits = id.is_extended() ? 39 : 19;
+    for (unsigned payload = 0; payload <= 0xFFFF; ++payload) {
+      const std::array<std::uint8_t, 2> bytes{
+          static_cast<std::uint8_t>(payload >> 8),
+          static_cast<std::uint8_t>(payload & 0xFF)};
+      const Frame frame(id, bytes);
+      ASSERT_EQ(frame.crc15(), reference::crc15(frame)) << frame.to_string();
+      ASSERT_EQ(frame.wire_bits(), reference::wire_bits(frame))
+          << frame.to_string();
+      const reference::Stuffing s =
+          reference::stuff(reference::bitstream(frame), header_bits + 8);
+      entering_second_byte.emplace(s.prev, s.run);
+    }
+  }
+  EXPECT_EQ(entering_second_byte.size(), 8u);
 }
 
 TEST(MakeFrame, BuildsStandardFrame) {

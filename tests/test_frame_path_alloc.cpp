@@ -3,11 +3,15 @@
 // This binary replaces the global operator new with a counting one, so it
 // sees every heap allocation the simulator makes while a clean HPE-regime
 // vehicle drives: scheduler → bus → HPE → controller → node handler. After
-// warm-up the path must allocate nothing except the entries an attached
-// sim::Trace keeps. A count is exact where a timing gate is noisy, so this
-// is the regression gate for the allocation-free frame path.
+// warm-up the path must allocate nothing at all without a trace, and with
+// one only what its storage needs to grow: the entry vector's regrowths
+// and the chunks of the text arena that kept messages fill. No kept entry
+// allocates a message of its own. A count is exact where a timing gate is
+// noisy, so this is the regression gate for the allocation-free frame
+// path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -42,6 +46,8 @@ struct Window {
   std::uint64_t allocations = 0;
   std::uint64_t frames = 0;
   std::uint64_t kept_entries = 0;
+  std::size_t kept_text = 0;       // characters of the kept messages
+  std::size_t longest_message = 0;
 };
 
 /// Drives a clean, locked HPE vehicle for 20 simulated seconds of
@@ -63,7 +69,14 @@ Window drive(sim::Trace* trace) {
   Window w;
   w.allocations = g_allocations - allocations;
   w.frames = vehicle->bus().frames_delivered() - frames;
-  w.kept_entries = (trace != nullptr ? trace->size() : 0) - entries;
+  if (trace != nullptr) {
+    w.kept_entries = trace->size() - entries;
+    for (std::size_t i = entries; i < trace->size(); ++i) {
+      const std::size_t size = trace->entries()[i].message.size();
+      w.kept_text += size;
+      w.longest_message = std::max(w.longest_message, size);
+    }
+  }
   return w;
 }
 
@@ -94,11 +107,18 @@ TEST(FramePathAlloc, SecurityTraceAllocatesOnlyForKeptEntries) {
   const Window w = drive(&trace);
   ASSERT_GT(w.frames, 10'000u);
   ASSERT_GT(w.kept_entries, 0u);  // the clean drive records HPE read blocks
-  // One allocation per kept entry (its message), plus the entry vector's
-  // geometric regrowths: fewer than bit_width(n) for n entries.
-  EXPECT_LE(w.allocations, w.kept_entries + std::bit_width(w.kept_entries))
+  // Growth only. The entry vector and the arena's list of chunks regrow
+  // geometrically: together fewer than bit_width(n) times for the n
+  // entries the window adds to a trace that warm-up already filled. Every
+  // arena chunk opened in the window but the last was left with less room
+  // than its next message needed, so it holds more than
+  // kTextChunk - longest characters of the window's text.
+  const std::uint64_t chunks =
+      w.kept_text / (sim::Trace::kTextChunk - w.longest_message) + 1;
+  EXPECT_LE(w.allocations, std::bit_width(w.kept_entries) + chunks)
       << w.allocations << " allocations for " << w.kept_entries
-      << " kept entries over " << w.frames << " frames";
+      << " kept entries (" << w.kept_text << " characters) over "
+      << w.frames << " frames";
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ TEST(Hpe, BlockEntriesNameTheEngineAndTheId) {
   std::vector<std::string> messages;
   trace.for_each("hpe.victim", [&](const sim::TraceEntry& e) {
     EXPECT_EQ(e.level, sim::TraceLevel::kSecurity);
-    messages.push_back(e.message);
+    messages.emplace_back(e.message);
   });
   EXPECT_EQ(messages, (std::vector<std::string>{
                           "write blocked id=0x300", "read blocked id=0x1A0",

@@ -1,7 +1,7 @@
 // Property tests for the ISO-TP reassembler (psme::can::IsoTpReassembler):
 // round-trip at every payload length, interleaved conversations, strict
 // sequence checking, timeout expiry, and a seeded fuzz loop over
-// adversarial frames (run under ASan/UBSan in the wire-mac CI leg).
+// adversarial frames (run under ASan/UBSan in the asan-ubsan CI leg).
 #include <gtest/gtest.h>
 
 #include <numeric>

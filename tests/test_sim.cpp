@@ -95,6 +95,34 @@ TEST(Scheduler, CancelOfRunningEventReturnsFalse) {
   EXPECT_FALSE(cancelled);
 }
 
+// An event's slot is reused once the event has left the queue, so an id
+// must answer for its own event only, never for the slot's next tenant.
+TEST(Scheduler, StaleIdDoesNotCancelAReusedSlot) {
+  Scheduler sched;
+  const EventId a = sched.schedule_at(SimTime{10ns}, [] {});
+  ASSERT_TRUE(sched.cancel(a));
+  sched.run_until(SimTime{20ns});  // reaps A and frees its slot
+  EXPECT_EQ(sched.pending(), 0u);
+  bool b_ran = false;
+  sched.schedule_at(SimTime{30ns}, [&] { b_ran = true; });  // A's old slot
+  EXPECT_FALSE(sched.cancel(a));
+  sched.run();
+  EXPECT_TRUE(b_ran);
+
+  // A running event's slot is already free: C takes it, and the event's
+  // own id must not cancel C.
+  EventId self = 0;
+  bool cancelled = true;
+  bool c_ran = false;
+  self = sched.schedule_in(10ns, [&] {
+    sched.schedule_in(5ns, [&] { c_ran = true; });
+    cancelled = sched.cancel(self);
+  });
+  sched.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(c_ran);
+}
+
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
   Scheduler sched;
   int fired = 0;
@@ -269,6 +297,61 @@ TEST(Trace, EntryComponentOutlivesTheCallersString) {
   }
   EXPECT_EQ(trace.entries().front().component, "hpe.component-longer-than-sso");
   EXPECT_EQ(trace.count_component("hpe.component-longer-than-sso"), 1u);
+}
+
+TEST(Trace, EntryMessageOutlivesTheCallersString) {
+  Trace trace(TraceLevel::kDebug);
+  {
+    const std::string message = "a message longer than the sso buffer";
+    trace.record(SimTime{}, TraceLevel::kInfo, "x", message);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    trace.record(SimTime{}, TraceLevel::kInfo, "x", "more " + std::to_string(i));
+  }
+  EXPECT_EQ(trace.entries().front().message,
+            "a message longer than the sso buffer");
+  EXPECT_EQ(trace.entries().back().message, "more 999");
+}
+
+TEST(Trace, MessagesSurviveChunkGrowthAndClear) {
+  Trace trace(TraceLevel::kDebug);
+  std::vector<std::string> expected;
+  const auto record = [&](std::string_view message) {
+    trace.record(SimTime{}, TraceLevel::kInfo, "x", message);
+    expected.emplace_back(message);
+  };
+  // Three chunks of short messages, with one message longer than a chunk
+  // in the middle: it gets a chunk of its own, and the open chunk keeps
+  // filling after it. That one is joined by a TraceText too long for its
+  // stack buffer; the one after it fits the buffer.
+  const std::string half(Trace::kTextChunk / 2 + 1, 'L');
+  std::size_t text = 0;
+  for (int i = 0; text < 4 * Trace::kTextChunk; ++i) {
+    if (i == 500) {
+      record(TraceText{half, half});
+    } else if (i == 501) {
+      record(TraceText{"joined ", "on the ", "stack"});
+    } else {
+      record("message " + std::to_string(i));
+    }
+    text += expected.back().size();
+  }
+  EXPECT_EQ(expected[500].size(), Trace::kTextChunk + 2);
+  EXPECT_EQ(expected[501], "joined on the stack");
+  record("");
+  ASSERT_EQ(trace.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(trace.entries()[i].message, expected[i]) << "entry " << i;
+  }
+
+  trace.clear();
+  EXPECT_EQ(trace.size(), 0u);
+  trace.record(SimTime{}, TraceLevel::kInfo, "x", "after clear");
+  trace.record(SimTime{}, TraceLevel::kInfo, "y", "and again");
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.entries()[0].message, "after clear");
+  EXPECT_EQ(trace.entries()[1].message, "and again");
+  EXPECT_EQ(trace.entries()[1].component, "y");
 }
 
 TEST(Trace, KeepsMatchesRecordFiltering) {

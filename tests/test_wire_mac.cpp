@@ -486,7 +486,7 @@ TEST(WireTable, StructuralIdsAlwaysPass) {
   EXPECT_FALSE(mac.admit(make_frame(0x440, {0}), sim::SimTime{}));
 }
 
-// -- concurrency torture (run under TSan in the wire-mac CI leg) ------------
+// -- concurrency torture (run under TSan in the tsan CI leg) -----------------
 
 TEST(WireMacTorture, ConcurrentPerBusAdjudicationDuringReload) {
   // 4 buses, each with its OWN WireMac, all sharing ONE MacEngine
