@@ -179,6 +179,10 @@ std::vector<CanId> IsoTpReassembler::expire(sim::SimTime now) {
   return expired;
 }
 
+bool IsoTpReassembler::in_conversation(CanId id) const noexcept {
+  return conversations_.contains(id_key(id));
+}
+
 void IsoTpReassembler::reset() {
   conversations_.clear();
   completed_ = IsoTpMessage{};

@@ -115,6 +115,9 @@ class IsoTpReassembler {
   [[nodiscard]] std::size_t open_conversations() const noexcept {
     return conversations_.size();
   }
+  /// True while a conversation is open on `id`: an FF opened it, and no
+  /// completion, aborting error, SF or expiry has ended it since.
+  [[nodiscard]] bool in_conversation(CanId id) const noexcept;
   [[nodiscard]] sim::SimDuration cf_timeout() const noexcept {
     return cf_timeout_;
   }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "mac/mac_engine.h"
-
 namespace psme::can {
 
 namespace {
@@ -118,21 +116,9 @@ WireBindingTable WireBindingTable::Builder::build() {
 
 // -- WireMac ---------------------------------------------------------------
 
-WireMac::WireMac(WireBindingTable table, const mac::MacEngine& engine)
-    : table_(std::move(table)), engine_(&engine) {}
-
 WireMac::WireMac(WireBindingTable table,
                  const core::CompiledPolicyImage& image)
-    : table_(std::move(table)), image_(&image) {}
-
-void WireMac::backend_evaluate(std::span<const core::SidRequest> requests,
-                               std::span<std::uint8_t> out) {
-  if (engine_ != nullptr) {
-    engine_->evaluate_batch_allowed_shared(requests, out);
-  } else {
-    image_->evaluate_batch_allowed(requests, out);
-  }
-}
+    : table_(std::move(table)), image_(image) {}
 
 void WireMac::count_drop(const Frame& frame, WireDropReason reason,
                          sim::SimTime at) {
@@ -244,8 +230,9 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
       }
       const auto verdict = flow_verdicts_.find(key);
       if (verdict == flow_verdicts_.end()) {
-        // Conversation open but no verdict: impossible via this class's
-        // own bookkeeping; fail closed if it ever happens.
+        // Conversation open but no verdict: unreachable, since a verdict
+        // is dropped only with its conversation (completion, SF, an error
+        // that ends it, expiry). Fail closed if it ever happens.
         plan.kind = Plan::Kind::kDrop;
         plan.reason = WireDropReason::kFlowDenied;
         return plan;
@@ -262,8 +249,15 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
       plan.flow_key = key;
       return plan;
     case IsoTpReassembler::EventKind::kError:
-      flow_verdicts_.erase(key);
-      batch_flow_leaders_.erase(key);
+      // A malformed SF, FF or FC leaves the conversation open, and its
+      // remaining CFs still ride the verdict; only an error that ended
+      // the conversation ends the flow. (frame.id() rather than `id`:
+      // keeping `id` live across feed() slowed bench_wire_mac's j1939
+      // row by ~7% under gcc 12.)
+      if (!reassembler_.in_conversation(frame.id())) {
+        flow_verdicts_.erase(key);
+        batch_flow_leaders_.erase(key);
+      }
       plan.kind = Plan::Kind::kDrop;
       plan.reason = WireDropReason::kMalformedIsoTp;
       return plan;
@@ -292,7 +286,7 @@ void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
   expire_flows(at);
 
   // Classify pass: one plan per frame, SID lanes accumulated for ONE
-  // backend call.
+  // image call.
   plans_.clear();
   lanes_.clear();
   batch_flow_leaders_.clear();
@@ -307,7 +301,7 @@ void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
 
   lane_verdicts_.resize(lanes_.size());
   if (!lanes_.empty()) {
-    backend_evaluate(lanes_, lane_verdicts_);
+    image_.evaluate_batch_allowed(lanes_, lane_verdicts_);
   }
 
   // Apply pass: resolve each plan to a verdict, in stream order so flow

@@ -5,7 +5,7 @@
 // it classifies every received CAN frame into the policy's SID space —
 // 11-bit ids through a dense O(1) binding table, 29-bit J1939 ids by
 // src/dest/PGN decomposition — and adjudicates whole bus batches through
-// the vectorised verdict-only decision core, so the hot path never
+// the sealed image's verdict-only batch call, so the hot path never
 // materialises a Decision object or touches a string.
 //
 // Classification maps an identifier to (candidate subjects, object,
@@ -13,7 +13,7 @@
 // directly on the wire: a command id is legitimate iff SOME entry point
 // may write the asset, so the binding lists every plausible commander
 // and the wire verdict is the OR of the per-candidate policy answers —
-// all candidates ride the same batch, so the OR costs no extra backend
+// all candidates ride the same batch, so the OR costs no extra image
 // calls, only extra lanes.
 //
 // Multi-frame ISO-TP conversations are adjudicated ONCE per flow: the
@@ -24,16 +24,11 @@
 // processor sees the frame, counted into ControllerStats::rx_wire_denied
 // and reported per-frame to a WireDropSink (monitor::WireDropMonitor).
 //
-// Two interchangeable backends answer the batches:
-//   * mac::MacEngine — via evaluate_batch_allowed_shared, the seqlock
-//     concurrent-read path. Any number of per-bus WireMacs may share one
-//     engine across threads while the owner reloads policy; each batch
-//     pins one policy generation (never a mix).
-//   * core::CompiledPolicyImage — via evaluate_batch_allowed, for sealed
-//     per-bus images with mode gating (the table's mode SID stamps every
-//     request). Immutable, so concurrent adjudication is trivially safe.
-// One WireMac instance itself is single-threaded (it owns reassembly and
-// flow-verdict state); concurrency is per-bus, one WireMac per bus.
+// A sealed core::CompiledPolicyImage answers the batches through
+// evaluate_batch_allowed, with the table's mode SID stamped on every
+// request. One WireMac is single-threaded (it owns reassembly and
+// flow-verdict state); concurrency is per bus, one WireMac per bus, and
+// any number of them may share one image, which is immutable.
 #pragma once
 
 #include <array>
@@ -48,10 +43,6 @@
 #include "core/policy_image.h"
 #include "mac/sid_table.h"
 #include "sim/time.h"
-
-namespace psme::mac {
-class MacEngine;
-}  // namespace psme::mac
 
 namespace psme::can {
 
@@ -199,8 +190,7 @@ class WireBindingTable::Builder {
   /// Maps a J1939 source address to its subject SID.
   Builder& j1939_source(std::uint8_t address, mac::Sid subject);
 
-  /// Mode SID stamped on every request (image backend only; the
-  /// engine backend ignores request modes). Default kNullSid =
+  /// Mode SID stamped on every request. Default kNullSid =
   /// mode-independent.
   Builder& set_mode(mac::Sid mode_sid);
 
@@ -218,7 +208,7 @@ struct WireMacStats {
   std::uint64_t frames = 0;         // frames presented
   std::uint64_t passed = 0;         // structural pass-through
   std::uint64_t adjudicated = 0;    // frames that bought a policy verdict
-  std::uint64_t sid_requests = 0;   // SID lanes sent to the backend
+  std::uint64_t sid_requests = 0;   // SID lanes sent to the image
   std::uint64_t allowed = 0;        // frames admitted (any path)
   std::uint64_t denied = 0;         // policy denials (kPolicyDenied)
   std::uint64_t unbound = 0;        // deny-by-default drops
@@ -232,13 +222,9 @@ struct WireMacStats {
 /// The wire-rate adjudicator for one bus. See file comment.
 class WireMac {
  public:
-  /// Concurrent-shared backend: adjudicates through the engine's
-  /// seqlock read path. The engine must outlive the WireMac; policy
-  /// reloads on the owner thread are safe mid-batch.
-  WireMac(WireBindingTable table, const mac::MacEngine& engine);
-
-  /// Sealed-image backend: adjudicates through the image's staged batch
-  /// pipeline with the table's mode SID stamped on every request.
+  /// Adjudicates through the image's staged batch pipeline with the
+  /// table's mode SID stamped on every request. The image must outlive
+  /// the WireMac.
   WireMac(WireBindingTable table, const core::CompiledPolicyImage& image);
 
   WireMac(const WireMac&) = delete;
@@ -248,7 +234,7 @@ class WireMac {
   [[nodiscard]] bool admit(const Frame& frame, sim::SimTime at);
 
   /// Adjudicates a bus-sized batch: `allowed_out[i]` is 1 iff
-  /// `frames[i]` is admitted. ONE backend batch call serves the whole
+  /// `frames[i]` is admitted. ONE image batch call serves the whole
   /// span, so per-frame cost approaches the vectorised core's
   /// ns/decision. Byte-identical to per-frame admit() on the same
   /// stream (test-pinned). Throws std::invalid_argument when the spans
@@ -284,7 +270,7 @@ class WireMac {
   struct Plan {
     enum class Kind : std::uint8_t {
       kPass,        // structural allow, no verdict
-      kDrop,        // verdict known without the backend (reason below)
+      kDrop,        // verdict known without the image (reason below)
       kAdjudicate,  // lanes [lane_offset, lane_offset+lane_count) decide
       kInheritFlow, // copy the verdict of frames[flow_leader] (same batch)
       kCachedFlow,  // verdict resolved from the cross-batch flow map
@@ -304,17 +290,13 @@ class WireMac {
     std::uint64_t flow_key = 0;
   };
 
-  void backend_evaluate(std::span<const core::SidRequest> requests,
-                        std::span<std::uint8_t> out);
-
   /// Builds the plan and SID lanes for frames[i]; appends to lanes_.
   [[nodiscard]] Plan classify(const Frame& frame, sim::SimTime at);
 
   void count_drop(const Frame& frame, WireDropReason reason, sim::SimTime at);
 
   WireBindingTable table_;
-  const mac::MacEngine* engine_ = nullptr;
-  const core::CompiledPolicyImage* image_ = nullptr;
+  const core::CompiledPolicyImage& image_;
 
   IsoTpReassembler reassembler_;
   /// Verdict of the open ISO-TP flow on an id (key as in isotp.cpp).

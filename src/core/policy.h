@@ -57,12 +57,10 @@ struct AccessRequest {
 inline constexpr mac::Sid kUnresolvedSid = 0xFFFFFFFFu;
 
 /// An access request whose identities are already resolved to SIDs — the
-/// native currency of the compiled pipeline. For core::PolicySet /
-/// CompiledPolicyImage the SIDs name the request's subject/object/mode in
-/// the image's interner; for mac::MacEngine::evaluate_batch_allowed_shared
-/// they are the pre-resolved source/target *type* SIDs (mode is ignored
-/// there, as in the scalar MacEngine::evaluate). Resolve once at the
-/// fleet boundary, evaluate millions of times.
+/// native currency of the compiled pipeline. The SIDs name the request's
+/// subject/object/mode in the interner of the core::PolicySet /
+/// CompiledPolicyImage that evaluates it. Resolve once at the fleet
+/// boundary, evaluate millions of times.
 struct SidRequest {
   mac::Sid subject = mac::kNullSid;
   mac::Sid object = mac::kNullSid;

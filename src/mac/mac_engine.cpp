@@ -60,22 +60,16 @@ void MacEngine::rebuild() {
     }
     for (const auto& rule : mod.neverallows) builder.neverallow(rule);
   }
-  // Compile the whole generation — database plus the SID-space
-  // coordinates of the asset class (the bit layout follows registration
-  // order above and is stable across rebuilds) — into one immutable
-  // snapshot, then publish it atomically. Concurrent readers keep
-  // answering from whichever snapshot they pinned; the AVC notices the
-  // seqno change lazily on the owner's next query.
-  auto snap = std::make_shared<DbSnapshot>();
-  snap->db = builder.build(next_seqno_++, sids_);
-  const ClassDef* asset = snap->db.find_class(std::string_view(kAssetClass));
-  snap->asset_class_sid = asset->sid;
-  snap->read_mask = *asset->bit("read");
-  snap->write_mask = *asset->bit("write");
-  {
-    std::scoped_lock lock(publish_mutex_);
-    active_ = std::move(snap);
-  }
+  // The asset class's bit layout follows registration order above and
+  // is stable across rebuilds. The AVC notices the seqno change on its
+  // next query.
+  Generation next;
+  next.db = builder.build(next_seqno_++, sids_);
+  const ClassDef* asset = next.db.find_class(std::string_view(kAssetClass));
+  next.asset_class_sid = asset->sid;
+  next.read_mask = *asset->bit("read");
+  next.write_mask = *asset->bit("write");
+  active_ = std::move(next);
 }
 
 void MacEngine::load_module(PolicyModule module) {
@@ -143,12 +137,11 @@ std::vector<std::string> MacEngine::loaded_modules() const {
   return names;
 }
 
-core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
-                                 Sid target, AccessVector av,
-                                 core::AccessType access,
-                                 bool permissive) const {
-  const AccessVector need =
-      access == core::AccessType::kRead ? snap.read_mask : snap.write_mask;
+core::Decision MacEngine::decide(Sid source, Sid target, AccessVector av,
+                                 core::AccessType access) {
+  const AccessVector need = access == core::AccessType::kRead
+                                ? active_.read_mask
+                                : active_.write_mask;
   if ((av & need) != 0) {
     // Hot path: both literals fit the small-string buffer, so a cached
     // allow constructs no heap memory at all.
@@ -163,8 +156,8 @@ core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
   const std::string_view target_name =
       sids_->contains(target) ? sids_->name_of(target) : kInvalidSid;
   const std::string_view perm = core::to_string(access);
-  if (permissive) {
-    permissive_denials_.fetch_add(1, std::memory_order_relaxed);
+  if (permissive_) {
+    ++permissive_denials_;
     return core::Decision::allow(
         "te-permissive", "would deny " + std::string(source_name) + " -> " +
                              std::string(target_name) + " " +
@@ -177,66 +170,17 @@ core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
 }
 
 core::Decision MacEngine::evaluate(const core::AccessRequest& request) {
-  const DbSnapshot& snap = *active_;  // owner thread: direct read is safe
   const Sid source = type_sid_of(request.subject);
   const Sid target = type_sid_of(request.object);
   const AccessVector av =
-      avc_.query(snap.db, source, target, snap.asset_class_sid);
-  return decide(snap, source, target, av, request.access, permissive());
-}
-
-core::SidRequest MacEngine::resolve(const core::AccessRequest& request) const {
-  core::SidRequest resolved;
-  resolved.subject = type_sid_of(request.subject);
-  resolved.object = type_sid_of(request.object);
-  resolved.access = request.access;
-  // MacEngine ignores request modes (mode gating lives in the policy
-  // layer above); keep the field null so equivalent requests compare equal.
-  resolved.mode = kNullSid;
-  return resolved;
-}
-
-void MacEngine::evaluate_batch_allowed_shared(
-    std::span<const core::SidRequest> requests,
-    std::span<std::uint8_t> allowed_out) const {
-  if (requests.size() != allowed_out.size()) {
-    throw std::invalid_argument(
-        "MacEngine::evaluate_batch_allowed_shared: span lengths differ");
-  }
-  // Pin one policy generation AND one enforcement mode for the whole
-  // span: every element is adjudicated against the same database, masks
-  // and permissive flag, even if the owner publishes a new snapshot or
-  // toggles set_permissive mid-call.
-  const std::shared_ptr<const DbSnapshot> snap = snapshot();
-  const bool permissive_mode = permissive();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const core::SidRequest& request = requests[i];
-    // SIDs beyond the packed 24-bit field (never issued by the interner;
-    // e.g. core::kUnresolvedSid from a hand-built request) would alias a
-    // real type — clamp them to the null SID, which can only deny.
-    const Sid source =
-        request.subject <= kMaxTypeSid ? request.subject : kNullSid;
-    const Sid target =
-        request.object <= kMaxTypeSid ? request.object : kNullSid;
-    const AccessVector av =
-        avc_.query_shared(snap->db, source, target, snap->asset_class_sid);
-    const AccessVector need = request.access == core::AccessType::kRead
-                                  ? snap->read_mask
-                                  : snap->write_mask;
-    const bool allowed = (av & need) != 0;
-    // Permissive parity with decide(): a would-be denial is allowed but
-    // counted, so telemetry sees the same totals either path.
-    if (!allowed && permissive_mode) {
-      permissive_denials_.fetch_add(1, std::memory_order_relaxed);
-    }
-    allowed_out[i] = static_cast<std::uint8_t>(allowed || permissive_mode);
-  }
+      avc_.query(active_.db, source, target, active_.asset_class_sid);
+  return decide(source, target, av, request.access);
 }
 
 bool MacEngine::allowed(const std::string& source_type,
                         const std::string& target_type,
                         const std::string& perm) {
-  return avc_.allowed(active_->db, source_type, target_type, kAssetClass, perm);
+  return avc_.allowed(active_.db, source_type, target_type, kAssetClass, perm);
 }
 
 }  // namespace psme::mac

@@ -21,27 +21,14 @@
 // Denials (never the hot path) reverse-map SIDs to names for the audit
 // reason text.
 //
-// Concurrency (DESIGN.md "Concurrency model"): MacEngine follows the
-// single-writer/many-readers split. ONE owner thread drives labelling,
-// module lifecycle and evaluate(); any number of OTHER threads may call
-// evaluate_batch_allowed_shared concurrently, including while the owner
-// reloads policy. Each rebuild publishes an immutable snapshot
-// (database + derived class/permission coordinates) behind a shared_ptr;
-// readers pin a snapshot for the duration of a batch, probe the AVC
-// through its seqlock read path, and fall through to the snapshot's
-// sealed flat table on a miss. The one caveat: the shared SidTable grows
-// on intern, so the owner must not introduce NEW names (labels, types,
-// string-shim queries for unseen strings) while readers are active —
-// reloading existing modules and toggling booleans re-interns nothing
-// and is safe.
+// Concurrency (DESIGN.md "Concurrency model"): single-threaded, like
+// sim::Scheduler — one thread labels entities, loads modules and
+// evaluates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,7 +69,7 @@ class MacEngine final {
 
   explicit MacEngine(std::size_t avc_capacity = 512);
 
-  // -- labelling (owner thread only) -------------------------------------
+  // -- labelling ---------------------------------------------------------
 
   /// Associates an entity id (entry point, node, asset) with a context.
   /// The context's type is interned immediately; evaluate() never touches
@@ -92,7 +79,7 @@ class MacEngine final {
   [[nodiscard]] const SecurityContext& context_of(const std::string& entity) const;
   void set_default_context(SecurityContext context);
 
-  // -- module lifecycle (owner thread only) ------------------------------
+  // -- module lifecycle --------------------------------------------------
 
   /// Loads a module and rebuilds the policy database. Throws on validation
   /// failure (unknown types, neverallow violations) without changing the
@@ -111,33 +98,12 @@ class MacEngine final {
 
   [[nodiscard]] std::vector<std::string> loaded_modules() const;
   [[nodiscard]] std::uint64_t policy_seqno() const noexcept {
-    return active_->db.seqno();
+    return active_.db.seqno();
   }
 
   // -- enforcement -------------------------------------------------------
 
   [[nodiscard]] core::Decision evaluate(const core::AccessRequest& request);
-
-  /// Translates one request into the engine's SID space: subject/object
-  /// become source/target *type* SIDs via the label map. The result feeds
-  /// evaluate_batch_allowed_shared; resolve once per entity, evaluate
-  /// every tick.
-  [[nodiscard]] core::SidRequest resolve(const core::AccessRequest& request) const;
-
-  /// Concurrent-reader verdicts: `allowed_out[i]` is 1 when `requests[i]`
-  /// (pre-resolved type SIDs; mode is ignored) would be allowed, 0 when
-  /// denied — equal to evaluate() on the equivalent labelled request
-  /// (test-pinned). Any number of threads may call it, including while
-  /// the owner reloads policy: each call pins one snapshot and one
-  /// enforcement mode, so a mid-reload call reflects the old or the new
-  /// policy, never a mix. Each element is one Avc::query_shared, so
-  /// readers never fill the cache. SIDs beyond kMaxTypeSid deny;
-  /// permissive mode allows would-be denials and counts them.
-  /// can::WireMac's engine backend calls it. Throws std::invalid_argument
-  /// when the spans differ in length.
-  void evaluate_batch_allowed_shared(
-      std::span<const core::SidRequest> requests,
-      std::span<std::uint8_t> allowed_out) const;
 
   /// Direct TE query (bypasses the request translation; used by tests).
   [[nodiscard]] bool allowed(const std::string& source_type,
@@ -147,18 +113,12 @@ class MacEngine final {
   [[nodiscard]] const AvcStats& avc_stats() const noexcept {
     return avc_.stats();
   }
-  /// Merged counters of the concurrent read path (see Avc::shared_stats).
-  [[nodiscard]] AvcStats avc_shared_stats() const noexcept {
-    return avc_.shared_stats();
-  }
 
-  /// The active database (owner-thread view; readers inside
-  /// evaluate_batch_allowed_shared pin their own snapshot instead). The
-  /// reference is valid only until the next policy mutation
-  /// (load_module / unload_module / set_boolean) — each rebuild
-  /// publishes a fresh database and retires the old one. Re-call after
-  /// a reload instead of holding the reference across it.
-  [[nodiscard]] const PolicyDb& db() const noexcept { return active_->db; }
+  /// The active database. The reference is valid only until the next
+  /// policy mutation (load_module / unload_module / set_boolean) — each
+  /// rebuild replaces the database. Re-call after a reload instead of
+  /// holding the reference across it.
+  [[nodiscard]] const PolicyDb& db() const noexcept { return active_.db; }
 
   /// The engine's interner (stable across reloads; for tests and audit).
   [[nodiscard]] const SidTable& sids() const noexcept { return *sids_; }
@@ -168,22 +128,16 @@ class MacEngine final {
 
   /// Permissive mode logs would-be denials but allows them (SELinux's
   /// permissive mode; useful when introducing policies to a live fleet).
-  void set_permissive(bool permissive) noexcept {
-    permissive_.store(permissive, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool permissive() const noexcept {
-    return permissive_.load(std::memory_order_relaxed);
-  }
+  void set_permissive(bool permissive) noexcept { permissive_ = permissive; }
+  [[nodiscard]] bool permissive() const noexcept { return permissive_; }
   [[nodiscard]] std::uint64_t permissive_denials() const noexcept {
-    return permissive_denials_.load(std::memory_order_relaxed);
+    return permissive_denials_;
   }
 
  private:
-  /// One policy generation, immutable once published: the compiled
-  /// database plus the SID-space coordinates of the asset class derived
-  /// from it. Shared readers pin a whole generation at once, so the
-  /// database and its masks can never be observed torn across a reload.
-  struct DbSnapshot {
+  /// One policy generation: the compiled database plus the SID-space
+  /// coordinates of its asset class.
+  struct Generation {
     PolicyDb db;
     Sid asset_class_sid = kNullSid;
     AccessVector read_mask = 0;
@@ -192,18 +146,9 @@ class MacEngine final {
 
   void rebuild();
 
-  /// Current snapshot, pinned for shared readers.
-  [[nodiscard]] std::shared_ptr<const DbSnapshot> snapshot() const {
-    std::scoped_lock lock(publish_mutex_);
-    return active_;
-  }
-
   /// Maps an answered access vector to evaluate()'s Decision.
-  /// `permissive` is loaded once by the caller and passed in.
-  [[nodiscard]] core::Decision decide(const DbSnapshot& snap, Sid source,
-                                      Sid target, AccessVector av,
-                                      core::AccessType access,
-                                      bool permissive) const;
+  [[nodiscard]] core::Decision decide(Sid source, Sid target, AccessVector av,
+                                      core::AccessType access);
 
   std::shared_ptr<SidTable> sids_;
   std::map<std::string, SecurityContext> labels_;
@@ -215,14 +160,13 @@ class MacEngine final {
   Sid default_type_sid_ = kNullSid;
   std::vector<PolicyModule> modules_;
   std::map<std::string, bool> booleans_;
-  /// Published by rebuild() under publish_mutex_; the owner may read it
-  /// directly (it is the only writer), readers go through snapshot().
-  std::shared_ptr<const DbSnapshot> active_;
-  mutable std::mutex publish_mutex_;
+  /// Replaced whole by rebuild(), which builds the next generation
+  /// first: a throwing build leaves this one in force.
+  Generation active_;
   Avc avc_;
   std::uint64_t next_seqno_ = 1;
-  std::atomic<bool> permissive_{false};
-  mutable std::atomic<std::uint64_t> permissive_denials_{0};
+  bool permissive_ = false;
+  std::uint64_t permissive_denials_ = 0;
 };
 
 }  // namespace psme::mac

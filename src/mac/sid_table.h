@@ -215,9 +215,8 @@ struct HashLanes {
 /// it meets a new name and therefore requires exclusive access: the
 /// single-writer rule says no thread may intern a name the table has not
 /// seen while readers are active (re-interning an existing name performs
-/// only a lookup and is read-equivalent, which is what lets MacEngine
-/// rebuild an unchanged module set under concurrent readers). Issued SIDs
-/// never change, so data published before readers start is immutable.
+/// only a lookup and is read-equivalent). Issued SIDs never change, so
+/// data published before readers start is immutable.
 class SidTable {
  public:
   /// Transparent FNV-1a string hash so string_view lookups never

@@ -90,10 +90,9 @@ class AvTable {
 /// returns it by value and nothing mutates it afterwards — so every const
 /// lookup below (SID or string form) is lock-free and safe from any
 /// number of concurrent threads, provided the build happened-before the
-/// readers (e.g. via thread creation or MacEngine's snapshot publish).
-/// This is what the AVC's shared read path falls through to on a miss.
-/// The string shims additionally read the shared SidTable, so the
-/// single-writer rule applies: no NEW names may be interned concurrently.
+/// readers (e.g. via thread creation). The string shims additionally
+/// read the shared SidTable, so the single-writer rule applies: no NEW
+/// names may be interned concurrently.
 class PolicyDb {
  public:
   PolicyDb() : sids_(std::make_shared<SidTable>()) {}

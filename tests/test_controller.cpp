@@ -2,12 +2,15 @@
 // queueing, acceptance filtering, FIFO behaviour, fault confinement.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "can/bus.h"
 #include "can/controller.h"
 #include "can/errors.h"
 #include "can/node.h"
 #include "can/wire_mac.h"
-#include "mac/mac_engine.h"
+#include "core/policy.h"
+#include "core/policy_image.h"
 
 namespace psme::can {
 namespace {
@@ -199,32 +202,39 @@ TEST(Controller, ReceiverErrorCountersRecoverOnGoodFrames) {
 
 // -- wire-MAC ingress -------------------------------------------------------
 //
-// A minimal engine-backed wire MAC: id 0x100 allowed, id 0x120 denied,
+// A minimal image-backed wire MAC: id 0x100 allowed, id 0x120 denied,
 // [0x420, 0x43F] structural pass, everything else unbound (denied).
 struct WireRig : Rig {
-  mac::MacEngine engine;
-  // make_table configures `engine` (declared first, so it is live) and
-  // outlives nothing: the table is moved into the WireMac.
-  WireMac wire{make_table(engine), engine};
+  std::shared_ptr<const core::CompiledPolicyImage> image = make_image();
+  WireMac wire{make_table(*image), *image};
 
   WireRig() { b.set_wire_mac(&wire); }
 
-  static WireBindingTable make_table(mac::MacEngine& engine) {
-    mac::PolicyModule m;
-    m.name = "wire";
-    m.types = {"ecu_t", "ivi_t", "engine_t"};
-    m.allows.push_back({"ecu_t", "engine_t", "asset", {"write"}});
-    engine.load_module(std::move(m));
-    engine.label("ecu", mac::SecurityContext("system", "subject", "ecu_t"));
-    engine.label("ivi", mac::SecurityContext("system", "subject", "ivi_t"));
-    engine.label("engine",
-                 mac::SecurityContext("system", "object", "engine_t"));
+  /// ecu may write engine; ivi is explicitly denied it.
+  static std::shared_ptr<const core::CompiledPolicyImage> make_image() {
+    core::PolicySet policy("wire", 1);
+    core::PolicyRule ecu;
+    ecu.id = "ecu-engine";
+    ecu.subject = "ecu";
+    ecu.object = "engine";
+    ecu.permission = threat::Permission::kWrite;
+    policy.add_rule(ecu);
+    core::PolicyRule ivi = ecu;
+    ivi.id = "ivi-engine";
+    ivi.subject = "ivi";
+    ivi.permission = threat::Permission::kNone;
+    policy.add_rule(ivi);
+    return policy.image_ptr();
+  }
+
+  static WireBindingTable make_table(const core::CompiledPolicyImage& image) {
+    const mac::SidTable& sids = image.sids();
     WireBindingTable::Builder builder;
-    const std::array<mac::Sid, 1> ecu{engine.type_sid_of("ecu")};
-    const std::array<mac::Sid, 1> ivi{engine.type_sid_of("ivi")};
-    builder.bind_standard(0x100, ecu, engine.type_sid_of("engine"),
+    const std::array<mac::Sid, 1> ecu{sids.find("ecu")};
+    const std::array<mac::Sid, 1> ivi{sids.find("ivi")};
+    builder.bind_standard(0x100, ecu, sids.find("engine"),
                           core::AccessType::kWrite);
-    builder.bind_standard(0x120, ivi, engine.type_sid_of("engine"),
+    builder.bind_standard(0x120, ivi, sids.find("engine"),
                           core::AccessType::kWrite);
     builder.pass_standard_range(0x420, 0x43F);
     return builder.build();
@@ -249,19 +259,13 @@ TEST(ControllerWireMac, DeniedFrameNeverReachesNodeRx) {
   };
   RecordingNode rx{sched, pb, "rx"};
 
-  mac::MacEngine engine;
-  mac::PolicyModule m;
-  m.name = "wire";
-  m.types = {"ecu_t", "engine_t"};
-  engine.load_module(std::move(m));
-  engine.label("ecu", mac::SecurityContext("system", "subject", "ecu_t"));
-  engine.label("engine", mac::SecurityContext("system", "object", "engine_t"));
+  const auto image = WireRig::make_image();
   WireBindingTable::Builder builder;
-  const std::array<mac::Sid, 1> ecu{engine.type_sid_of("ecu")};
-  builder.bind_standard(0x120, ecu, engine.type_sid_of("engine"),
-                        core::AccessType::kWrite);  // no allow rule: denied
+  const std::array<mac::Sid, 1> ivi{image->sids().find("ivi")};
+  builder.bind_standard(0x120, ivi, image->sids().find("engine"),
+                        core::AccessType::kWrite);  // explicit deny
   builder.pass_standard(0x100);
-  WireMac wire{builder.build(), engine};
+  WireMac wire{builder.build(), *image};
   rx.controller().set_wire_mac(&wire);
 
   ASSERT_TRUE(tx.transmit(make_frame(0x120, {1})));  // denied

@@ -1,6 +1,8 @@
 // Unit and property tests for the SELinux-style MAC engine (psme::mac).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mac/avc.h"
 #include "mac/context.h"
 #include "mac/mac_engine.h"
@@ -142,6 +144,33 @@ TEST(Avc, EvictsLruAtCapacity) {
 
 TEST(Avc, ZeroCapacityRejected) {
   EXPECT_THROW(Avc(0), std::invalid_argument);
+}
+
+PolicyDb make_db(std::shared_ptr<SidTable> sids) {
+  PolicyDbBuilder builder;
+  builder.add_class("asset", {"read", "write"});
+  builder.add_type("app_t");
+  builder.add_type("asset_t");
+  builder.allow({"app_t", "asset_t", "asset", {"read"}});
+  return builder.build(1, std::move(sids));
+}
+
+TEST(AvcAllowed, EmptyRequiredSetIsDenied) {
+  auto sids = std::make_shared<SidTable>();
+  const PolicyDb db = make_db(sids);
+  const Sid app = sids->find("app_t");
+  const Sid asset = sids->find("asset_t");
+  const Sid cls = db.find_class(std::string_view("asset"))->sid;
+
+  Avc avc(64);
+  // The pair has a real grant...
+  EXPECT_NE(0u, avc.query(db, app, asset, cls));
+  // ...but an EMPTY required set is a malformed query and is rejected,
+  // never trivially satisfied (header contract; matches PolicyDb).
+  EXPECT_FALSE(avc.allowed(db, app, asset, cls, 0));
+  EXPECT_FALSE(db.allowed(app, asset, cls, 0));
+  // An unknown permission name takes the same deny path in the shim.
+  EXPECT_FALSE(avc.allowed(db, "app_t", "asset_t", "asset", "no_such_perm"));
 }
 
 // Property: for random rule sets and random queries, AVC-mediated answers

@@ -1,94 +1,13 @@
-// Tests for threat-model aggregate analysis (psme::threat::analysis) and
-#include <algorithm>
-// the policy diff (psme::core::policy_diff).
+// Tests for the policy diff (psme::core::policy_diff).
 #include <gtest/gtest.h>
 
 #include "car/base_policy.h"
 #include "car/ids.h"
 #include "car/table1.h"
 #include "core/policy_diff.h"
-#include "threat/analysis.h"
 
 namespace psme {
 namespace {
-
-TEST(Analysis, AssetRiskProfileOrdersByWorstThreat) {
-  const auto model = car::connected_car_threat_model();
-  const auto profile = threat::asset_risk_profile(model);
-  ASSERT_FALSE(profile.empty());
-  // Door locks carry the table's worst threat (T14, 6.8).
-  EXPECT_EQ(profile.front().asset.value, car::asset::kDoorLocks);
-  EXPECT_DOUBLE_EQ(profile.front().max_average, 6.8);
-  // Profile is non-increasing in max_average.
-  for (std::size_t i = 1; i < profile.size(); ++i) {
-    EXPECT_GE(profile[i - 1].max_average, profile[i].max_average);
-  }
-  // Only assets actually under threat appear (sensors carry none).
-  for (const auto& risk : profile) {
-    EXPECT_NE(risk.asset.value, car::asset::kSensors);
-    EXPECT_GT(risk.threat_count, 0u);
-  }
-}
-
-TEST(Analysis, EvEcuCarriesMostThreats) {
-  const auto model = car::connected_car_threat_model();
-  const auto profile = threat::asset_risk_profile(model);
-  const auto it = std::find_if(profile.begin(), profile.end(),
-                               [](const threat::AssetRisk& r) {
-                                 return r.asset.value == car::asset::kEvEcu;
-                               });
-  ASSERT_NE(it, profile.end());
-  EXPECT_EQ(it->threat_count, 4u);  // T01-T04
-}
-
-TEST(Analysis, SensorsAreTheDominantEntryPoint) {
-  // Seven of the sixteen rows cite the sensors — the analysis must surface
-  // them as the highest-exposure interface (which is why the case study
-  // polices them so hard).
-  const auto model = car::connected_car_threat_model();
-  const auto exposure = threat::entry_point_exposure(model);
-  ASSERT_FALSE(exposure.empty());
-  EXPECT_EQ(exposure.front().entry_point.value, car::entry::kSensors);
-  EXPECT_EQ(exposure.front().threat_count, 7u);
-  for (std::size_t i = 1; i < exposure.size(); ++i) {
-    EXPECT_GE(exposure[i - 1].sum_average, exposure[i].sum_average);
-  }
-}
-
-TEST(Analysis, StrideDistributionMatchesModel) {
-  const auto model = car::connected_car_threat_model();
-  const auto distribution = threat::stride_distribution(model);
-  ASSERT_EQ(distribution.size(), 6u);
-  for (const auto& [category, count] : distribution) {
-    std::size_t expected = 0;
-    for (const auto& t : model.threats()) {
-      if (t.stride.contains(category)) ++expected;
-    }
-    EXPECT_EQ(count, expected) << to_string(category);
-  }
-}
-
-TEST(Analysis, RiskMatrixCoordinatesBounded) {
-  const auto model = car::connected_car_threat_model();
-  const auto matrix = threat::risk_matrix(model);
-  EXPECT_EQ(matrix.size(), 16u);
-  for (const auto& cell : matrix) {
-    EXPECT_GE(cell.likelihood, 0.0);
-    EXPECT_LE(cell.likelihood, 10.0);
-    EXPECT_GE(cell.impact, 0.0);
-    EXPECT_LE(cell.impact, 10.0);
-  }
-}
-
-TEST(Analysis, RemoteReachableFraction) {
-  const auto model = car::connected_car_threat_model();
-  const double fraction = threat::remote_reachable_fraction(model);
-  // Connectivity/infotainment/media-browser are the remote entry points;
-  // rows T03, T04, T08, T11, T13 and T14 cite one of them: 6 of 16.
-  EXPECT_NEAR(fraction, 6.0 / 16.0, 1e-9);
-}
-
-// ---------- policy diff ----------
 
 core::PolicySet base_set() {
   core::PolicySet set("s", 1);

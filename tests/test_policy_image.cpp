@@ -19,7 +19,6 @@
 #include "core/policy_compiler.h"
 #include "core/policy_image.h"
 #include "mac/batch_probe.h"
-#include "mac/mac_engine.h"
 #include "mac/te_policy.h"
 #include "sim/rng.h"
 
@@ -415,83 +414,6 @@ TEST(ProbeWalk, FindSlotContractOnHandBuiltTables) {
   EXPECT_EQ(mac::probe::find_slot(empty, 0, kKey, 0), 0u);
 }
 
-// ---------------------------------------- MacEngine shared verdicts
-
-mac::PolicyModule tiny_module(const std::string& name,
-                              std::vector<mac::TeRule> allows) {
-  mac::PolicyModule module;
-  module.name = name;
-  module.types = {"ecu_t", "doors_t", "sensors_t"};
-  module.allows = std::move(allows);
-  return module;
-}
-
-TEST(MacEngineBatch, ShuffledBatchByteIdenticalToScalarAcrossReload) {
-  mac::MacEngine engine;
-  engine.load_module(
-      tiny_module("base", {{"doors_t", "ecu_t", "asset", {"read"}},
-                           {"sensors_t", "ecu_t", "asset", {"read"}}}));
-  engine.label("doors", mac::SecurityContext("sys", "r", "doors_t"));
-  engine.label("sensors", mac::SecurityContext("sys", "r", "sensors_t"));
-  engine.label("ecu", mac::SecurityContext("sys", "obj", "ecu_t"));
-
-  const std::vector<std::string> entities = {"doors", "sensors", "ecu",
-                                             "never-labelled"};
-  std::vector<AccessRequest> string_requests;
-  for (const auto& subject : entities) {
-    for (const auto& object : entities) {
-      for (const auto access : {AccessType::kRead, AccessType::kWrite}) {
-        string_requests.push_back(AccessRequest{subject, object, access, {}});
-      }
-    }
-  }
-  sim::Rng rng(11);
-  for (std::size_t i = string_requests.size() - 1; i > 0; --i) {
-    std::swap(string_requests[i], string_requests[rng.uniform(0, i)]);
-  }
-
-  std::vector<SidRequest> requests;
-  for (const auto& request : string_requests) {
-    requests.push_back(engine.resolve(request));
-  }
-
-  const auto check_parity = [&](const char* phase) {
-    std::vector<std::uint8_t> batch(requests.size(), 2);
-    engine.evaluate_batch_allowed_shared(requests, batch);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      // Scalar evaluate goes through the string request (label map and
-      // all) — each verdict byte of the pre-resolved SID batch must be
-      // exactly 0 or 1 and equal its allow.
-      const std::uint8_t want =
-          engine.evaluate(string_requests[i]).allowed ? 1 : 0;
-      EXPECT_EQ(batch[i], want) << phase << " element " << i << ": "
-                                << string_requests[i].to_string();
-    }
-  };
-
-  check_parity("initial");
-  EXPECT_GT(engine.avc_stats().hits, 0u);
-
-  // A policy reload bumps the seqno; the batch path must notice and
-  // answer from the new database, and the owner's next query flushes.
-  const std::uint64_t flushes_before = engine.avc_stats().flushes;
-  engine.load_module(
-      tiny_module("extra", {{"doors_t", "ecu_t", "asset", {"write"}}}));
-  AccessRequest doors_write{"doors", "ecu", AccessType::kWrite, {}};
-  std::vector<SidRequest> one = {engine.resolve(doors_write)};
-  std::vector<std::uint8_t> one_out(1);
-  engine.evaluate_batch_allowed_shared(one, one_out);
-  EXPECT_EQ(one_out[0], 1u) << "post-reload batch must see new rule";
-  check_parity("post-reload");
-  EXPECT_GT(engine.avc_stats().flushes, flushes_before);
-
-  // Permissive mode: batch and scalar must agree too.
-  engine.set_permissive(true);
-  check_parity("permissive");
-  EXPECT_THROW(engine.evaluate_batch_allowed_shared(requests, one_out),
-               std::invalid_argument);
-}
-
 // --------------------------------------------------- fleet evaluation
 
 TEST(FleetEvaluator, BatchedFleetByteIdenticalToStringPipeline) {
@@ -596,35 +518,6 @@ TEST(BindingCompilerStats, SurvivesPolicySetMutationViaRetainedSnapshot) {
   // A compiler rebuilt against the mutated set sees the new rule.
   car::BindingCompiler rebuilt(policy);
   EXPECT_FALSE(rebuilt.anyone_may_write("door-locks", car::CarMode::kNormal));
-}
-
-TEST(MacEngineBatch, UnissuedSidsDenyWithoutThrowing) {
-  mac::MacEngine engine;
-  engine.load_module(
-      tiny_module("base", {{"doors_t", "ecu_t", "asset", {"read"}}}));
-  const mac::Sid doors = engine.sids().find("doors_t");
-  const mac::Sid ecu = engine.sids().find("ecu_t");
-  // Null and never-issued SIDs (including core::kUnresolvedSid, which
-  // exceeds the packed 24-bit field) must deny, not throw or alias a real
-  // type. The last request would pack onto the granted doors -> ecu read
-  // if the subject were not clamped to the null SID.
-  const std::vector<SidRequest> requests = {
-      SidRequest{},
-      SidRequest{core::kUnresolvedSid, 1, AccessType::kRead, mac::kNullSid},
-      SidRequest{1, 0x00FFFFFFu, AccessType::kWrite, mac::kNullSid},
-      SidRequest{(mac::Sid{1} << 24) | doors, ecu, AccessType::kRead,
-                 mac::kNullSid},
-  };
-  std::vector<std::uint8_t> verdicts(requests.size(), 1);
-  EXPECT_NO_THROW(engine.evaluate_batch_allowed_shared(requests, verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    EXPECT_EQ(verdicts[i], 0u) << "request " << i;
-  }
-  // The aliased pair really is granted.
-  const SidRequest granted{doors, ecu, AccessType::kRead, mac::kNullSid};
-  std::uint8_t verdict = 0;
-  engine.evaluate_batch_allowed_shared({&granted, 1}, {&verdict, 1});
-  EXPECT_EQ(verdict, 1u);
 }
 
 }  // namespace

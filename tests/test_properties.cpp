@@ -8,8 +8,6 @@
 #include "car/policy_binding.h"
 #include "car/segmented.h"
 #include "car/table1.h"
-#include "core/policy_text.h"
-#include "sim/rng.h"
 
 namespace psme {
 namespace {
@@ -110,62 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
-
-// Policy round-trip property under random rule sets: text round trip
-// preserves every decision.
-class PolicyTextFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PolicyTextFuzz, RoundTripPreservesDecisions) {
-  sim::Rng rng(GetParam());
-  const std::vector<std::string> subjects = {"*", "a", "b", "c"};
-  const std::vector<std::string> objects = {"*", "x", "y"};
-  const std::vector<std::string> modes = {"m1", "m2", "m3"};
-
-  core::PolicySet set("fuzz", rng.uniform(1, 100));
-  set.set_default_allow(rng.chance(0.5));
-  const int rule_count = static_cast<int>(rng.uniform(1, 25));
-  for (int i = 0; i < rule_count; ++i) {
-    core::PolicyRule rule;
-    rule.id = "r" + std::to_string(i);
-    rule.subject = subjects[rng.uniform(0, subjects.size() - 1)];
-    rule.object = objects[rng.uniform(0, objects.size() - 1)];
-    rule.permission = static_cast<threat::Permission>(rng.uniform(0, 3));
-    rule.priority = static_cast<int>(rng.uniform(0, 40)) - 20;
-    const auto mode_count = rng.uniform(0, 2);
-    for (std::uint64_t m = 0; m < mode_count; ++m) {
-      const auto& mode = modes[rng.uniform(0, modes.size() - 1)];
-      if (std::find_if(rule.modes.begin(), rule.modes.end(),
-                       [&](const threat::ModeId& existing) {
-                         return existing.value == mode;
-                       }) == rule.modes.end()) {
-        rule.modes.push_back(threat::ModeId{mode});
-      }
-    }
-    set.add_rule(std::move(rule));
-  }
-
-  const core::PolicySet reparsed =
-      core::parse_policy_text(core::format_policy_text(set));
-  EXPECT_EQ(set.fingerprint(), reparsed.fingerprint());
-
-  for (int probe = 0; probe < 200; ++probe) {
-    core::AccessRequest req;
-    req.subject = subjects[rng.uniform(1, subjects.size() - 1)];
-    req.object = objects[rng.uniform(1, objects.size() - 1)];
-    req.access = rng.chance(0.5) ? core::AccessType::kRead
-                                 : core::AccessType::kWrite;
-    if (rng.chance(0.7)) {
-      req.mode = threat::ModeId{modes[rng.uniform(0, modes.size() - 1)]};
-    }
-    const auto a = set.evaluate(req);
-    const auto b = reparsed.evaluate(req);
-    EXPECT_EQ(a.allowed, b.allowed) << req.to_string();
-    EXPECT_EQ(a.rule_id, b.rule_id) << req.to_string();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PolicyTextFuzz,
-                         ::testing::Values(1, 2, 3, 17, 99, 1234, 55555));
 
 // Gateway-list property: the telematics->control forwarding set never
 // contains a command id the policy denies to every telematics entry point.

@@ -1,6 +1,8 @@
 // Tests pinning the connected-car threat model to the paper's Table I.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "car/base_policy.h"
 #include "car/ids.h"
 #include "car/modes.h"
@@ -100,6 +102,33 @@ TEST(Table1, StrideDistributionMatchesPaper) {
   EXPECT_EQ(info, 2);
   EXPECT_EQ(dos, 10);
   EXPECT_EQ(eop, 10);
+}
+
+TEST(Table1, ThreatCountsPerAssetAndEntryPoint) {
+  const auto model = connected_car_threat_model();
+  // Rows T01-T04 target the EV ECU; no row targets the sensors.
+  EXPECT_EQ(model.threats_for_asset(threat::AssetId{asset::kEvEcu}).size(), 4u);
+  EXPECT_TRUE(
+      model.threats_for_asset(threat::AssetId{asset::kSensors}).empty());
+  // Seven rows cite the sensors, more than cite any other entry point.
+  EXPECT_EQ(
+      model.threats_via_entry_point(threat::EntryPointId{entry::kSensors})
+          .size(),
+      7u);
+  for (const threat::EntryPoint& ep : model.entry_points()) {
+    EXPECT_LE(model.threats_via_entry_point(ep.id).size(), 7u) << ep.name;
+  }
+  // Six rows (T03, T04, T08, T11, T13, T14) cite a remote entry point.
+  std::size_t remote_rows = 0;
+  for (const threat::Threat& t : model.threats()) {
+    remote_rows += std::any_of(
+        t.entry_points.begin(), t.entry_points.end(),
+        [&](const threat::EntryPointId& id) {
+          const threat::EntryPoint* ep = model.find_entry_point(id);
+          return ep != nullptr && ep->remote;
+        });
+  }
+  EXPECT_EQ(remote_rows, 6u);
 }
 
 TEST(Modes, RoundTripConversions) {

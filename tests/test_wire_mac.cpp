@@ -1,20 +1,20 @@
 // Tests for the wire-rate MAC (psme::can::WireMac): the differential
-// oracle pinning batched wire verdicts to the scalar MacEngine::evaluate
+// oracle pinning batched wire verdicts to the scalar PolicySet::evaluate
 // reference, J1939 classification, ISO-TP flow adjudication, drop
-// telemetry, the BindingCompiler wire-table equivalence, and the TSan
-// torture drive through the concurrent shared-AVC path.
+// telemetry, and the BindingCompiler wire-table equivalence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "can/wire_mac.h"
 #include "car/base_policy.h"
 #include "car/policy_binding.h"
 #include "car/table1.h"
-#include "mac/mac_engine.h"
+#include "core/policy.h"
+#include "core/policy_image.h"
 #include "monitor/wire_drops.h"
 #include "sim/rng.h"
 
@@ -23,46 +23,46 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// -- fixture: a small engine-backed world -----------------------------------
+// -- fixture: a small image-backed world ------------------------------------
 //
 // Entities: subjects ecu/ivi/diag, objects engine/telemetry/doors.
-// Static rules: ecu may write engine, ivi may read telemetry.
-// Conditional: diag may write doors only while `diag_mode` is set.
+// Rules: ecu may write engine, ivi may read telemetry, and diag may write
+// doors only in mode `diag`.
 struct WireWorld {
-  mac::MacEngine engine;
+  core::PolicySet policy = make_policy();
+  std::shared_ptr<const core::CompiledPolicyImage> image = policy.image_ptr();
 
-  WireWorld() {
-    mac::PolicyModule m;
-    m.name = "wire";
-    m.types = {"ecu_t", "ivi_t", "diag_t", "engine_t", "telemetry_t",
-               "doors_t"};
-    m.allows.push_back({"ecu_t", "engine_t", "asset", {"write"}});
-    m.allows.push_back({"ivi_t", "telemetry_t", "asset", {"read"}});
-    m.booleans.emplace_back("diag_mode", false);
-    m.conditional_allows.push_back(
-        {"diag_mode", true,
-         mac::TeRule{"diag_t", "doors_t", "asset", {"write"}}});
-    engine.load_module(std::move(m));
-    engine.label("ecu", mac::SecurityContext("system", "subject", "ecu_t"));
-    engine.label("ivi", mac::SecurityContext("system", "subject", "ivi_t"));
-    engine.label("diag", mac::SecurityContext("system", "subject", "diag_t"));
-    engine.label("engine",
-                 mac::SecurityContext("system", "object", "engine_t"));
-    engine.label("telemetry",
-                 mac::SecurityContext("system", "object", "telemetry_t"));
-    engine.label("doors", mac::SecurityContext("system", "object", "doors_t"));
+  static core::PolicySet make_policy() {
+    core::PolicySet set("wire", 1);
+    const auto add = [&](const char* id, const char* subject,
+                         const char* object, threat::Permission permission,
+                         std::vector<threat::ModeId> modes) {
+      core::PolicyRule rule;
+      rule.id = id;
+      rule.subject = subject;
+      rule.object = object;
+      rule.permission = permission;
+      rule.modes = std::move(modes);
+      set.add_rule(std::move(rule));
+    };
+    add("ecu-engine", "ecu", "engine", threat::Permission::kWrite, {});
+    add("ivi-telemetry", "ivi", "telemetry", threat::Permission::kRead, {});
+    add("diag-doors", "diag", "doors", threat::Permission::kWrite,
+        {threat::ModeId{"diag"}});
+    return set;
   }
 
   [[nodiscard]] mac::Sid sid(const std::string& entity) const {
-    return engine.type_sid_of(entity);
+    return image->sids().find(entity);
   }
 
-  /// The table the differential tests share. Ids:
+  /// The table the differential tests share, for `mode`. Ids:
   ///   0x100 ecu->engine write (allowed), 0x101 ivi->telemetry read
-  ///   (allowed), 0x110 {ivi,diag}->doors write (allowed iff diag_mode),
-  ///   0x120 ivi->engine write (always denied), 0x420-0x43F pass (NM),
-  ///   everything else unbound.
-  [[nodiscard]] WireBindingTable table() const {
+  ///   (allowed), 0x110 {ivi,diag}->doors write (allowed iff mode is
+  ///   diag), 0x120 ivi->engine write (always denied), 0x420-0x43F pass
+  ///   (NM), everything else unbound.
+  [[nodiscard]] WireBindingTable table(
+      const std::string& mode = "normal") const {
     WireBindingTable::Builder b;
     const std::array<mac::Sid, 1> ecu{sid("ecu")};
     const std::array<mac::Sid, 1> ivi{sid("ivi")};
@@ -73,12 +73,15 @@ struct WireWorld {
                     core::AccessType::kWrite);
     b.bind_standard(0x120, ivi, sid("engine"), core::AccessType::kWrite);
     b.pass_standard_range(0x420, 0x43F);
+    b.set_mode(image->mode_sid(threat::ModeId{mode}));
     return b.build();
   }
 
-  /// Scalar reference verdict for one frame, via the string-level
-  /// MacEngine::evaluate path — deliberately NOT the batch machinery.
-  [[nodiscard]] bool reference(const Frame& frame) {
+  /// Scalar reference verdict for one frame in `mode`, via the
+  /// string-level PolicySet::evaluate path — deliberately NOT the batch
+  /// machinery.
+  [[nodiscard]] bool reference(const Frame& frame,
+                               const std::string& mode) const {
     struct Rule {
       std::uint32_t id;
       std::vector<std::string> subjects;
@@ -98,9 +101,10 @@ struct WireWorld {
       return std::any_of(
           rule.subjects.begin(), rule.subjects.end(),
           [&](const std::string& subject) {
-            return engine
+            return policy
                 .evaluate(core::AccessRequest{subject, rule.object,
-                                              rule.access, {}})
+                                              rule.access,
+                                              threat::ModeId{mode}})
                 .allowed;
           });
     }
@@ -124,12 +128,11 @@ struct WireWorld {
 
 TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
   // Every batched wire verdict must be byte-identical to the scalar
-  // per-frame MacEngine::evaluate reference over shuffled streams at 3
-  // pinned seeds — including across a mid-stream policy reload.
+  // per-frame PolicySet::evaluate reference over shuffled streams at 3
+  // pinned seeds — including across a mid-stream switch from WireMacs
+  // over the `normal` table to WireMacs over the `diag` table.
   for (const std::uint64_t seed : {0xAAAAu, 0x1234u, 0xC0FEu}) {
     WireWorld world;
-    WireMac batched(world.table(), world.engine);
-    WireMac scalar(world.table(), world.engine);
     const std::vector<Frame> stream = shuffled_stream(seed, 4000);
     const std::size_t half = stream.size() / 2;
 
@@ -137,9 +140,12 @@ TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
     std::vector<std::uint8_t> got_batched(stream.size());
     std::vector<std::uint8_t> got_scalar(stream.size());
 
-    const auto run_segment = [&](std::size_t begin, std::size_t end) {
+    const auto run_segment = [&](const std::string& mode, std::size_t begin,
+                                 std::size_t end) {
+      WireMac batched(world.table(mode), *world.image);
+      WireMac scalar(world.table(mode), *world.image);
       for (std::size_t i = begin; i < end; ++i) {
-        want[i] = world.reference(stream[i]) ? 1 : 0;
+        want[i] = world.reference(stream[i], mode) ? 1 : 0;
         got_scalar[i] =
             scalar.admit(stream[i], sim::SimTime{1ms} * (i + 1)) ? 1 : 0;
       }
@@ -147,49 +153,54 @@ TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
           std::span<const Frame>(stream.data() + begin, end - begin),
           sim::SimTime{1ms} * end,
           std::span<std::uint8_t>(got_batched.data() + begin, end - begin));
+      EXPECT_GT(batched.stats().adjudicated, 0u) << mode;
+      EXPECT_GT(batched.stats().passed, 0u) << mode;
+      EXPECT_GT(batched.stats().unbound, 0u) << mode;
     };
 
-    run_segment(0, half);
-    // Mid-stream policy reload: the conditional diag->doors rule flips.
-    world.engine.set_boolean("diag_mode", true);
-    run_segment(half, stream.size());
+    run_segment("normal", 0, half);
+    run_segment("diag", half, stream.size());
 
     EXPECT_EQ(got_batched, want) << "seed " << seed;
     EXPECT_EQ(got_scalar, want) << "seed " << seed;
-    // The reload must actually have changed something (0x110 flips).
-    EXPECT_TRUE(std::any_of(stream.begin(), stream.begin() + half,
-                            [&](const Frame& f) {
-                              return f.id().raw() == 0x110;
-                            }));
-    EXPECT_GT(batched.stats().adjudicated, 0u);
-    EXPECT_GT(batched.stats().passed, 0u);
-    EXPECT_GT(batched.stats().unbound, 0u);
+    // The switch must actually have changed something: 0x110 flips.
+    const auto is_doors = [](const Frame& f) { return f.id().raw() == 0x110; };
+    const auto first = std::find_if(stream.begin(), stream.begin() + half,
+                                    is_doors);
+    const auto second = std::find_if(stream.begin() + half, stream.end(),
+                                     is_doors);
+    ASSERT_NE(first, stream.begin() + half);
+    ASSERT_NE(second, stream.end());
+    EXPECT_EQ(want[first - stream.begin()], 0u);
+    EXPECT_EQ(want[second - stream.begin()], 1u);
   }
 }
 
 TEST(WireMac, MultiCandidateSubjectsAreExistentialOr) {
   WireWorld world;
-  WireMac mac(world.table(), world.engine);
+  WireMac normal(world.table("normal"), *world.image);
+  WireMac diag(world.table("diag"), *world.image);
   const Frame doors_cmd = make_frame(0x110, {1});
-  // ivi may not write doors; diag may not either until the boolean
-  // opens the gate — the OR over candidates must flip with it.
-  EXPECT_FALSE(mac.admit(doors_cmd, sim::SimTime{}));
-  world.engine.set_boolean("diag_mode", true);
-  EXPECT_TRUE(mac.admit(doors_cmd, sim::SimTime{}));
+  // ivi may never write doors and diag only in mode diag — the OR over
+  // candidates must follow the table's mode.
+  EXPECT_FALSE(normal.admit(doors_cmd, sim::SimTime{}));
+  EXPECT_TRUE(diag.admit(doors_cmd, sim::SimTime{}));
   // Two candidate lanes rode the batch for each admit.
-  EXPECT_EQ(mac.stats().sid_requests, 4u);
-  EXPECT_EQ(mac.stats().adjudicated, 2u);
+  for (const WireMac* mac : {&normal, &diag}) {
+    EXPECT_EQ(mac->stats().sid_requests, 2u);
+    EXPECT_EQ(mac->stats().adjudicated, 1u);
+  }
 }
 
 TEST(WireMac, UnboundDefaultDenyAndOptOut) {
   WireWorld world;
-  WireMac deny(world.table(), world.engine);
+  WireMac deny(world.table(), *world.image);
   EXPECT_FALSE(deny.admit(make_frame(0x300, {}), sim::SimTime{}));
   EXPECT_EQ(deny.stats().unbound, 1u);
 
   WireBindingTable::Builder open_builder;
   open_builder.set_unbound_allowed(true);
-  WireMac open(open_builder.build(), world.engine);
+  WireMac open(open_builder.build(), *world.image);
   EXPECT_TRUE(open.admit(make_frame(0x300, {}), sim::SimTime{}));
   EXPECT_EQ(open.stats().unbound, 0u);
 }
@@ -219,7 +230,7 @@ TEST(WireMac, J1939PgnBindingIgnoresDestination) {
   WireBindingTable::Builder b;
   const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
   b.bind_pgn(0xDA00, ecu, world.sid("engine"), core::AccessType::kWrite);
-  WireMac mac(b.build(), world.engine);
+  WireMac mac(b.build(), *world.image);
   // Same PGN, two destinations: both classify to the same binding.
   EXPECT_TRUE(mac.admit(Frame(CanId::extended(0x18DA10F1), {}),
                         sim::SimTime{}));
@@ -237,7 +248,7 @@ TEST(WireMac, J1939PerSourceSubjects) {
   b.bind_pgn(0xFEF1, {}, world.sid("engine"), core::AccessType::kWrite);
   b.j1939_source(0x03, world.sid("ecu"));   // may write engine
   b.j1939_source(0x42, world.sid("ivi"));   // may not
-  WireMac mac(b.build(), world.engine);
+  WireMac mac(b.build(), *world.image);
   EXPECT_TRUE(mac.admit(Frame(CanId::extended(0x18FEF103), {}),
                         sim::SimTime{}));
   EXPECT_FALSE(mac.admit(Frame(CanId::extended(0x18FEF142), {}),
@@ -251,7 +262,7 @@ TEST(WireMac, J1939PerSourceSubjects) {
 
 // -- ISO-TP flows -----------------------------------------------------------
 
-[[nodiscard]] WireBindingTable isotp_table(WireWorld& world) {
+[[nodiscard]] WireBindingTable isotp_table(const WireWorld& world) {
   WireBindingTable::Builder b;
   const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
   const std::array<mac::Sid, 1> ivi{world.sid("ivi")};
@@ -270,7 +281,7 @@ TEST(WireMac, J1939PerSourceSubjects) {
 
 TEST(WireMacIsoTp, FlowAdjudicatedOnceCfsInherit) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames =
       isotp_segment(CanId::standard(0x500), payload_of(100));  // FF + 14 CFs
   std::vector<std::uint8_t> allowed(frames.size());
@@ -286,7 +297,7 @@ TEST(WireMacIsoTp, FlowAdjudicatedOnceCfsInherit) {
 
 TEST(WireMacIsoTp, CrossBatchFlowInheritsVerdict) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x500), payload_of(100));
   // FF alone in the first batch; CFs admitted one frame at a time.
   EXPECT_TRUE(mac.admit(frames[0], sim::SimTime{}));
@@ -299,7 +310,7 @@ TEST(WireMacIsoTp, CrossBatchFlowInheritsVerdict) {
 
 TEST(WireMacIsoTp, DeniedFlowDropsEveryFrame) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x510), payload_of(64));
   std::vector<std::uint8_t> allowed(frames.size());
   mac.adjudicate_batch(frames, sim::SimTime{}, allowed);
@@ -312,7 +323,7 @@ TEST(WireMacIsoTp, DeniedFlowDropsEveryFrame) {
 
 TEST(WireMacIsoTp, FlowControlPassesMalformedDrops) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   // FC pacing frame on a bound ISO-TP id: structural pass, no verdict.
   EXPECT_TRUE(mac.admit(make_frame(0x500, {0x30, 0, 0}), sim::SimTime{}));
   EXPECT_EQ(mac.stats().passed, 1u);
@@ -322,9 +333,44 @@ TEST(WireMacIsoTp, FlowControlPassesMalformedDrops) {
   EXPECT_EQ(mac.stats().isotp_errors, 1u);
 }
 
+TEST(WireMacIsoTp, MalformedFrameMidFlowKeepsTheFlowVerdict) {
+  // An FC with reserved flow status 3 is malformed, but it leaves the
+  // reassembler's conversation open: it drops on its own, and the CFs
+  // after it still ride the FF's verdict, per frame and in one batch.
+  for (const bool batched : {false, true}) {
+    for (const std::uint32_t id : {0x500u, 0x510u}) {
+      WireWorld world;
+      WireMac mac(isotp_table(world), *world.image);
+      std::vector<Frame> frames =
+          isotp_segment(CanId::standard(id), payload_of(20));  // FF + 2 CFs
+      ASSERT_EQ(frames.size(), 3u);
+      frames.insert(frames.begin() + 1, make_frame(id, {0x33, 0, 0}));
+      std::vector<std::uint8_t> allowed(frames.size());
+      if (batched) {
+        mac.adjudicate_batch(frames, sim::SimTime{}, allowed);
+      } else {
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+          allowed[i] = mac.admit(frames[i], sim::SimTime{1ms} * i) ? 1 : 0;
+        }
+      }
+      const bool flow_allowed = id == 0x500;
+      const std::uint8_t verdict = flow_allowed ? 1 : 0;
+      EXPECT_EQ(allowed,
+                (std::vector<std::uint8_t>{verdict, 0, verdict, verdict}))
+          << "batched " << batched << " id 0x" << std::hex << id;
+      EXPECT_EQ(mac.drops_by_reason()[static_cast<std::size_t>(
+                    WireDropReason::kMalformedIsoTp)],
+                1u);
+      EXPECT_EQ(mac.stats().flow_frames, flow_allowed ? 2u : 0u);
+      EXPECT_EQ(mac.stats().flow_denied_frames, flow_allowed ? 0u : 2u);
+      EXPECT_EQ(mac.isotp_stats().completed, 1u);
+    }
+  }
+}
+
 TEST(WireMacIsoTp, FlowTimeoutForgetsVerdict) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x500), payload_of(64));
   EXPECT_TRUE(mac.admit(frames[0], sim::SimTime{}));
   // Past N_Cr the flow expires; the late CF is transport garbage.
@@ -337,7 +383,7 @@ TEST(WireMacIsoTp, FlowTimeoutForgetsVerdict) {
 
 TEST(WireDropMonitor, CountsByReasonAndId) {
   WireWorld world;
-  WireMac mac(world.table(), world.engine);
+  WireMac mac(world.table(), *world.image);
   monitor::WireDropMonitor drops;
   mac.set_drop_sink(&drops);
 
@@ -359,77 +405,6 @@ TEST(WireDropMonitor, CountsByReasonAndId) {
   drops.reset();
   EXPECT_EQ(drops.total(), 0u);
   EXPECT_EQ(drops.distinct_ids(), 0u);
-}
-
-// -- verdict-only shared batch parity (the mac/ entry point) ----------------
-
-TEST(MacEngineAllowedShared, MatchesDecisionPathExactly) {
-  // Every verdict equals scalar evaluate() on the equivalent labelled
-  // request: before a policy reload, after it, and in permissive mode.
-  WireWorld world;
-  const std::string entities[] = {"ecu", "ivi", "diag", "engine",
-                                  "telemetry", "doors", "never-labelled"};
-  std::vector<core::AccessRequest> labelled;
-  std::vector<core::SidRequest> requests;
-  for (const std::string& subject : entities) {
-    for (const std::string& object : entities) {
-      for (const core::AccessType access :
-           {core::AccessType::kRead, core::AccessType::kWrite}) {
-        labelled.push_back(core::AccessRequest{subject, object, access, {}});
-        requests.push_back(world.engine.resolve(labelled.back()));
-      }
-    }
-  }
-  // Null SIDs have no labelled equivalent: they must read deny (allow
-  // only in permissive mode), even next to a granted pair.
-  for (const core::AccessType access :
-       {core::AccessType::kRead, core::AccessType::kWrite}) {
-    requests.push_back({mac::kNullSid, world.sid("engine"), access,
-                        mac::kNullSid});
-    requests.push_back({world.sid("ecu"), mac::kNullSid, access,
-                        mac::kNullSid});
-  }
-
-  const auto check = [&](const char* phase) {
-    std::vector<std::uint8_t> verdicts(requests.size());
-    world.engine.evaluate_batch_allowed_shared(requests, verdicts);
-    for (std::size_t i = 0; i < labelled.size(); ++i) {
-      EXPECT_EQ(verdicts[i] != 0, world.engine.evaluate(labelled[i]).allowed)
-          << phase << ": " << labelled[i].to_string();
-    }
-    const std::uint8_t null_verdict = world.engine.permissive() ? 1 : 0;
-    for (std::size_t i = labelled.size(); i < requests.size(); ++i) {
-      EXPECT_EQ(verdicts[i], null_verdict) << phase << ": null SID " << i;
-    }
-  };
-
-  // The reload flips one answer the verdicts are compared on.
-  const core::AccessRequest diag_write{"diag", "doors",
-                                       core::AccessType::kWrite, {}};
-  check("initial");
-  EXPECT_FALSE(world.engine.evaluate(diag_write).allowed);
-  world.engine.set_boolean("diag_mode", true);
-  check("after reload");
-  EXPECT_TRUE(world.engine.evaluate(diag_write).allowed);
-  world.engine.set_permissive(true);
-  check("permissive");
-
-  std::vector<std::uint8_t> verdicts(requests.size());
-  EXPECT_THROW(world.engine.evaluate_batch_allowed_shared(
-                   requests, std::span<std::uint8_t>(verdicts.data(), 1)),
-               std::invalid_argument);
-}
-
-TEST(MacEngineAllowedShared, PermissiveModeAllowsAndCounts) {
-  WireWorld world;
-  world.engine.set_permissive(true);
-  const core::SidRequest denied{world.sid("ivi"), world.sid("engine"),
-                                core::AccessType::kWrite, mac::kNullSid};
-  std::uint8_t verdict = 0;
-  const std::uint64_t before = world.engine.permissive_denials();
-  world.engine.evaluate_batch_allowed_shared({&denied, 1}, {&verdict, 1});
-  EXPECT_EQ(verdict, 1u);
-  EXPECT_EQ(world.engine.permissive_denials(), before + 1);
 }
 
 // -- BindingCompiler wire table --------------------------------------------
@@ -484,62 +459,6 @@ TEST(WireTable, StructuralIdsAlwaysPass) {
   }
   EXPECT_FALSE(mac.admit(make_frame(0x41F, {0}), sim::SimTime{}));
   EXPECT_FALSE(mac.admit(make_frame(0x440, {0}), sim::SimTime{}));
-}
-
-// -- concurrency torture (run under TSan in the tsan CI leg) -----------------
-
-TEST(WireMacTorture, ConcurrentPerBusAdjudicationDuringReload) {
-  // 4 buses, each with its OWN WireMac, all sharing ONE MacEngine
-  // through the seqlock read path, while the owner thread toggles a
-  // boolean. Per the snapshot-pinning contract every batch adjudicates
-  // entirely against generation A or generation B: the stable id is
-  // allowed in every batch, and the toggled id's verdict is uniform
-  // within each batch.
-  WireWorld world;
-  constexpr int kReaders = 4;
-  constexpr int kBatches = 200;
-  constexpr std::size_t kBatch = 64;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> violations{0};
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&world, &violations, r]() {
-      WireMac mac(world.table(), world.engine);
-      std::vector<Frame> frames;
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        // Alternate the always-allowed id and the toggled id.
-        frames.push_back(make_frame(i % 2 == 0 ? 0x100 : 0x110,
-                                    {static_cast<std::uint8_t>(r)}));
-      }
-      std::vector<std::uint8_t> allowed(frames.size());
-      for (int batch = 0; batch < kBatches; ++batch) {
-        mac.adjudicate_batch(frames, sim::SimTime{1ms} * batch, allowed);
-        std::uint8_t toggled_first = 2;  // sentinel
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-          if (i % 2 == 0) {
-            if (allowed[i] != 1) violations.fetch_add(1);
-            continue;
-          }
-          if (toggled_first == 2) toggled_first = allowed[i];
-          if (allowed[i] != toggled_first) violations.fetch_add(1);
-        }
-      }
-    });
-  }
-  std::thread owner([&world, &stop]() {
-    bool value = true;
-    while (!stop.load(std::memory_order_relaxed)) {
-      world.engine.set_boolean("diag_mode", value);
-      value = !value;
-      std::this_thread::yield();
-    }
-  });
-  for (std::thread& t : readers) t.join();
-  stop.store(true);
-  owner.join();
-  EXPECT_EQ(violations.load(), 0u);
 }
 
 }  // namespace
