@@ -1,17 +1,17 @@
 // Fleet OTA campaign bench (the fault-tolerance claim, measured): a
 // 100k-vehicle fleet with geometric version skew over the last six
 // releases of the connected-car policy converges onto the newest release
-// through staged waves (canary -> cohorts), composed-delta update paths
-// with full-blob fallback, bounded retries with seeded backoff — under
-// INJECTED faults (drops, truncations, corruption, stalls, dark
+// through staged waves (canary -> cohorts), base->target delta update
+// paths with full-blob fallback, bounded retries with seeded backoff —
+// under INJECTED faults (drops, truncations, corruption, stalls, dark
 // vehicles, power loss between validate and commit; sim/fault_plan.h).
 //
 // Exit status gates the robustness acceptance, not a speed number:
 //   * the 1% mixed-fault campaign must CONVERGE with zero vehicles
 //     failed and ZERO corrupt sealed stores (and the 0%/5% rows must
 //     stay corruption-free too);
-//   * composed deltas must beat naive full-blob distribution on wire
-//     bytes at every fault rate;
+//   * base->target deltas must beat naive full-blob distribution on
+//     wire bytes at every fault rate;
 //   * the poisoned-target (deny-storm) campaign must HALT at the canary
 //     wave — before wave two — and roll every canary back.
 // Wall-clock numbers are printed for context only; the gated facts are
@@ -40,8 +40,8 @@ constexpr std::uint64_t kFaultSeed = 0x0A7F4017ULL;
 
 /// The release lineage: v1 is the deployed 36-rule connected-car policy;
 /// each later release appends one OTA fix rule (the paper's
-/// post-deployment response pattern), so every hop delta is a small,
-/// realistic change and the composed chain stays far below the blob.
+/// post-deployment response pattern), so each release is a small,
+/// realistic change and a base->target delta stays far below the blob.
 std::vector<core::PolicySet> car_lineage(std::size_t length) {
   std::vector<core::PolicySet> lineage;
   lineage.push_back(car::full_policy(car::connected_car_threat_model(), 1));
@@ -173,7 +173,7 @@ int main() {
          "no fault rate may corrupt a sealed store");
     gate(row.report.delta_bytes_shipped + row.report.blob_bytes_shipped <
              row.report.full_blob_bytes_baseline,
-         "composed deltas must beat naive full-blob distribution");
+         "base->target deltas must beat naive full-blob distribution");
   }
   gate(storm.status == car::CampaignStatus::kHalted,
        "deny-storm target must halt the campaign");

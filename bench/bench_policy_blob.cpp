@@ -124,15 +124,13 @@ template <class BootFn>
   };
 
   row.v2_load_us = time_boot(untrusted_iters, [&] {
-    return core::PolicyBlobReader::load(buffer, nullptr,
-                                        core::BlobTrust::kUntrusted);
+    return core::PolicyBlobReader::load(buffer, core::BlobTrust::kUntrusted);
   });
   row.v2_attach_us = time_boot(attach_iters, [&] {
-    return core::PolicyBlobReader::load(buffer, nullptr,
-                                        core::BlobTrust::kSealedStore);
+    return core::PolicyBlobReader::load(buffer, core::BlobTrust::kSealedStore);
   });
   row.v2_file_attach_us = time_boot(attach_iters, [&] {
-    return core::PolicyBlobReader::load_file(path, nullptr,
+    return core::PolicyBlobReader::load_file(path,
                                              core::BlobTrust::kSealedStore);
   });
 
@@ -144,7 +142,7 @@ template <class BootFn>
       double total_us = 0.0;
       for (int i = 0; i < attach_iters; ++i) {
         const core::CompiledPolicyImage attached = core::PolicyBlobReader::load(
-            buffer, nullptr, core::BlobTrust::kSealedStore);
+            buffer, core::BlobTrust::kSealedStore);
         const core::SidRequest resolved = attached.resolve(request);
         const auto start = Clock::now();
         const core::Decision got = attached.evaluate(resolved);
@@ -161,8 +159,7 @@ template <class BootFn>
   // Full parity checks, once per path (the timed loops sample nothing to
   // keep the window honest).
   check(core::PolicyBlobReader::load(buffer));
-  check(core::PolicyBlobReader::load(buffer, nullptr,
-                                     core::BlobTrust::kSealedStore));
+  check(core::PolicyBlobReader::load(buffer, core::BlobTrust::kSealedStore));
   check(core::PolicyBlobReader::load_file(path));
   std::remove(path.c_str());
   return row;

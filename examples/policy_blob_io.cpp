@@ -194,15 +194,13 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "delta") {
-      // Image-level diff-to-delta between two provisioned blobs. The
-      // target is re-seated onto a prefix replica of the base's SID
-      // space (the blob loader's prefix rule proves compatibility).
+      // Image-level diff-to-delta between two provisioned blobs, each
+      // in its own SID space. The writer rejects a target whose SIDs up
+      // to the base's anchor name anything other than the base's do.
       const core::CompiledPolicyImage base =
           core::PolicyBlobReader::load_file(path);
       const core::CompiledPolicyImage target =
-          core::PolicyBlobReader::load_file(
-              argv[3], core::replicate_sid_prefix(base.sids(),
-                                                  base.sids().size()));
+          core::PolicyBlobReader::load_file(argv[3]);
       core::PolicyDeltaStats stats;
       core::PolicyDeltaWriter::write_file(base, target, argv[4], &stats);
       std::printf("wrote %s: %016llx (v%llu) -> %016llx (v%llu), "

@@ -39,7 +39,7 @@ namespace {
 
 // The release lineage the campaign section drives: the deployed v1
 // connected-car policy plus one small OTA fix per release — the shape
-// that makes composed deltas tiny next to the full blob.
+// that makes base->target deltas tiny next to the full blob.
 std::vector<core::PolicySet> release_lineage(std::size_t length) {
   std::vector<core::PolicySet> lineage;
   lineage.push_back(car::full_policy(car::connected_car_threat_model(), 1));
@@ -300,7 +300,7 @@ int main() {
   // mechanism; shipping a release to a whole fleet — skewed across old
   // versions, behind a radio link that drops, truncates and corrupts —
   // is the campaign orchestrator's job (car/campaign.h): staged waves
-  // (canary first), per-base composed-delta planning with full-blob
+  // (canary first), per-base base->target delta planning with full-blob
   // fallback, bounded retries with seeded backoff, and a health gate
   // after every wave that halts and rolls back when the release itself
   // is the fault. Every fault below is INJECTED deterministically from
@@ -350,7 +350,7 @@ int main() {
               static_cast<unsigned long long>(report.blob_fallbacks),
               static_cast<unsigned long long>(report.power_loss_reboots),
               report.corrupt_images);
-  std::printf("[fleet] wire cost: %.1f MB shipped (composed deltas + "
+  std::printf("[fleet] wire cost: %.1f MB shipped (base->target deltas + "
               "fallback blobs) vs %.1f MB for naive full-blob "
               "distribution\n",
               static_cast<double>(report.delta_bytes_shipped +

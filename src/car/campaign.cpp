@@ -7,6 +7,7 @@
 
 #include "core/policy_blob.h"
 #include "core/policy_delta.h"
+#include "monitor/anomaly.h"
 #include "sim/fault_plan.h"
 #include "sim/rng.h"
 
@@ -58,6 +59,30 @@ std::string_view to_string(CampaignStatus status) noexcept {
 
 namespace {
 
+/// Ticks a wave (or the rollback) may run before undelivered vehicles
+/// are failed out.
+constexpr std::uint64_t kWaveTimeoutTicks = 4096;
+/// Exponential retry backoff: min(base << (try - 1), cap) ticks plus a
+/// jitter uniform in [0, jitter) from sim::mix3(seed, vehicle, try).
+constexpr std::uint64_t kBackoffBaseTicks = 2;
+constexpr std::uint64_t kBackoffCapTicks = 64;
+constexpr std::uint64_t kBackoffJitterTicks = 4;
+/// Ticks a vehicle waits in kDownloading before declaring the transfer
+/// lost (drops and stalls are discovered only by this).
+constexpr std::uint64_t kDownloadTimeoutTicks = 8;
+/// Sweeps of the health probe fed to the gate monitor after each wave,
+/// and the consecutive qualifying sweeps that flag a vehicle.
+constexpr std::uint64_t kHealthTicks = 4;
+constexpr std::uint32_t kGateStreakTicks = 3;
+/// Wave gate floors: committed / reachable (dark vehicles excluded) and
+/// healthy / committed.
+constexpr double kMinCommitFraction = 0.90;
+constexpr double kMinHealthyFraction = 0.95;
+
+[[nodiscard]] bool valid_fraction(double fraction) noexcept {
+  return std::isfinite(fraction) && fraction >= 0.0;
+}
+
 [[nodiscard]] bool terminal(VehicleState state) noexcept {
   return state == VehicleState::kHealthy || state == VehicleState::kFailed ||
          state == VehicleState::kDark;
@@ -71,6 +96,12 @@ CampaignServer::CampaignServer(std::vector<core::PolicySet> lineage,
   if (lineage_.empty()) {
     throw std::invalid_argument("CampaignServer: empty lineage");
   }
+  if (!valid_fraction(config_.canary_fraction) ||
+      !std::all_of(config_.wave_fractions.begin(),
+                   config_.wave_fractions.end(), valid_fraction)) {
+    throw std::invalid_argument(
+        "CampaignServer: wave fractions must be finite and >= 0");
+  }
   images_.reserve(lineage_.size());
   blobs_.reserve(lineage_.size());
   for (std::size_t i = 0; i < lineage_.size(); ++i) {
@@ -79,8 +110,8 @@ CampaignServer::CampaignServer(std::vector<core::PolicySet> lineage,
           "CampaignServer: lineage versions must be strictly increasing");
     }
     // Compile against a prefix replica of the predecessor so the whole
-    // lineage shares one SID space and every adjacent delta — and every
-    // composition of adjacent deltas — is anchor-valid.
+    // lineage shares one SID space and a delta from any release to any
+    // later one is anchor-valid.
     std::shared_ptr<mac::SidTable> sids;
     if (i > 0) {
       const auto& prev = images_[i - 1]->sids();
@@ -94,21 +125,8 @@ CampaignServer::CampaignServer(std::vector<core::PolicySet> lineage,
     version_index_.emplace(image->version(), i);
     images_.push_back(std::move(image));
   }
-  hop_deltas_.reserve(images_.size() - 1);
-  for (std::size_t i = 0; i + 1 < images_.size(); ++i) {
-    hop_deltas_.push_back(std::make_shared<std::vector<std::byte>>(
-        core::PolicyDeltaWriter::write(*images_[i], *images_[i + 1])));
-  }
   probe_ = config_.health_probe.empty() ? default_fleet_checks()
                                         : config_.health_probe;
-}
-
-void CampaignServer::break_hop(std::size_t hop) {
-  auto& bytes = *hop_deltas_.at(hop);
-  if (!bytes.empty()) {
-    bytes[bytes.size() / 2] ^= std::byte{0x5A};
-  }
-  plan_cache_.clear();  // cached plans may have used this hop
 }
 
 CampaignServer::Artefact CampaignServer::plan_for(std::uint64_t base_version) {
@@ -122,25 +140,21 @@ CampaignServer::Artefact CampaignServer::plan_for(std::uint64_t base_version) {
 
   const auto base = version_index_.find(base_version);
   if (base != version_index_.end() && base->second + 1 < images_.size()) {
-    std::vector<std::span<const std::byte>> hops;
-    hops.reserve(images_.size() - 1 - base->second);
-    for (std::size_t i = base->second; i + 1 < images_.size(); ++i) {
-      hops.push_back(std::span<const std::byte>(*hop_deltas_[i]));
-    }
     try {
-      auto composed = std::make_shared<const std::vector<std::byte>>(
-          core::compose_delta_chain(*images_[base->second], hops));
-      if (composed->size() < blobs_.back()->size()) {
+      auto delta = std::make_shared<const std::vector<std::byte>>(
+          core::PolicyDeltaWriter::write(*images_[base->second],
+                                         *images_.back()));
+      if (delta->size() < blobs_.back()->size()) {
         plan.channel = UpdateChannel::kDelta;
-        plan.bytes = std::move(composed);
+        plan.bytes = std::move(delta);
       } else {
         ++plan_blob_fallbacks_;  // delta outweighs the blob
       }
     } catch (const core::PolicyDeltaError&) {
-      ++plan_blob_fallbacks_;  // broken chain: a hop failed to validate
+      ++plan_blob_fallbacks_;  // the writer refused the pair
     }
   } else if (base == version_index_.end()) {
-    ++plan_blob_fallbacks_;  // unknown base: no chain exists
+    ++plan_blob_fallbacks_;  // unknown base: nothing to anchor a delta to
   }
   plan_cache_.emplace(base_version, plan);
   return plan;
@@ -189,14 +203,10 @@ std::vector<CampaignVehicle> CampaignServer::make_fleet(
 std::uint64_t CampaignServer::backoff_ticks(std::uint32_t vehicle,
                                             std::uint32_t tries) const {
   const std::uint32_t shift = tries > 0 ? tries - 1 : 0;
-  std::uint64_t wait = shift < 63 ? config_.backoff_base_ticks << shift
-                                  : config_.backoff_cap_ticks;
-  wait = std::min(wait, config_.backoff_cap_ticks);
-  if (config_.backoff_jitter_ticks > 0) {
-    wait += sim::mix3(config_.seed, vehicle, tries) %
-            config_.backoff_jitter_ticks;
-  }
-  return std::max<std::uint64_t>(wait, 1);
+  const std::uint64_t wait =
+      shift < 63 ? std::min(kBackoffBaseTicks << shift, kBackoffCapTicks)
+                 : kBackoffCapTicks;
+  return wait + sim::mix3(config_.seed, vehicle, tries) % kBackoffJitterTicks;
 }
 
 void CampaignServer::retry_or_fail(CampaignVehicle& vehicle, std::uint64_t now,
@@ -279,7 +289,7 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
         case DeliveryStatus::kLost:
           // Nothing will arrive; the stage deadline discovers the loss.
           vehicle.state = VehicleState::kDownloading;
-          vehicle.stage_deadline = now + config_.download_timeout_ticks;
+          vehicle.stage_deadline = now + kDownloadTimeoutTicks;
           return;
         case DeliveryStatus::kDelivered:
           vehicle.staged = std::move(delivery.payload);
@@ -421,10 +431,9 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
   report.target_fingerprint = images_.back()->fingerprint();
 
   // Gate threshold: "denying more than the predecessor policy did".
-  gate_deny_threshold_ = config_.streak.deny_threshold;
-  if (config_.auto_deny_threshold && images_.size() >= 2) {
-    gate_deny_threshold_ = probe_denies(*images_[images_.size() - 2]) + 1;
-  }
+  const std::uint32_t gate_deny_threshold =
+      images_.size() >= 2 ? probe_denies(*images_[images_.size() - 2]) + 1
+                          : 1;
 
   // Eligible vehicles, id order; wave boundaries as cumulative counts.
   std::vector<std::uint32_t> eligible;
@@ -441,9 +450,11 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
 
   std::vector<std::size_t> boundaries;
   if (!eligible.empty()) {
+    // Fractions are finite and >= 0 (constructor-checked); clamping to
+    // 1 before the cast keeps a large one inside std::size_t's range.
     const auto count_for = [&](double fraction) {
       return static_cast<std::size_t>(std::ceil(
-          fraction * static_cast<double>(eligible.size())));
+          std::min(fraction, 1.0) * static_cast<double>(eligible.size())));
     };
     boundaries.push_back(std::max<std::size_t>(
         1, std::min(eligible.size(), count_for(config_.canary_fraction))));
@@ -484,7 +495,7 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
     Tally tally;
     const std::uint64_t ticks =
         drive(fleet, wave, objectives, transport,
-              now + config_.wave_timeout_ticks, now, report, tally);
+              now + kWaveTimeoutTicks, now, report, tally);
 
     WaveStats stats;
     stats.wave = w;
@@ -523,8 +534,7 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
     if (!committed.empty() && !probe_.empty()) {
       monitor::DenyStreakMonitor gate(
           committed.size(),
-          monitor::DenyStreakOptions{gate_deny_threshold_,
-                                     config_.streak.streak_ticks});
+          monitor::DenyStreakOptions{gate_deny_threshold, kGateStreakTicks});
       std::unordered_map<std::uint64_t, std::uint32_t> denies_by_version;
       std::vector<std::uint32_t> counts(committed.size());
       for (std::size_t i = 0; i < committed.size(); ++i) {
@@ -539,16 +549,16 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
         }
         counts[i] = entry->second;
       }
-      for (std::uint64_t tick = 0; tick < config_.health_ticks; ++tick) {
+      for (std::uint64_t tick = 0; tick < kHealthTicks; ++tick) {
         gate.observe_tick(counts);
       }
       stats.healthy_fraction = gate.healthy_fraction();
-      now += config_.health_ticks;
+      now += kHealthTicks;
     }
 
     stats.gate_passed =
-        stats.commit_fraction >= config_.min_commit_fraction &&
-        stats.healthy_fraction >= config_.min_healthy_fraction;
+        stats.commit_fraction >= kMinCommitFraction &&
+        stats.healthy_fraction >= kMinHealthyFraction;
     report.waves.push_back(stats);
     halted = !stats.gate_passed;
   }
@@ -641,7 +651,7 @@ void CampaignServer::run_rollback(std::vector<CampaignVehicle>& fleet,
   }
   Tally tally;
   drive(fleet, victims, objectives, transport,
-        now + config_.wave_timeout_ticks, now, report, tally);
+        now + kWaveTimeoutTicks, now, report, tally);
   report.retries += tally.retries;
   for (const std::uint32_t id : victims) {
     if (fleet[id].state == VehicleState::kHealthy) {

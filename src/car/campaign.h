@@ -12,14 +12,13 @@
 //
 // The shape of a campaign:
 //
-//  * PLANNING. The server holds the policy lineage (each version
-//    compiled against a SID-prefix replica of its predecessor, so the
-//    whole lineage shares one SID space by construction) and the
-//    per-hop deltas between adjacent versions. For a vehicle on base
-//    version B it composes the hop chain B -> ... -> target into ONE
-//    delta (core::compose_delta_chain) and ships that when it is
-//    intact and smaller than the full blob; a broken chain (missing /
-//    corrupted hop artefact) or a delta that outweighs the blob falls
+//  * PLANNING. The server holds the policy lineage as sealed images,
+//    each compiled against a SID-prefix replica of its predecessor, so
+//    the whole lineage shares one SID space by construction. For a
+//    vehicle on base version B it writes ONE base->target delta
+//    (core::PolicyDeltaWriter::write over the two images in hand) and
+//    ships that when it is smaller than the full blob; an unknown base,
+//    a pair the writer refuses or a delta that outweighs the blob falls
 //    back to the full target blob. Plans are cached per base version.
 //
 //  * WAVES. Vehicles roll in waves: a canary slice first, then
@@ -37,7 +36,9 @@
 //             -> healthy | failed | dark
 //    with bounded retries, exponential backoff with seeded jitter
 //    (sim::mix3 — deterministic per (campaign seed, vehicle, try)),
-//    and a per-stage download timeout. Validation failures on the
+//    and a per-stage download timeout. The timing constants (wave
+//    timeout, backoff, download timeout, health window) and the gate
+//    floors are fixed in campaign.cpp. Validation failures on the
 //    delta channel eventually switch the vehicle to the full-blob
 //    channel (blob_fallback_after). A power loss between validate and
 //    commit discards the staged artefact; the vehicle reboots on its
@@ -67,13 +68,12 @@
 #include "car/update_transport.h"
 #include "core/policy.h"
 #include "core/policy_image.h"
-#include "monitor/anomaly.h"
 
 namespace psme::car {
 
 /// Which artefact kind a vehicle is currently being served.
 enum class UpdateChannel : std::uint8_t {
-  kDelta,  // composed base->target delta
+  kDelta,  // base->target delta
   kBlob,   // full target blob (planned fallback or per-vehicle fallback)
 };
 
@@ -128,41 +128,22 @@ struct CampaignConfig {
   /// Fraction of eligible vehicles in the canary wave (at least 1).
   double canary_fraction = 0.01;
   /// Cumulative coverage fractions of the follow-on waves (the last is
-  /// clamped to 1.0 so every campaign ends with full coverage).
+  /// clamped to 1.0 so every campaign ends with full coverage). Every
+  /// fraction must be finite and >= 0; values above 1 act as 1.
   std::vector<double> wave_fractions = {0.10, 0.50, 1.0};
-  /// Ticks a wave may run before undelivered vehicles are failed out.
-  std::uint64_t wave_timeout_ticks = 4096;
 
-  // -- retries / backoff / timeouts -------------------------------------
+  // -- retries -----------------------------------------------------------
   /// Transfer tries per vehicle per objective before kFailed.
   std::uint32_t max_tries = 6;
-  /// Exponential backoff: min(base << (try-1), cap) + jitter ticks,
-  /// jitter uniform in [0, jitter) from sim::mix3(seed, vehicle, try).
-  std::uint64_t backoff_base_ticks = 2;
-  std::uint64_t backoff_cap_ticks = 64;
-  std::uint64_t backoff_jitter_ticks = 4;
-  /// Ticks a vehicle waits in kDownloading before declaring the
-  /// transfer lost (drops and stalls are discovered only by this).
-  std::uint64_t download_timeout_ticks = 8;
   /// Delta-channel validation failures before the vehicle switches to
   /// the full-blob channel for its remaining tries.
   std::uint32_t blob_fallback_after = 2;
 
   // -- health gate -------------------------------------------------------
   /// Per-vehicle probe workload for the observation window; empty uses
-  /// default_fleet_checks().
+  /// default_fleet_checks(). The gate flags a vehicle denying more of it
+  /// than the predecessor release did.
   std::vector<FleetCheck> health_probe;
-  /// Sweeps of the probe fed to the gate monitor after each wave.
-  std::uint64_t health_ticks = 4;
-  monitor::DenyStreakOptions streak{};
-  /// When true (default), streak.deny_threshold is recomputed per
-  /// campaign as (probe denials of the PREDECESSOR version) + 1 — the
-  /// gate then flags vehicles denying MORE than the last known-good
-  /// policy did, instead of alerting on the workload's baseline noise.
-  bool auto_deny_threshold = true;
-  double min_healthy_fraction = 0.95;
-  /// Gate floor on committed / reachable (dark vehicles excluded).
-  double min_commit_fraction = 0.90;
 
   /// Seed of the retry-jitter stream (independent of the fault plan's).
   std::uint64_t seed = 0x636172756F7461ULL;
@@ -241,13 +222,13 @@ class CampaignServer {
     std::shared_ptr<const std::vector<std::byte>> bytes;
   };
 
-  /// Takes the policy lineage in release order. Versions must be
-  /// strictly increasing and the lineage non-empty (throws
-  /// std::invalid_argument). Each set is compiled against a SID-prefix
-  /// replica of its predecessor's image — the construction that makes
-  /// adjacent deltas (and their compositions) valid fleet-wide — and
-  /// the per-hop deltas and per-version sealed blobs are built up
-  /// front.
+  /// Takes the policy lineage in release order. Throws
+  /// std::invalid_argument unless the lineage is non-empty with strictly
+  /// increasing versions, and the canary and wave fractions are all
+  /// finite and >= 0. Each set is compiled against a SID-prefix replica
+  /// of its predecessor's image — the construction that makes a delta
+  /// from any release to any later one valid fleet-wide — and the
+  /// per-version sealed blobs are built up front.
   explicit CampaignServer(std::vector<core::PolicySet> lineage,
                           CampaignConfig config = {});
 
@@ -270,21 +251,16 @@ class CampaignServer {
   }
 
   /// The update artefact for a vehicle currently on `base_version`: the
-  /// composed delta chain when intact and smaller than the blob, the
-  /// full target blob otherwise. Cached per base version.
+  /// base->target delta written from the two lineage images when it is
+  /// smaller than the blob, the full target blob otherwise. Cached per
+  /// base version.
   [[nodiscard]] Artefact plan_for(std::uint64_t base_version);
 
-  /// Times the planner fell back to the full blob (unknown base,
-  /// broken chain, or delta outweighed the blob).
+  /// Times the planner fell back to the full blob (unknown base, a pair
+  /// the delta writer refused, or a delta that outweighed the blob).
   [[nodiscard]] std::uint64_t plan_blob_fallbacks() const noexcept {
     return plan_blob_fallbacks_;
   }
-
-  /// Test/ops hook: damages the stored hop delta version[i] ->
-  /// version[i+1] (byte flip), modelling a corrupted or evicted depot
-  /// artefact. Chains through this hop then fail to compose and the
-  /// planner falls back to the blob. Throws std::out_of_range.
-  void break_hop(std::size_t hop);
 
   /// A fleet with geometric version skew over the last `skew_depth`
   /// pre-target lineage versions: a vehicle sits on the newest
@@ -363,15 +339,11 @@ class CampaignServer {
   std::vector<core::PolicySet> lineage_;
   std::vector<std::shared_ptr<const core::CompiledPolicyImage>> images_;
   std::vector<std::shared_ptr<const std::vector<std::byte>>> blobs_;
-  /// hop_deltas_[i] takes version[i] to version[i+1].
-  std::vector<std::shared_ptr<std::vector<std::byte>>> hop_deltas_;
   std::unordered_map<std::uint64_t, std::size_t> version_index_;
   std::unordered_map<std::uint64_t, Artefact> plan_cache_;
   std::uint64_t plan_blob_fallbacks_ = 0;
 
   std::vector<FleetCheck> probe_;
-  /// Effective gate threshold this campaign (see auto_deny_threshold).
-  std::uint32_t gate_deny_threshold_ = 1;
 
   /// Rollback artefacts, built lazily on first halt.
   std::shared_ptr<const core::CompiledPolicyImage> rollback_image_;

@@ -44,7 +44,7 @@ FleetBoot::FleetBoot(std::span<const std::byte> blob,
 FleetBoot::FleetBoot(const std::string& blob_path,
                      std::vector<FleetCheck> checks,
                      FleetEvaluatorOptions options, core::BlobTrust trust) {
-  boot(core::PolicyBlobReader::load_file(blob_path, nullptr, trust),
+  boot(core::PolicyBlobReader::load_file(blob_path, trust),
        std::move(checks), options);
 }
 

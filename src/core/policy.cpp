@@ -129,20 +129,6 @@ std::shared_ptr<const CompiledPolicyImage> PolicySet::image_ptr() const {
   return image_;
 }
 
-const std::shared_ptr<mac::SidTable>& PolicySet::sid_table() const {
-  assert_single_thread();  // lazy creation writes through a mutable member
-  if (sids_ == nullptr) sids_ = std::make_shared<mac::SidTable>();
-  return sids_;
-}
-
-void PolicySet::bind_sid_table(std::shared_ptr<mac::SidTable> sids) {
-  if (sids == nullptr) {
-    throw std::invalid_argument("PolicySet::bind_sid_table: null table");
-  }
-  sids_ = std::move(sids);
-  invalidate();
-}
-
 SidRequest PolicySet::resolve(const AccessRequest& request) const {
   return ensure_image().resolve(request);
 }
@@ -159,7 +145,20 @@ Decision PolicySet::evaluate(const AccessRequest& request) const {
 }
 
 void PolicySet::merge(const PolicySet& other) {
-  for (const auto& rule : other.rules()) add_rule(rule);
+  // Check every incoming id before appending any, so a collision leaves
+  // the set as it was. `other` is itself a PolicySet, so its own ids are
+  // unique and non-empty.
+  for (const PolicyRule& incoming : other.rules_) {
+    const bool duplicate =
+        std::any_of(rules_.begin(), rules_.end(),
+                    [&](const PolicyRule& r) { return r.id == incoming.id; });
+    if (duplicate) {
+      throw std::invalid_argument("PolicySet::merge: duplicate rule id '" +
+                                  incoming.id + "'");
+    }
+  }
+  rules_.insert(rules_.end(), other.rules_.begin(), other.rules_.end());
+  invalidate();
 }
 
 std::string PolicySet::serialize() const {

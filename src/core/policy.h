@@ -150,9 +150,9 @@ class PolicySet {
   /// exclusive access.
   [[nodiscard]] Decision evaluate(const AccessRequest& request) const;
 
-  /// SID-native overload: adjudicates a request pre-resolved against
-  /// sid_table() (see resolve()). Fleet callers resolve identities once
-  /// and evaluate per tick without touching a string.
+  /// SID-native overload: adjudicates a request pre-resolved by
+  /// resolve(). Fleet callers resolve identities once and evaluate per
+  /// tick without touching a string.
   [[nodiscard]] Decision evaluate(const SidRequest& request) const;
 
   /// Resolves a string request into this set's SID space without growing
@@ -170,14 +170,9 @@ class PolicySet {
   /// hold.
   [[nodiscard]] std::shared_ptr<const CompiledPolicyImage> image_ptr() const;
 
-  /// The interner the lazy image compiles against (created on demand).
-  /// Bind a shared table *before* first evaluation so labels, databases
-  /// and images across a fleet agree on SID space.
-  [[nodiscard]] const std::shared_ptr<mac::SidTable>& sid_table() const;
-  void bind_sid_table(std::shared_ptr<mac::SidTable> sids);
-
   /// Merges another set's rules into this one (policy *module* loading, as
-  /// in SELinux's modular policies). Duplicate rule ids throw.
+  /// in SELinux's modular policies). Throws std::invalid_argument when
+  /// any incoming rule id is already present, leaving this set unchanged.
   void merge(const PolicySet& other);
 
   /// Stable 64-bit fingerprint over name, version, flags and all rules;
@@ -206,8 +201,9 @@ class PolicySet {
   std::uint64_t version_ = 0;
   bool default_allow_ = false;
   std::vector<PolicyRule> rules_;
-  /// Interner shared with image_ (and with any fleet caller that bound
-  /// its own). Copies of this set share it; SIDs only ever grow.
+  /// Interner behind image_, kept across recompiles so a mutation never
+  /// renumbers an identity. Copies of this set share it; SIDs only ever
+  /// grow.
   mutable std::shared_ptr<mac::SidTable> sids_;
   /// Lazily compiled SID-space form. Immutable once built, so copies of
   /// this set may share it; reset by any mutation.

@@ -493,18 +493,15 @@ void PolicyBlobReader::validate_index(const CompiledPolicyImage& image,
   }
 }
 
-CompiledPolicyImage PolicyBlobReader::load(
-    std::span<const std::byte> blob, std::shared_ptr<mac::SidTable> sids) {
+CompiledPolicyImage PolicyBlobReader::load(std::span<const std::byte> blob) {
   // A span caller owns nothing the image could borrow: copy the blob
   // once into a refcounted, aligned buffer, then run the zero-copy load
   // over it (still no per-element copying).
-  return load(PolicyBuffer::copy_of(blob), std::move(sids),
-              BlobTrust::kUntrusted);
+  return load(PolicyBuffer::copy_of(blob), BlobTrust::kUntrusted);
 }
 
 CompiledPolicyImage PolicyBlobReader::load(
-    std::shared_ptr<const PolicyBuffer> buffer,
-    std::shared_ptr<mac::SidTable> sids, BlobTrust trust) {
+    std::shared_ptr<const PolicyBuffer> buffer, BlobTrust trust) {
   if (buffer == nullptr) reject("null buffer");
   const std::span<const std::byte> blob = buffer->bytes();
   const bool untrusted = trust == BlobTrust::kUntrusted;
@@ -554,57 +551,33 @@ CompiledPolicyImage PolicyBlobReader::load(
       }
     }
 
-    if (sids != nullptr) {
-      // A caller-provided table: replay every carried name and demand
-      // the historical SID back (prefix-compatibility; inherently O(n),
-      // so the zero-copy attach does not apply to this path). Offsets were validated above for untrusted;
-      // replaying a sealed blob into a foreign table still needs them
-      // sane, so walk defensively via name_at-equivalent bounds.
-      image.sids_ = std::move(sids);
-      image.sids_->reserve(h.sid_count);
-      for (std::uint32_t i = 0; i < h.sid_count; ++i) {
-        const std::uint32_t begin = name_offsets[i];
-        const std::uint32_t end = name_offsets[i + 1];
-        if (begin > end || end > h.name_arena_len) {
-          reject("SID name offsets are not monotone");
+    // Attach the interner over the blob's own arena and probe slots —
+    // O(1), nothing copied.
+    image.sids_ = std::make_shared<mac::SidTable>(mac::SidTable::attach(
+        name_arena, name_offsets, sid_slots, buffer));
+    if (untrusted) {
+      // The attached probe slots must be exactly a lookup structure
+      // over the carried names: every SID placed once, and every name
+      // findable back to its own SID (which proves reachability and
+      // rules out shadowing duplicates: the slots answer exactly as
+      // interning the names in SID order would).
+      std::vector<bool> placed(h.sid_count, false);
+      std::size_t occupied = 0;
+      for (const mac::Sid sid : sid_slots) {
+        if (sid == mac::kNullSid) continue;
+        if (sid > h.sid_count) {
+          reject("SID probe slot names a SID outside the carried table");
         }
-        const std::string_view name = name_arena.substr(begin, end - begin);
-        const mac::Sid sid = image.sids_->intern(name);
-        if (sid != i + 1) {
-          reject("SID space mismatch: '" + std::string(name) +
-                 "' interned to " + std::to_string(sid) + ", blob carries " +
-                 std::to_string(i + 1));
-        }
+        if (placed[sid - 1]) reject("SID placed in two probe slots");
+        placed[sid - 1] = true;
+        ++occupied;
       }
-    } else {
-      // The boot path: attach the interner over the blob's own arena and
-      // probe slots — O(1), nothing copied.
-      image.sids_ = std::make_shared<mac::SidTable>(mac::SidTable::attach(
-          name_arena, name_offsets, sid_slots, buffer));
-      if (untrusted) {
-        // The attached probe slots must be exactly a lookup structure
-        // over the carried names: every SID placed once, and every name
-        // findable back to its own SID (which proves reachability and
-        // rules out shadowing duplicates — the replay-intern equivalence
-        // a caller-provided table gets by construction).
-        std::vector<bool> placed(h.sid_count, false);
-        std::size_t occupied = 0;
-        for (const mac::Sid sid : sid_slots) {
-          if (sid == mac::kNullSid) continue;
-          if (sid > h.sid_count) {
-            reject("SID probe slot names a SID outside the carried table");
-          }
-          if (placed[sid - 1]) reject("SID placed in two probe slots");
-          placed[sid - 1] = true;
-          ++occupied;
-        }
-        if (occupied != h.sid_count) {
-          reject("SID probe slots do not place every carried SID");
-        }
-        for (mac::Sid sid = 1; sid <= h.sid_count; ++sid) {
-          if (image.sids_->find(image.sids_->name_of(sid)) != sid) {
-            reject("SID probe slots disagree with interning order");
-          }
+      if (occupied != h.sid_count) {
+        reject("SID probe slots do not place every carried SID");
+      }
+      for (mac::Sid sid = 1; sid <= h.sid_count; ++sid) {
+        if (image.sids_->find(image.sids_->name_of(sid)) != sid) {
+          reject("SID probe slots disagree with interning order");
         }
       }
     }
@@ -646,8 +619,7 @@ CompiledPolicyImage PolicyBlobReader::load(
     if (name_offsets[0] != 0 || name_offsets[h.sid_count] != h.name_arena_len) {
       reject("SID name offsets do not cover the name arena");
     }
-    image.sids_ = sids != nullptr ? std::move(sids)
-                                  : std::make_shared<mac::SidTable>();
+    image.sids_ = std::make_shared<mac::SidTable>();
     image.sids_->reserve(h.sid_count);
     for (std::uint32_t i = 0; i < h.sid_count; ++i) {
       if (name_offsets[i] > name_offsets[i + 1]) {
@@ -804,14 +776,13 @@ CompiledPolicyImage PolicyBlobReader::load(
   return image;
 }
 
-CompiledPolicyImage PolicyBlobReader::load_file(
-    const std::string& path, std::shared_ptr<mac::SidTable> sids,
-    BlobTrust trust) {
+CompiledPolicyImage PolicyBlobReader::load_file(const std::string& path,
+                                                BlobTrust trust) {
   std::string error;
   std::shared_ptr<const PolicyBuffer> buffer =
       PolicyBuffer::map_file(path, &error);
   if (buffer == nullptr) reject(error);
-  return load(std::move(buffer), std::move(sids), trust);
+  return load(std::move(buffer), trust);
 }
 
 }  // namespace psme::core

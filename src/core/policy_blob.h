@@ -54,7 +54,6 @@
 #include "core/policy_buffer.h"
 #include "core/policy_image.h"
 #include "core/wire_format.h"
-#include "mac/sid_table.h"
 
 namespace psme::core {
 
@@ -150,18 +149,13 @@ class PolicyBlobReader {
   /// Full validated load from a non-owning span: the blob is copied ONCE
   /// into a fresh PolicyBuffer and then borrowed (callers who already
   /// own a buffer should use the PolicyBuffer overload — no copy at
-  /// all). When `sids` is null a fresh SidTable is attached zero-copy
-  /// over the blob's arena. When a table is provided, every carried name
-  /// must intern to exactly its carried SID — an empty table, or one
-  /// whose interning history is a prefix of the blob's, qualifies;
-  /// anything else is a SID-space mismatch and is rejected (packed
-  /// entries would silently mean different identities otherwise).
+  /// all). The image gets its own SidTable, attached zero-copy over the
+  /// blob's carried names: a blob always loads into its own SID space.
   /// Throws PolicyBlobError on any validation failure; on success the
   /// returned image is sealed and decision-for-decision identical to the
   /// image the blob was written from (fingerprint cross-checked).
   [[nodiscard]] static CompiledPolicyImage load(
-      std::span<const std::byte> blob,
-      std::shared_ptr<mac::SidTable> sids = nullptr);
+      std::span<const std::byte> blob);
 
   /// Zero-copy load: the returned image (and its attached SidTable)
   /// view `buffer`'s bytes in place, holding the shared_ptr so the
@@ -169,15 +163,13 @@ class PolicyBlobReader {
   /// depth (see BlobTrust; default full).
   [[nodiscard]] static CompiledPolicyImage load(
       std::shared_ptr<const PolicyBuffer> buffer,
-      std::shared_ptr<mac::SidTable> sids = nullptr,
       BlobTrust trust = BlobTrust::kUntrusted);
 
   /// load() from a file, mmap-backed where the platform allows (plain
   /// read() fallback otherwise — core/policy_buffer.h). Throws
   /// PolicyBlobError when the file cannot be read.
   [[nodiscard]] static CompiledPolicyImage load_file(
-      const std::string& path, std::shared_ptr<mac::SidTable> sids = nullptr,
-      BlobTrust trust = BlobTrust::kUntrusted);
+      const std::string& path, BlobTrust trust = BlobTrust::kUntrusted);
 
  private:
   /// Semantic re-validation of a bound (owned or borrowed) image's

@@ -1,9 +1,9 @@
 #include "core/policy_compiler.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <vector>
 
-#include "core/policy_delta.h"
+#include "mac/sid_table.h"
 
 namespace psme::core {
 
@@ -43,25 +43,21 @@ bool modes_overlap(const std::vector<mac::Sid>& a,
 }
 
 /// The SID-space derivation: interns every entity/mode name exactly once
-/// and accumulates least-privilege-merged rules. Both compile() backends
-/// (string PolicySet, packed image) materialise from this one pass, so
-/// they cannot drift apart.
+/// and accumulates least-privilege-merged rules, then materialises them
+/// as the string PolicySet compile() returns.
 class Derivation {
  public:
-  explicit Derivation(std::shared_ptr<mac::SidTable> sids)
-      : sids_(sids != nullptr ? std::move(sids)
-                              : std::make_shared<mac::SidTable>()),
-        wildcard_(sids_->intern("*")) {}
+  Derivation() : wildcard_(sids_.intern("*")) {}
 
   void emit_rules_for(const threat::Threat& threat,
                       const threat::ThreatModel& model, int base_priority) {
     const int priority =
         base_priority + PolicyCompiler::band_weight(threat.dread.band());
-    const mac::Sid object = sids_->intern(threat.asset.value);
+    const mac::Sid object = sids_.intern(threat.asset.value);
     std::vector<mac::Sid> threat_modes;
     threat_modes.reserve(threat.modes.size());
     for (const threat::ModeId& m : threat.modes) {
-      threat_modes.push_back(sids_->intern(m.value));
+      threat_modes.push_back(sids_.intern(m.value));
     }
 
     for (const threat::EntryPointId& entry_point : threat.entry_points) {
@@ -69,7 +65,7 @@ class Derivation {
       // compiles to the wildcard subject.
       const bool any = entry_point.value == "any";
       const mac::Sid subject =
-          any ? wildcard_ : sids_->intern(entry_point.value);
+          any ? wildcard_ : sids_.intern(entry_point.value);
 
       // If a previously derived rule already constrains this pair in an
       // overlapping mode, tighten it in place instead of adding a
@@ -119,12 +115,12 @@ class Derivation {
   [[nodiscard]] PolicyRule materialize(const DerivedRule& derived) const {
     PolicyRule rule;
     rule.id = derived.id;
-    rule.subject = sids_->name_of(derived.subject);  // wildcard SID -> "*"
-    rule.object = sids_->name_of(derived.object);
+    rule.subject = sids_.name_of(derived.subject);  // wildcard SID -> "*"
+    rule.object = sids_.name_of(derived.object);
     rule.permission = derived.permission;
     rule.modes.reserve(derived.modes.size());
     for (const mac::Sid m : derived.modes) {
-      rule.modes.push_back(threat::ModeId{std::string(sids_->name_of(m))});
+      rule.modes.push_back(threat::ModeId{std::string(sids_.name_of(m))});
     }
     rule.priority = derived.priority;
     rule.rationale = derived.rationale;
@@ -142,24 +138,8 @@ class Derivation {
     return out;
   }
 
-  [[nodiscard]] CompiledPolicyImage to_image(const std::string& name,
-                                             std::uint64_t version,
-                                             bool default_allow) const {
-    CompiledPolicyImage::Builder builder(name, version, sids_);
-    builder.set_default_allow(default_allow);
-    for (const DerivedRule& derived : rules_) {
-      // The audit text an allow Decision carries is the rule's canonical
-      // string form — built through the same materialisation as the
-      // PolicySet backend, so the two paths answer byte-identically.
-      const PolicyRule rule = materialize(derived);
-      builder.add_rule(rule.id, rule.subject, rule.object, rule.permission,
-                       rule.modes, rule.priority, rule.to_string());
-    }
-    return builder.build();
-  }
-
  private:
-  std::shared_ptr<mac::SidTable> sids_;
+  mac::SidTable sids_;
   mac::Sid wildcard_;
   std::vector<DerivedRule> rules_;
 };
@@ -167,60 +147,12 @@ class Derivation {
 }  // namespace
 
 PolicySet PolicyCompiler::compile(const threat::ThreatModel& model) const {
-  Derivation derivation(nullptr);
+  Derivation derivation;
   for (const auto& threat : model.threats()) {
     derivation.emit_rules_for(threat, model, options_.base_priority);
   }
   return derivation.to_policy_set(options_.name, options_.version,
                                   options_.default_allow);
-}
-
-CompiledPolicyImage PolicyCompiler::compile_to_image(
-    const threat::ThreatModel& model,
-    std::shared_ptr<mac::SidTable> sids) const {
-  Derivation derivation(std::move(sids));
-  for (const auto& threat : model.threats()) {
-    derivation.emit_rules_for(threat, model, options_.base_priority);
-  }
-  return derivation.to_image(options_.name, options_.version,
-                             options_.default_allow);
-}
-
-PolicySet PolicyCompiler::compile_threat(const threat::ThreatModel& model,
-                                         const threat::ThreatId& id) const {
-  const threat::Threat* threat = model.find_threat(id);
-  if (threat == nullptr) {
-    throw std::invalid_argument("compile_threat: unknown threat '" + id.value + "'");
-  }
-  Derivation derivation(nullptr);
-  derivation.emit_rules_for(*threat, model, options_.base_priority);
-  return derivation.to_policy_set(options_.name + "/" + id.value,
-                                  options_.version, options_.default_allow);
-}
-
-CompiledPolicyImage PolicyCompiler::compile_threat_to_image(
-    const threat::ThreatModel& model, const threat::ThreatId& id,
-    std::shared_ptr<mac::SidTable> sids) const {
-  const threat::Threat* threat = model.find_threat(id);
-  if (threat == nullptr) {
-    throw std::invalid_argument("compile_threat: unknown threat '" + id.value + "'");
-  }
-  Derivation derivation(std::move(sids));
-  derivation.emit_rules_for(*threat, model, options_.base_priority);
-  return derivation.to_image(options_.name + "/" + id.value, options_.version,
-                             options_.default_allow);
-}
-
-std::vector<std::byte> PolicyCompiler::compile_delta(
-    const CompiledPolicyImage& base, const threat::ThreatModel& model,
-    PolicyDeltaStats* stats) const {
-  // The replica keeps the deployed base image (and any fleet-shared
-  // interner behind it) untouched while guaranteeing the target compiles
-  // into the same SID space: new names extend the prefix, existing names
-  // keep their fleet-wide SIDs.
-  const CompiledPolicyImage target = compile_to_image(
-      model, replicate_sid_prefix(base.sids(), base.sids().size()));
-  return PolicyDeltaWriter::write(base, target, stats);
 }
 
 }  // namespace psme::core

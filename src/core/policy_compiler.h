@@ -10,27 +10,19 @@
 // The derivation itself runs in SID space: entity and mode names are
 // interned once up front and the least-privilege merging (permission
 // intersection, mode union, priority max) happens on integer identities.
-// compile_to_image() packs the result straight into a
-// CompiledPolicyImage — the fleet-deployable form — while compile()
-// materialises the same derivation back into string rules for tooling
-// that edits, diffs or serialises policy text.
+// compile() materialises the result as string rules; the fleet-deployable
+// form is CompiledPolicyImage::from_policy_set over that set (or over the
+// set merged with base grants, car::full_policy).
 #pragma once
 
-#include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/policy.h"
-#include "core/policy_image.h"
-#include "mac/sid_table.h"
 #include "threat/threat_model.h"
 
 namespace psme::core {
-
-struct PolicyDeltaStats;  // core/policy_delta.h — only compile_delta's
-                          // optional out-param; the wire API stays out of
-                          // this widely-included header
 
 struct CompilerOptions {
   /// Name given to the produced policy set.
@@ -55,40 +47,6 @@ class PolicyCompiler {
   /// most restrictive permission (set intersection) is kept — least
   /// privilege requires honouring every constraint simultaneously.
   [[nodiscard]] PolicySet compile(const threat::ThreatModel& model) const;
-
-  /// Derives the same rules as compile() but emits them as a packed
-  /// CompiledPolicyImage directly — no intermediate string rule set, no
-  /// re-interning downstream. When `sids` is provided the image is
-  /// compiled against that interner so labels, policy databases and
-  /// other images across a fleet share one SID space; otherwise a fresh
-  /// table is created. Decisions from the image are byte-identical to
-  /// compile()'s PolicySet on equivalent requests.
-  [[nodiscard]] CompiledPolicyImage compile_to_image(
-      const threat::ThreatModel& model,
-      std::shared_ptr<mac::SidTable> sids = nullptr) const;
-
-  /// Derives the single rule countering one threat (used by the OTA update
-  /// path when a new threat is discovered after deployment).
-  [[nodiscard]] PolicySet compile_threat(const threat::ThreatModel& model,
-                                         const threat::ThreatId& id) const;
-
-  /// As compile_threat, emitting the packed image form.
-  [[nodiscard]] CompiledPolicyImage compile_threat_to_image(
-      const threat::ThreatModel& model, const threat::ThreatId& id,
-      std::shared_ptr<mac::SidTable> sids = nullptr) const;
-
-  /// The diff-to-delta OTA path: compiles `model` against a prefix
-  /// replica of `base`'s SID space (so the result is a SID-compatible
-  /// extension — `base` and its interner are never mutated) and encodes
-  /// the edit script from `base` to it as a fingerprint-anchored binary
-  /// delta (core/policy_delta.h). This is what the release gate ships
-  /// after core::diff_policies has been reviewed: the reviewed rule
-  /// changes, in wire form, at a fraction of the full blob's bytes.
-  /// When `stats` is non-null the script composition (copied / added /
-  /// removed / changed entries) is reported through it.
-  [[nodiscard]] std::vector<std::byte> compile_delta(
-      const CompiledPolicyImage& base, const threat::ThreatModel& model,
-      PolicyDeltaStats* stats = nullptr) const;
 
   /// Priority contribution of a DREAD band (exposed for tests).
   [[nodiscard]] static int band_weight(threat::RiskBand band) noexcept;

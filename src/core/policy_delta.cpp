@@ -682,28 +682,4 @@ CompiledPolicyImage PolicyDeltaReader::apply_file(
   return apply(base, wire::read_file<PolicyDeltaError>(path, kDomain));
 }
 
-std::vector<std::byte> compose_delta_chain(
-    const CompiledPolicyImage& base,
-    std::span<const std::span<const std::byte>> hops,
-    PolicyDeltaStats* stats) {
-  if (hops.empty()) {
-    throw std::invalid_argument("compose_delta_chain: empty hop chain");
-  }
-  // Replay the chain through the vehicle-grade validated apply: each hop
-  // must anchor to the image the previous hop produced, and each hop's
-  // final fingerprint gate proves the reconstruction exact. Any defect
-  // anywhere in the chain throws out of apply() here — before a single
-  // byte of composed output exists.
-  CompiledPolicyImage landing = PolicyDeltaReader::apply(base, hops.front());
-  for (std::size_t hop = 1; hop < hops.size(); ++hop) {
-    CompiledPolicyImage next = PolicyDeltaReader::apply(landing, hops[hop]);
-    landing = std::move(next);
-  }
-  // The landing image is byte-identical to the direct compile of the
-  // final target against the chain's shared SID lineage (the per-hop
-  // apply contract, transitively), so writing it against `base` yields
-  // the same bytes a direct base→target writer emits.
-  return PolicyDeltaWriter::write(base, landing, stats);
-}
-
 }  // namespace psme::core

@@ -18,7 +18,7 @@
 // version / default flag, and the SID-table extension: every name the
 // target interned beyond the base's anchored prefix, in SID order
 // (SID-prefix-compatible extension ONLY — a delta cannot renumber the
-// base's identities, exactly the blob loader's replay rule).
+// base's identities).
 //
 // apply(base, delta) reconstructs a sealed CompiledPolicyImage that is
 // byte-identical to compiling the target policy directly against the
@@ -157,28 +157,5 @@ class PolicyDeltaReader {
   [[nodiscard]] static CompiledPolicyImage apply_file(
       const CompiledPolicyImage& base, const std::string& path);
 };
-
-/// Server-side delta-chain composition — the campaign orchestrator's
-/// catch-up path (car/campaign.h). A release pipeline emits one delta
-/// per hop (v1→v2, v2→v3, ...); a vehicle several versions behind wants
-/// ONE artefact. This helper replays the per-hop deltas against `base`
-/// in order — every hop fully validated exactly as a vehicle would
-/// validate it (anchor fingerprint, SID-table hash, final target
-/// fingerprint) — and serialises the landing image as a single delta
-/// anchored to `base`. The composed delta is byte-equal to the delta
-/// the writer would emit against the directly compiled target, because
-/// chain application reconstructs that image byte-identically
-/// (test-pinned: tests/test_policy_delta.cpp delta-chain suite).
-///
-/// All-or-nothing: a broken chain — any hop corrupted, truncated,
-/// mis-anchored or out of order — throws PolicyDeltaError from that
-/// hop's validation and composes NOTHING; `base` is never touched.
-/// Callers fall back to shipping the full blob. Throws
-/// std::invalid_argument on an empty chain. When `stats` is non-null
-/// the COMPOSED edit script (base→target, not per hop) is reported.
-[[nodiscard]] std::vector<std::byte> compose_delta_chain(
-    const CompiledPolicyImage& base,
-    std::span<const std::span<const std::byte>> hops,
-    PolicyDeltaStats* stats = nullptr);
 
 }  // namespace psme::core

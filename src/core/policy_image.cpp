@@ -597,8 +597,8 @@ std::uint64_t CompiledPolicyImage::fingerprint() const noexcept {
   hash = mac::hash_chain_u64(default_allow_ ? 1 : 0, hash);
   // The mode table and wildcard SID shape decision outcomes (mask bit
   // positions, wildcard matching), so the persistent-blob cross-check
-  // must cover them too. Compile() and compile_to_image() intern in the
-  // same order, so equal derivations still fingerprint equal.
+  // must cover them too. from_policy_set interns in rule order, so equal
+  // rule sets over equal SID tables still fingerprint equal.
   hash = mac::hash_chain_u64(wildcard_sid_, hash);
   for (const mac::Sid mode : mode_sids_) hash = mac::hash_chain_u64(mode, hash);
   // Entries feed four rotating lanes (entry i -> lane i mod 4), folded

@@ -26,9 +26,9 @@
 // Images are immutable once built; millions of simulated vehicles share
 // one image and one interner (the paper's fleet-scale affordability
 // argument). PolicySet keeps its string-rule form as the editable source
-// of truth and lazily compiles itself to an image; PolicyCompiler can
-// skip the string stage entirely and emit an image straight from a
-// threat model (compile_to_image).
+// of truth and lazily compiles itself to an image; a threat model reaches
+// an image one way: PolicyCompiler::compile -> PolicySet ->
+// from_policy_set.
 //
 // Concurrency (DESIGN.md "Concurrency model"): a sealed image is an
 // immutable value — Builder::build() is the only producer, there are no
@@ -100,9 +100,10 @@ class CompiledPolicyImage {
   };
 
   /// Accumulates entries, interning every name exactly once. Used by
-  /// PolicyCompiler::compile_to_image and by from_policy_set; not a
-  /// public extension point for ad-hoc rule soups — go through PolicySet
-  /// for that. (Defined after the class: it holds the image it grows.)
+  /// from_policy_set and by the large-policy synthesiser
+  /// (core/policy_synth.h); not a public extension point for ad-hoc rule
+  /// soups — go through PolicySet for that. (Defined after the class: it
+  /// holds the image it grows.)
   class Builder;
 
   /// Compiles an existing string-rule set against `sids` (fresh table

@@ -168,9 +168,9 @@ inline DeltaCase random_case(sim::Rng& rng) {
 /// random_case-style mutation of its predecessor (rules dropped, edited
 /// in place, spliced in; occasional brand-new generation-specific
 /// identities) with strictly increasing versions. This is the fixture
-/// the delta-CHAIN and campaign tests share: compile each set against a
-/// prefix replica of its predecessor's image and the adjacent deltas —
-/// and their compositions — are anchor-valid by construction.
+/// the multi-release delta and campaign tests share: compile each set
+/// against a prefix replica of its predecessor's image and a delta from
+/// any release to any later one is anchor-valid by construction.
 inline std::vector<core::PolicySet> random_lineage(sim::Rng& rng,
                                                    std::size_t length) {
   std::vector<core::PolicySet> lineage;

@@ -22,6 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,7 @@ PolicyRule allow_rule(std::string id, std::string subject, std::string object,
 
 /// A handcrafted release lineage with fully controlled probe behaviour:
 /// deny-by-default, a stable allow core, and one more generation rule
-/// per release (so every hop delta is non-trivial). Every version
+/// per release (so every delta is non-trivial). Every version
 /// ALLOWS the whole health probe below — baseline probe denials are 0.
 std::vector<PolicySet> fleet_lineage(std::size_t length) {
   std::vector<PolicySet> lineage;
@@ -286,32 +288,59 @@ TEST(CampaignDeterminism, IdenticalSeedsReplayBitIdentically) {
   }
 }
 
-TEST(CampaignPlanning, ComposedDeltaPreferredAndSmallerThanBlob) {
+TEST(CampaignPlanning, DeltaPreferredAndSmallerThanBlob) {
   CampaignServer server(fleet_lineage(7), test_config());
-  const std::uint64_t oldest = server.image_at(0).version();
-  const CampaignServer::Artefact plan = server.plan_for(oldest);
-  ASSERT_EQ(plan.channel, UpdateChannel::kDelta);
-  EXPECT_LT(plan.bytes->size(),
-            server.blob_at(server.lineage_size() - 1)->size());
-  EXPECT_EQ(server.plan_blob_fallbacks(), 0u);
-}
-
-TEST(CampaignPlanning, BrokenHopFallsBackToFullBlob) {
-  CampaignServer server(fleet_lineage(7), test_config());
-  server.break_hop(2);  // depot artefact v3 -> v4 damaged
+  const std::size_t last = server.lineage_size() - 1;
   const CampaignServer::Artefact plan =
       server.plan_for(server.image_at(0).version());
-  EXPECT_EQ(plan.channel, UpdateChannel::kBlob);
-  EXPECT_GE(server.plan_blob_fallbacks(), 1u);
-  // Bases PAST the broken hop still compose a clean chain.
-  const CampaignServer::Artefact late =
-      server.plan_for(server.image_at(3).version());
-  EXPECT_EQ(late.channel, UpdateChannel::kDelta);
+  ASSERT_EQ(plan.channel, UpdateChannel::kDelta);
+  EXPECT_LT(plan.bytes->size(), server.blob_at(last)->size());
+  EXPECT_EQ(server.plan_blob_fallbacks(), 0u);
+  // A delta-channel commit installs the shared target blob, so the
+  // planned delta must rebuild exactly that blob's image.
+  const CompiledPolicyImage applied =
+      core::PolicyDeltaReader::apply(server.image_at(0), *plan.bytes);
+  EXPECT_EQ(PolicyBlobWriter::write(applied), *server.blob_at(last));
 
-  // An unknown base version (a vehicle older than the depot retains)
-  // also falls back to the blob.
+  // An unknown base version (a vehicle older than the lineage the
+  // server holds) falls back to the blob.
   const CampaignServer::Artefact unknown = server.plan_for(0xDEADULL);
   EXPECT_EQ(unknown.channel, UpdateChannel::kBlob);
+  EXPECT_EQ(server.plan_blob_fallbacks(), 1u);
+}
+
+TEST(CampaignServer, RejectsInvalidLineageAndFractions) {
+  EXPECT_THROW(CampaignServer({}, test_config()), std::invalid_argument);
+  std::vector<PolicySet> unordered = fleet_lineage(3);
+  unordered[2].set_version(unordered[1].version());
+  EXPECT_THROW(CampaignServer(unordered, test_config()),
+               std::invalid_argument);
+
+  for (const double canary : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("canary fraction " + std::to_string(canary));
+    CampaignConfig config = test_config();
+    config.canary_fraction = canary;
+    EXPECT_THROW(CampaignServer(fleet_lineage(3), config),
+                 std::invalid_argument);
+  }
+  CampaignConfig negative_wave = test_config();
+  negative_wave.wave_fractions = {0.20, -0.1, 1.0};
+  EXPECT_THROW(CampaignServer(fleet_lineage(3), negative_wave),
+               std::invalid_argument);
+
+  // Fractions above 1 are clamped by design, not rejected: the canary
+  // wave takes the whole fleet.
+  CampaignConfig oversized = test_config();
+  oversized.canary_fraction = 2.0;
+  oversized.wave_fractions = {1e300};
+  CampaignServer server(fleet_lineage(3), oversized);
+  std::vector<CampaignVehicle> fleet = server.make_fleet(50, 7);
+  PerfectTransport transport;
+  const CampaignReport report = server.run(fleet, transport);
+  EXPECT_EQ(report.status, CampaignStatus::kConverged);
+  ASSERT_EQ(report.waves.size(), 1u);
+  EXPECT_EQ(report.waves[0].size, 50u);
 }
 
 TEST(CampaignFallback, RepeatedDeltaCorruptionSwitchesVehicleToBlob) {

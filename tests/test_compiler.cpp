@@ -95,17 +95,6 @@ TEST(Compiler, ConflictingRWBecomesNone) {
   EXPECT_EQ(set.rules()[0].permission, Permission::kNone);
 }
 
-TEST(Compiler, CompileThreatExtractsOneRow) {
-  const auto model = small_model();
-  const PolicySet set =
-      PolicyCompiler().compile_threat(model, threat::ThreatId{"X2"});
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.rules()[0].subject, "usb");
-  EXPECT_THROW(
-      (void)PolicyCompiler().compile_threat(model, threat::ThreatId{"nope"}),
-      std::invalid_argument);
-}
-
 TEST(Compiler, OptionsArePropagated) {
   CompilerOptions options;
   options.name = "custom";

@@ -142,8 +142,14 @@ TEST(PolicySet, MergeBringsRulesAcross) {
 TEST(PolicySet, MergeCollisionThrows) {
   PolicySet a("a", 1), b("b", 1);
   a.add_rule(rule("r", "s", "o", Permission::kRead));
+  // A fresh rule ahead of the colliding one: a failed merge must not
+  // leave it behind.
+  b.add_rule(rule("fresh", "s", "q", Permission::kRead));
   b.add_rule(rule("r", "s", "p", Permission::kWrite));
+  const std::uint64_t before = a.fingerprint();
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.fingerprint(), before);
 }
 
 TEST(PolicySet, FingerprintStableAndSensitive) {

@@ -1,10 +1,10 @@
 // Tests for the persistent policy image (core/policy_blob.h): round-trip
 // byte-identical decision parity against the freshly compiled image
-// (modes included, scalar and shuffled-batch), SID-space compatibility
-// rules, the car::FleetBoot bring-up/OTA path — and the trust boundary:
-// truncated, bit-flipped, version-mismatched, structurally inconsistent
-// and wrong-fingerprint blobs are rejected with PolicyBlobError, never
-// undefined behaviour (the ASan/UBSan CI job runs this file).
+// (modes included, scalar and shuffled-batch), the car::FleetBoot
+// bring-up/OTA path — and the trust boundary: truncated, bit-flipped,
+// version-mismatched, structurally inconsistent and wrong-fingerprint
+// blobs are rejected with PolicyBlobError, never undefined behaviour
+// (the ASan/UBSan CI job runs this file).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,28 +178,6 @@ TEST(PolicyBlob, ProbeSurfacesTheHeader) {
   EXPECT_EQ(info.entry_count, original.size());
   EXPECT_EQ(info.sid_count, original.sids().size());
   EXPECT_EQ(info.total_size, blob.size());
-}
-
-// ------------------------------------------------------- SID-space rules
-
-TEST(PolicyBlob, LoadsIntoAPrefixCompatibleTable) {
-  const CompiledPolicyImage& original = car_policy().image();
-  const std::vector<std::byte> blob = PolicyBlobWriter::write(original);
-  // The original image's own table IS the blob's interning history —
-  // re-loading against it must succeed and preserve every SID.
-  const CompiledPolicyImage loaded =
-      PolicyBlobReader::load(blob, original.sid_table());
-  EXPECT_EQ(loaded.fingerprint(), original.fingerprint());
-  EXPECT_EQ(loaded.sid_table().get(), original.sid_table().get());
-}
-
-TEST(PolicyBlob, RejectsAConflictingSidTable) {
-  const CompiledPolicyImage& original = car_policy().image();
-  const std::vector<std::byte> blob = PolicyBlobWriter::write(original);
-  auto conflicting = std::make_shared<mac::SidTable>();
-  conflicting->intern("an-identity-the-blob-does-not-start-with");
-  EXPECT_THROW((void)PolicyBlobReader::load(blob, conflicting),
-               PolicyBlobError);
 }
 
 // ------------------------------------------------------- trust boundary
@@ -405,9 +383,9 @@ TEST(PolicyBlobZeroCopy, SealedAttachMatchesUntrustedLoad) {
   const CompiledPolicyImage& compiled = car_policy().image();
   auto buffer = PolicyBuffer::take(PolicyBlobWriter::write(compiled));
   const CompiledPolicyImage untrusted =
-      PolicyBlobReader::load(buffer, nullptr, BlobTrust::kUntrusted);
+      PolicyBlobReader::load(buffer, BlobTrust::kUntrusted);
   const CompiledPolicyImage sealed =
-      PolicyBlobReader::load(buffer, nullptr, BlobTrust::kSealedStore);
+      PolicyBlobReader::load(buffer, BlobTrust::kSealedStore);
   ASSERT_TRUE(sealed.borrowed());
   EXPECT_EQ(sealed.fingerprint(), compiled.fingerprint());
   for (const AccessRequest& request : workload_requests()) {
@@ -564,8 +542,7 @@ TEST(PolicyBlobZeroCopy, CorruptedSealedBlobFailsClosedWithoutUB) {
       bad[at] ^= std::byte{0xA5};
       try {
         const CompiledPolicyImage image = PolicyBlobReader::load(
-            PolicyBuffer::take(std::move(bad)), nullptr,
-            BlobTrust::kSealedStore);
+            PolicyBuffer::take(std::move(bad)), BlobTrust::kSealedStore);
         for (const AccessRequest& request : requests) {
           (void)image.evaluate(image.resolve(request));  // must not crash
         }

@@ -90,8 +90,7 @@ TEST(PolicyBlobScale, EveryHeaderByteFlipIsRejected) {
     std::vector<std::byte> bad = good;
     bad[i] ^= std::byte{0xFF};
     EXPECT_THROW((void)PolicyBlobReader::load(
-                     PolicyBuffer::take(std::move(bad)), nullptr,
-                     BlobTrust::kUntrusted),
+                     PolicyBuffer::take(std::move(bad)), BlobTrust::kUntrusted),
                  PolicyBlobError)
         << "header flip at byte " << i << " was accepted";
   }
@@ -123,8 +122,7 @@ TEST(PolicyBlobScale, SeededPayloadFlipsAreRejected) {
     // XOR with a nonzero mask is always a real corruption.
     bad[at] ^= std::byte{0x5A};
     EXPECT_THROW((void)PolicyBlobReader::load(
-                     PolicyBuffer::take(std::move(bad)), nullptr,
-                     BlobTrust::kUntrusted),
+                     PolicyBuffer::take(std::move(bad)), BlobTrust::kUntrusted),
                  PolicyBlobError)
         << "payload flip at byte " << at << " was accepted";
   }
@@ -157,9 +155,9 @@ TEST(PolicyBlobScale, OwnedV1AndBorrowedAnswerIdenticallyInShuffledBatches) {
   const CompiledPolicyImage& compiled = scale_image();
   const CompiledPolicyImage borrowed =
       PolicyBlobReader::load(PolicyBuffer::take(scale_blob()),  // copy of blob
-                             nullptr, BlobTrust::kUntrusted);
+                             BlobTrust::kUntrusted);
   const CompiledPolicyImage sealed = PolicyBlobReader::load(
-      PolicyBuffer::take(scale_blob()), nullptr, BlobTrust::kSealedStore);
+      PolicyBuffer::take(scale_blob()), BlobTrust::kSealedStore);
   ASSERT_TRUE(borrowed.borrowed());
   ASSERT_TRUE(sealed.borrowed());
   ASSERT_FALSE(compiled.borrowed());

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -33,7 +32,6 @@
 #include "car/table1.h"
 #include "core/policy.h"
 #include "core/policy_blob.h"
-#include "core/policy_compiler.h"
 #include "core/policy_delta.h"
 #include "core/policy_diff.h"
 #include "core/policy_image.h"
@@ -287,34 +285,6 @@ TEST(PolicyDelta, ProbeSurfacesTheHeader) {
   EXPECT_EQ(info.total_size, delta.size());
 }
 
-TEST(PolicyDelta, CompilerCompileDeltaPathRoundTrips) {
-  // The PolicyCompiler-level diff-to-delta path: derive the same model
-  // at a new version, ship it as a delta, apply it — identical to the
-  // direct compile against the replica, with every derived rule reused
-  // (the script is pure copy; only the version stamp changes, hence new
-  // fingerprint).
-  const auto model = car::connected_car_threat_model();
-  core::CompilerOptions v1_options;
-  v1_options.version = 1;
-  const core::PolicyCompiler v1_compiler(v1_options);
-  const CompiledPolicyImage base = v1_compiler.compile_to_image(model);
-
-  core::CompilerOptions v2_options;
-  v2_options.version = 2;
-  const core::PolicyCompiler v2_compiler(v2_options);
-  PolicyDeltaStats stats;
-  const std::vector<std::byte> delta =
-      v2_compiler.compile_delta(base, model, &stats);
-  const CompiledPolicyImage direct = v2_compiler.compile_to_image(
-      model, core::replicate_sid_prefix(base.sids(), base.sids().size()));
-
-  const CompiledPolicyImage applied = PolicyDeltaReader::apply(base, delta);
-  EXPECT_EQ(applied.fingerprint(), direct.fingerprint());
-  EXPECT_EQ(applied.version(), 2u);
-  EXPECT_EQ(stats.copied, base.size());
-  EXPECT_EQ(stats.added + stats.removed + stats.changed, 0u);
-}
-
 TEST(PolicyDelta, StatsAgreeWithPolicyDiffOnTheCarUpdate) {
   // The release-gate pairing: core::diff_policies reviews the change,
   // the delta ships it — on the canonical 1-rule update both see exactly
@@ -564,60 +534,41 @@ TEST(PolicyWireTaxonomy, EndiannessMismatchRejectsWithTheSameErrorClass) {
             delta_message.substr(delta_message.find(want)));
 }
 
-// -- delta-chain composition (core::compose_delta_chain) -----------------
+// -- multi-release deltas -------------------------------------------------
 //
-// The campaign planner composes per-hop deltas server-side into ONE
-// base->target delta. The contract under test: the composed delta is
-// fingerprint- and blob-byte-equal to the direct compile, and a chain
-// with one corrupted hop composes NOTHING (all-or-nothing; the caller
-// falls back to the full blob).
+// The campaign planner writes ONE base->target delta from the two
+// lineage images it holds, however many releases apart they are. The
+// contract under test: the applied delta is fingerprint- and
+// blob-byte-equal to the directly compiled target.
 
 /// A seeded lineage compiled the OEM way: each image against a prefix
-/// replica of its predecessor, with the adjacent hop deltas.
-struct CompiledLineage {
-  std::vector<PolicySet> sets;
-  std::vector<CompiledPolicyImage> images;
-  std::vector<std::vector<std::byte>> hops;  // hops[i]: image[i]->image[i+1]
-};
-
-CompiledLineage compiled_lineage(std::uint64_t seed, std::size_t length) {
+/// replica of its predecessor.
+std::vector<CompiledPolicyImage> compiled_lineage(std::uint64_t seed,
+                                                  std::size_t length) {
   sim::Rng rng(seed);
-  CompiledLineage lineage;
-  lineage.sets = deltatest::random_lineage(rng, length);
-  for (std::size_t i = 0; i < lineage.sets.size(); ++i) {
+  std::vector<CompiledPolicyImage> images;
+  for (const PolicySet& set : deltatest::random_lineage(rng, length)) {
     std::shared_ptr<mac::SidTable> sids;
-    if (i > 0) {
-      const auto& prev = lineage.images[i - 1].sids();
+    if (!images.empty()) {
+      const auto& prev = images.back().sids();
       sids = core::replicate_sid_prefix(prev, prev.size());
     }
-    lineage.images.push_back(CompiledPolicyImage::from_policy_set(
-        lineage.sets[i], std::move(sids)));
+    images.push_back(
+        CompiledPolicyImage::from_policy_set(set, std::move(sids)));
   }
-  for (std::size_t i = 0; i + 1 < lineage.images.size(); ++i) {
-    lineage.hops.push_back(
-        PolicyDeltaWriter::write(lineage.images[i], lineage.images[i + 1]));
-  }
-  return lineage;
+  return images;
 }
 
-std::vector<std::span<const std::byte>> hop_spans(
-    const CompiledLineage& lineage) {
-  std::vector<std::span<const std::byte>> spans;
-  for (const auto& hop : lineage.hops) spans.emplace_back(hop);
-  return spans;
-}
-
-TEST(PolicyDeltaChain, SixHopCompositionMatchesDirectCompile) {
+TEST(PolicyDeltaChain, SixVersionDeltaMatchesDirectCompile) {
   for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const CompiledLineage lineage = compiled_lineage(seed, 7);  // 6 hops
-    const CompiledPolicyImage& base = lineage.images.front();
-    const CompiledPolicyImage& target = lineage.images.back();
+    const std::vector<CompiledPolicyImage> lineage =
+        compiled_lineage(seed, 7);  // six releases past the base
+    const CompiledPolicyImage& base = lineage.front();
+    const CompiledPolicyImage& target = lineage.back();
 
-    const std::vector<std::byte> composed =
-        core::compose_delta_chain(base, hop_spans(lineage));
-    const CompiledPolicyImage applied =
-        PolicyDeltaReader::apply(base, composed);
+    const CompiledPolicyImage applied = PolicyDeltaReader::apply(
+        base, PolicyDeltaWriter::write(base, target));
 
     EXPECT_EQ(applied.fingerprint(), target.fingerprint());
     EXPECT_EQ(applied.version(), target.version());
@@ -627,39 +578,6 @@ TEST(PolicyDeltaChain, SixHopCompositionMatchesDirectCompile) {
     EXPECT_EQ(PolicyBlobWriter::write(applied),
               PolicyBlobWriter::write(target));
   }
-}
-
-TEST(PolicyDeltaChain, SingleHopCompositionEqualsTheHop) {
-  const CompiledLineage lineage = compiled_lineage(5, 2);
-  const std::vector<std::byte> composed = core::compose_delta_chain(
-      lineage.images.front(), hop_spans(lineage));
-  const CompiledPolicyImage via_composed =
-      PolicyDeltaReader::apply(lineage.images.front(), composed);
-  const CompiledPolicyImage via_hop =
-      PolicyDeltaReader::apply(lineage.images.front(), lineage.hops.front());
-  EXPECT_EQ(via_composed.fingerprint(), via_hop.fingerprint());
-}
-
-TEST(PolicyDeltaChain, CorruptedHopComposesNothing) {
-  CompiledLineage lineage = compiled_lineage(7, 7);
-  const CompiledPolicyImage& base = lineage.images.front();
-  const std::uint64_t base_fingerprint = base.fingerprint();
-  // Damage a MIDDLE hop: hops before it apply fine, so this proves the
-  // all-or-nothing property, not just first-hop validation.
-  auto& bad_hop = lineage.hops[3];
-  bad_hop[bad_hop.size() / 2] ^= std::byte{0x10};
-
-  EXPECT_THROW((void)core::compose_delta_chain(base, hop_spans(lineage)),
-               PolicyDeltaError);
-  // The base image the caller handed in is untouched.
-  EXPECT_EQ(base.fingerprint(), base_fingerprint);
-}
-
-TEST(PolicyDeltaChain, EmptyChainIsAnError) {
-  const CompiledLineage lineage = compiled_lineage(3, 2);
-  EXPECT_THROW(
-      (void)core::compose_delta_chain(lineage.images.front(), {}),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the SID-native policy pipeline: CompiledPolicyImage parity
 // with the legacy string evaluation (byte-identical Decisions against a
-// linear-scan oracle), the compiler's direct-to-image path, batched
-// evaluation (shuffled batch == scalar per element, including deny/audit
-// paths), the PolicyDb flat table against a rule oracle, and the
-// FleetEvaluator against the legacy string pipeline.
+// linear-scan oracle), batched evaluation (shuffled batch == scalar per
+// element, including deny/audit paths), the PolicyDb flat table against
+// a rule oracle, and the FleetEvaluator against the legacy string
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "car/policy_binding.h"
 #include "car/table1.h"
 #include "core/policy.h"
-#include "core/policy_compiler.h"
 #include "core/policy_image.h"
 #include "mac/batch_probe.h"
 #include "mac/te_policy.h"
@@ -164,69 +163,6 @@ TEST(PolicyImage, DefaultAllowAndUnknownModeSemantics) {
           .evaluate(image.resolve(
               {"a", "x", AccessType::kRead, threat::ModeId{"m2"}}))
           .allowed);
-}
-
-// ------------------------------------------- compiler direct-image path
-
-TEST(CompileToImage, ByteIdenticalToStringPipelineOnTable1) {
-  const auto model = car::connected_car_threat_model();
-  const PolicySet compiled = core::PolicyCompiler().compile(model);
-  const CompiledPolicyImage image =
-      core::PolicyCompiler().compile_to_image(model);
-  EXPECT_EQ(image.size(), compiled.size());
-  EXPECT_EQ(image.name(), compiled.name());
-  EXPECT_EQ(image.version(), compiled.version());
-
-  std::vector<std::string> subjects = {"zzz"};
-  std::vector<std::string> objects;
-  for (const auto& ep : model.entry_points()) subjects.push_back(ep.id.value);
-  for (const auto& asset : model.assets()) objects.push_back(asset.id.value);
-  std::vector<threat::ModeId> modes = {threat::ModeId{}};
-  for (const auto& mode : model.modes()) modes.push_back(mode.id);
-
-  for (const auto& subject : subjects) {
-    for (const auto& object : objects) {
-      for (const auto& mode : modes) {
-        for (const auto access : {AccessType::kRead, AccessType::kWrite}) {
-          const AccessRequest request{subject, object, access, mode};
-          expect_same_decision(image.evaluate(image.resolve(request)),
-                               oracle(compiled, request),
-                               request.to_string());
-        }
-      }
-    }
-  }
-}
-
-TEST(CompileToImage, SharedInternerAndDeterministicFingerprint) {
-  const auto model = car::connected_car_threat_model();
-  auto sids = std::make_shared<mac::SidTable>();
-  const CompiledPolicyImage a =
-      core::PolicyCompiler().compile_to_image(model, sids);
-  const CompiledPolicyImage b = core::PolicyCompiler().compile_to_image(model);
-  EXPECT_EQ(a.sid_table().get(), sids.get());
-  EXPECT_NE(a.sid_table().get(), b.sid_table().get());
-  // Same model, same options => same packed image, bit for bit.
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-}
-
-TEST(CompileToImage, CompileThreatToImageMatchesCompileThreat) {
-  const auto model = car::connected_car_threat_model();
-  const threat::ThreatId id{"T01"};
-  const PolicySet compiled = core::PolicyCompiler().compile_threat(model, id);
-  const CompiledPolicyImage image =
-      core::PolicyCompiler().compile_threat_to_image(model, id);
-  EXPECT_EQ(image.size(), compiled.size());
-  for (const auto& request :
-       {AccessRequest{"ep.door-locks", "ev-ecu", AccessType::kRead, {}},
-        AccessRequest{"ep.door-locks", "ev-ecu", AccessType::kWrite, {}},
-        AccessRequest{"zzz", "ev-ecu", AccessType::kWrite, {}}}) {
-    expect_same_decision(image.evaluate(image.resolve(request)),
-                         oracle(compiled, request), request.to_string());
-  }
-  EXPECT_THROW((void)core::PolicyCompiler().compile_threat_to_image(
-                   model, threat::ThreatId{"nope"}),
-               std::invalid_argument);
 }
 
 // ----------------------------------------- batched == scalar, shuffled
