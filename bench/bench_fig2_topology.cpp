@@ -45,13 +45,14 @@ int main() {
   std::vector<std::string> headers = {"node \\ asset"};
   for (const auto& asset : car::asset_bindings()) headers.push_back(asset.asset_id);
   report::TextTable reach(headers);
+  car::BindingCompiler binding(vehicle.policy());
   for (const auto& name : vehicle.node_names()) {
     std::vector<std::string> row{name};
     for (const auto& asset : car::asset_bindings()) {
       const bool owns = asset.owner_node == name;
-      const bool may = car::node_may(name, asset.asset_id,
-                                     core::AccessType::kWrite,
-                                     car::CarMode::kNormal, vehicle.policy());
+      const bool may = binding.node_may(name, asset.asset_id,
+                                        core::AccessType::kWrite,
+                                        car::CarMode::kNormal);
       row.push_back(owns ? "own" : (may ? "W" : "."));
     }
     reach.add_row(row);

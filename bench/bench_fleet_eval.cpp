@@ -212,9 +212,7 @@ int main() {
     const std::vector<car::FleetCheck> checks =
         fleet_size >= 1000000 ? subsample(full_checks, 8, 99) : full_checks;
 
-    car::FleetEvaluatorOptions options;
-    options.fleet_size = fleet_size;
-    car::FleetEvaluator fleet(image, checks, options);
+    car::FleetEvaluator fleet(image, checks, fleet_size);
     scatter_modes(fleet, 7);
 
     const std::uint64_t per_tick = fleet_size * checks.size();
@@ -272,9 +270,7 @@ int main() {
   // timed.
   std::map<std::uint32_t, std::uint64_t> depth_histogram;
   {
-    car::FleetEvaluatorOptions options;
-    options.fleet_size = 10000;
-    car::FleetEvaluator fleet(image, full_checks, options);
+    car::FleetEvaluator fleet(image, full_checks, 10000);
     scatter_modes(fleet, 7);
     (void)fleet.tick([&](std::span<const core::SidRequest> requests,
                          std::span<const core::Decision>) {

@@ -31,6 +31,7 @@ int main() {
                              "remote-diagnostic", "fail-safe"});
   std::size_t reachable[3] = {0, 0, 0};
   std::size_t total = 0;
+  car::BindingCompiler binding(policy);
   for (const car::AssetBinding& asset : car::asset_bindings()) {
     if (asset.owner_node == "connectivity" ||
         asset.owner_node == "infotainment" || asset.command_ids.empty()) {
@@ -39,7 +40,7 @@ int main() {
     std::vector<std::string> row{asset.asset_id};
     int column = 0;
     for (car::CarMode mode : car::kAllModes) {
-      const auto lists = car::build_gateway_lists(telematics, mode, policy);
+      const auto lists = car::build_gateway_lists(binding, telematics, mode);
       bool any = false;
       for (const auto id : asset.command_ids) {
         any = any || lists.a_to_b.contains(can::CanId::standard(id));

@@ -1,20 +1,23 @@
 // Fleet-scale enforcement driven by the discrete-event scheduler: ten
 // thousand simulated vehicles share ONE compiled policy image and ONE
 // SID interner; each simulation tick answers the whole fleet's policy
-// questions through the batched evaluator — sharded across a worker pool
-// (tick_parallel) with byte-identical decisions to the sequential sweep —
-// while scheduled events move individual vehicles between operating
-// modes (one car crashes into fail-safe, another enters remote
-// diagnostics — the rest keep driving).
+// questions in one batched sweep (FleetEvaluator::tick) while scheduled
+// events move individual vehicles between operating modes (one car
+// crashes into fail-safe, another enters remote diagnostics — the rest
+// keep driving).
 //
 // The sweep also feeds fleet telemetry: per-vehicle deny counts go to
 // monitor::DenyStreakMonitor, which flags vehicles whose denials persist
 // across consecutive sweeps (compromised-vehicle candidates) instead of
-// merely tallying fleet-wide allow/deny totals.
+// merely tallying fleet-wide allow/deny totals. Three vehicles are wedged
+// in fail-safe for the whole run; the example prints a "(BUG)" line and
+// exits 1 unless each is flagged with a streak as long as the run.
 //
 // Build & run:  ./build/examples/example_fleet_scale
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
-#include <thread>
 
 #include "car/base_policy.h"
 #include "car/fleet_evaluator.h"
@@ -38,21 +41,17 @@ int main() {
               static_cast<unsigned long long>(image.fingerprint()),
               image.sids().size());
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 10000;
-  car::FleetEvaluator fleet(image, car::default_fleet_checks(), options);
-
-  const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t n_threads = hw == 0 ? 1 : hw;
+  const std::size_t fleet_size = 10000;
+  car::FleetEvaluator fleet(image, car::default_fleet_checks(), fleet_size);
 
   // Calibrate the telemetry threshold from one baseline sweep: a normal-
   // mode vehicle's denials are policy background, anything above it is a
   // vehicle behaving outside its mode's envelope.
-  const car::FleetTickStats baseline = fleet.tick_parallel(n_threads);
+  const car::FleetTickStats baseline = fleet.tick();
   monitor::DenyStreakOptions streak_options;
   streak_options.deny_threshold = baseline.vehicle_denied[0] + 1;
   streak_options.streak_ticks = 3;
-  monitor::DenyStreakMonitor streaks(options.fleet_size, streak_options);
+  monitor::DenyStreakMonitor streaks(fleet_size, streak_options);
 
   // Three vehicles are "compromised": wedged in fail-safe, denied above
   // the normal-mode background on every sweep.
@@ -67,21 +66,21 @@ int main() {
   std::uint64_t ticks = 0;
 
   // Every 100 ms of simulated time: a handful of vehicles change mode,
-  // then the whole fleet is policed in one sharded batched sweep and the
+  // then the whole fleet is policed in one batched sweep and the
   // per-vehicle deny counts feed the streak monitor.
   sim::PeriodicTask ticker(
       sched, sched.now(), 100ms,
       [&] {
         for (int changes = 0; changes < 5; ++changes) {
           const auto vehicle =
-              static_cast<std::size_t>(rng.uniform(0, options.fleet_size - 1));
+              static_cast<std::size_t>(rng.uniform(0, fleet_size - 1));
           const std::uint64_t draw = rng.uniform(0, 9);
           fleet.set_mode(vehicle,
                          draw < 8 ? car::CarMode::kNormal
                          : draw == 8 ? car::CarMode::kRemoteDiagnostic
                                      : car::CarMode::kFailSafe);
         }
-        const car::FleetTickStats stats = fleet.tick_parallel(n_threads);
+        const car::FleetTickStats stats = fleet.tick();
         streaks.observe_tick(stats.vehicle_denied);
         totals.decisions += stats.decisions;
         totals.allowed += stats.allowed;
@@ -94,11 +93,11 @@ int main() {
   ticker.stop();
 
   std::printf("simulated 1 s: %llu ticks, %llu decisions "
-              "(%llu allowed, %llu denied), swept on %zu threads\n",
+              "(%llu allowed, %llu denied)\n",
               static_cast<unsigned long long>(ticks),
               static_cast<unsigned long long>(totals.decisions),
               static_cast<unsigned long long>(totals.allowed),
-              static_cast<unsigned long long>(totals.denied), n_threads);
+              static_cast<unsigned long long>(totals.denied));
   std::printf("per tick: %zu vehicles x %zu checks = %zu decisions, "
               "zero strings touched, zero allocations after warm-up\n\n",
               fleet.fleet_size(), fleet.checks_per_vehicle(),
@@ -113,5 +112,17 @@ int main() {
                 "(streak %u ticks)\n",
                 vehicle, streaks.streak(vehicle));
   }
-  return 0;
+
+  bool ok = true;
+  for (const std::size_t vehicle : wedged) {
+    const bool flagged = std::ranges::find(streaks.flagged(), vehicle) !=
+                         streaks.flagged().end();
+    if (!flagged || streaks.streak(vehicle) != ticks) {
+      std::printf("(BUG) wedged vehicle %zu not flagged with a %llu-tick "
+                  "streak\n",
+                  vehicle, static_cast<unsigned long long>(ticks));
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

@@ -170,9 +170,8 @@ int main() {
 
   // Fleet side: vehicles booted the v1 blob (zero recompile — the blob IS
   // the policy; no threat model, no derivation on the vehicle).
-  car::FleetEvaluatorOptions fleet_options;
-  fleet_options.fleet_size = 100;
-  car::FleetBoot fleet_boot(blob_v1, car::default_fleet_checks(), fleet_options);
+  const std::size_t fleet_size = 100;
+  car::FleetBoot fleet_boot(blob_v1, car::default_fleet_checks(), fleet_size);
   const car::FleetTickStats before = fleet_boot.fleet().tick();
   std::printf("[fleet] %zu vehicles booted from the v1 blob (policy v%llu): "
               "%llu decisions/sweep, %llu denied\n",
@@ -191,7 +190,7 @@ int main() {
   const std::string store_path = "/tmp/psme_ota_policy_store.img";
   core::PolicyBlobWriter::write_file(v1.image(), store_path);
   car::FleetBoot store_boot(store_path, car::default_fleet_checks(),
-                            fleet_options, core::BlobTrust::kSealedStore);
+                            fleet_size, core::BlobTrust::kSealedStore);
   const car::FleetTickStats store_sweep = store_boot.fleet().tick();
   const bool store_matches = store_sweep.decisions == before.decisions &&
                              store_sweep.denied == before.denied;

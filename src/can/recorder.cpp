@@ -1,5 +1,7 @@
 #include "can/recorder.h"
 
+#include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -79,16 +81,31 @@ void Replayer::fire(const Frame& frame) {
 std::size_t Replayer::replay(const std::vector<RecordedFrame>& records,
                              double speedup) {
   if (records.empty()) return 0;
-  if (speedup <= 0.0) {
-    throw std::invalid_argument("Replayer: speedup must be positive");
+  if (!std::isfinite(speedup) || speedup <= 0.0) {
+    throw std::invalid_argument(
+        "Replayer: speedup must be finite and positive");
+  }
+  // Everything is checked before anything is scheduled, so a rejected
+  // replay leaves the scheduler as it was.
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (records[i].at < records[i - 1].at) {
+      throw std::invalid_argument("Replayer: records out of time order");
+    }
   }
   const sim::SimTime base = records.front().at;
+  const auto stretched = [&](const RecordedFrame& record) {
+    return static_cast<double>((record.at - base).count()) / speedup;
+  };
+  // In time order the last offset is the largest; 2^63 is the first
+  // double past every sim::SimDuration count.
+  if (stretched(records.back()) >= 0x1p63) {
+    throw std::invalid_argument(
+        "Replayer: stretched replay overflows the simulation clock");
+  }
   for (const auto& record : records) {
-    const auto offset_ns = static_cast<std::int64_t>(
-        static_cast<double>((record.at - base).count()) / speedup);
-    sched_.schedule_in(sim::SimDuration{offset_ns},
-                       [this, frame = record.frame] { fire(frame); },
-                       "replay");
+    sched_.schedule_in(
+        sim::SimDuration{static_cast<std::int64_t>(stretched(record))},
+        [this, frame = record.frame] { fire(frame); }, "replay");
   }
   return records.size();
 }

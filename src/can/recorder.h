@@ -74,6 +74,9 @@ class Replayer {
   /// Replays the given records starting now, preserving their original
   /// inter-frame spacing (timestamps are re-based to the current time).
   /// `speedup` > 1 compresses the timeline. Returns the number scheduled.
+  /// Throws std::invalid_argument, scheduling nothing, unless `speedup`
+  /// is finite and > 0, the records are in non-decreasing time, and
+  /// every stretched offset fits a sim::SimDuration.
   std::size_t replay(const std::vector<RecordedFrame>& records,
                      double speedup = 1.0);
 

@@ -36,25 +36,22 @@ std::string_view to_string(UpdateResult result) noexcept {
 }
 
 FleetBoot::FleetBoot(std::span<const std::byte> blob,
-                     std::vector<FleetCheck> checks,
-                     FleetEvaluatorOptions options) {
-  boot(core::PolicyBlobReader::load(blob), std::move(checks), options);
+                     std::vector<FleetCheck> checks, std::size_t fleet_size) {
+  boot(core::PolicyBlobReader::load(blob), std::move(checks), fleet_size);
 }
 
 FleetBoot::FleetBoot(const std::string& blob_path,
-                     std::vector<FleetCheck> checks,
-                     FleetEvaluatorOptions options, core::BlobTrust trust) {
+                     std::vector<FleetCheck> checks, std::size_t fleet_size,
+                     core::BlobTrust trust) {
   boot(core::PolicyBlobReader::load_file(blob_path, trust),
-       std::move(checks), options);
+       std::move(checks), fleet_size);
 }
 
 void FleetBoot::boot(core::CompiledPolicyImage image,
-                     std::vector<FleetCheck> checks,
-                     FleetEvaluatorOptions options) {
+                     std::vector<FleetCheck> checks, std::size_t fleet_size) {
   image_ = std::make_unique<core::CompiledPolicyImage>(std::move(image));
   checks_ = std::move(checks);
-  options_ = options;
-  fleet_ = std::make_unique<FleetEvaluator>(*image_, checks_, options_);
+  fleet_ = std::make_unique<FleetEvaluator>(*image_, checks_, fleet_size);
 }
 
 UpdateResult FleetBoot::try_apply_update(std::span<const std::byte> blob) {
@@ -101,8 +98,8 @@ bool FleetBoot::commit_update(
   // into the new SID space, per-vehicle modes carried over — before
   // releasing anything: a throw anywhere in here (strong guarantee)
   // leaves the incumbent image and evaluator untouched and answering.
-  auto updated_fleet =
-      std::make_unique<FleetEvaluator>(*updated_image, checks_, options_);
+  auto updated_fleet = std::make_unique<FleetEvaluator>(
+      *updated_image, checks_, fleet_->fleet_size());
   for (std::size_t v = 0; v < fleet_->fleet_size(); ++v) {
     updated_fleet->set_mode(v, fleet_->mode(v));
   }

@@ -62,11 +62,11 @@ enum class UpdateResult : std::uint8_t {
 class FleetBoot {
  public:
   /// Boots from a serialized policy blob: validated load into a fresh
-  /// SID space, then a FleetEvaluator over `checks`. Throws
-  /// core::PolicyBlobError on a malformed blob and whatever
-  /// FleetEvaluator throws on a bad workload/options.
+  /// SID space, then a FleetEvaluator over `checks` for `fleet_size`
+  /// vehicles. Throws core::PolicyBlobError on a malformed blob and
+  /// whatever FleetEvaluator throws on an empty fleet or workload.
   FleetBoot(std::span<const std::byte> blob, std::vector<FleetCheck> checks,
-            FleetEvaluatorOptions options = {});
+            std::size_t fleet_size = 1);
 
   /// As above, loading the blob from a file — mmap-backed where the
   /// platform allows, so a blob boots as a zero-copy view over the
@@ -75,7 +75,7 @@ class FleetBoot {
   /// kSealedStore is the O(1) attach for a blob staged and validated on
   /// this device earlier (core::BlobTrust).
   FleetBoot(const std::string& blob_path, std::vector<FleetCheck> checks,
-            FleetEvaluatorOptions options = {},
+            std::size_t fleet_size = 1,
             core::BlobTrust trust = core::BlobTrust::kUntrusted);
 
   /// The blob came from the OTA channel; the image it loads into and the
@@ -118,7 +118,7 @@ class FleetBoot {
 
  private:
   void boot(core::CompiledPolicyImage image, std::vector<FleetCheck> checks,
-            FleetEvaluatorOptions options);
+            std::size_t fleet_size);
 
   /// The shared tail of both update channels: rollback refusal, complete
   /// replacement construction (modes carried over), then the no-throw
@@ -128,9 +128,8 @@ class FleetBoot {
 
   std::unique_ptr<core::CompiledPolicyImage> image_;
   std::vector<FleetCheck> checks_;  // kept to rebuild on update
-  FleetEvaluatorOptions options_;
-  /// References *image_; unique_ptr (FleetEvaluator pins itself) so an
-  /// update can build the replacement before releasing the incumbent.
+  /// References *image_; unique_ptr so an update can build the
+  /// replacement before releasing the incumbent.
   std::unique_ptr<FleetEvaluator> fleet_;
 };
 

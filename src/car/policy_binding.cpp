@@ -287,39 +287,4 @@ std::vector<can::AcceptanceFilter> BindingCompiler::build_rx_filters(
   return filters;
 }
 
-// -- free-function shims --------------------------------------------------
-
-bool node_may(const std::string& node, const std::string& asset_id,
-              core::AccessType access, CarMode mode,
-              const core::PolicySet& policy) {
-  BindingCompiler compiler(policy);
-  return compiler.node_may(node, asset_id, access, mode);
-}
-
-bool anyone_may_write(const std::string& asset_id, CarMode mode,
-                      const core::PolicySet& policy) {
-  BindingCompiler compiler(policy);
-  return compiler.anyone_may_write(asset_id, mode);
-}
-
-hpe::ListPair build_lists(const std::string& node, CarMode mode,
-                          const core::PolicySet& policy,
-                          const BindingOptions& options) {
-  BindingCompiler compiler(policy, options);
-  return compiler.build_lists(node, mode);
-}
-
-hpe::HpeConfig build_hpe_config(const std::string& node,
-                                const core::PolicySet& policy,
-                                const BindingOptions& options) {
-  BindingCompiler compiler(policy, options);
-  return compiler.build_hpe_config(node);
-}
-
-std::vector<can::AcceptanceFilter> build_rx_filters(
-    const std::string& node, CarMode mode, const core::PolicySet& policy) {
-  BindingCompiler compiler(policy);
-  return compiler.build_rx_filters(node, mode);
-}
-
 }  // namespace psme::car

@@ -106,6 +106,9 @@ class BindingCompiler {
   [[nodiscard]] hpe::HpeConfig build_hpe_config(const std::string& node);
 
   /// Software acceptance filters equivalent to the mode-`mode` read list.
+  /// (Software filters cannot switch modes autonomously; the node's
+  /// firmware must reprogram them on mode change — the vulnerability the
+  /// HPE removes.)
   [[nodiscard]] std::vector<can::AcceptanceFilter> build_rx_filters(
       const std::string& node, CarMode mode);
 
@@ -163,33 +166,5 @@ class BindingCompiler {
   std::unordered_map<std::uint64_t, bool> memo_;
   Stats stats_;
 };
-
-// -- string-level conveniences (each compiles a fresh BindingCompiler) ----
-
-/// True when `node` may access `asset_id` in the given way under `policy`
-/// while the car is in `mode` (the OR over the node's entry points).
-[[nodiscard]] bool node_may(const std::string& node, const std::string& asset_id,
-                            core::AccessType access, CarMode mode,
-                            const core::PolicySet& policy);
-
-/// True when any entry point in the system may write `asset_id` in `mode`.
-[[nodiscard]] bool anyone_may_write(const std::string& asset_id, CarMode mode,
-                                    const core::PolicySet& policy);
-
-/// Approved read/write lists for one node in one mode.
-[[nodiscard]] hpe::ListPair build_lists(const std::string& node, CarMode mode,
-                                        const core::PolicySet& policy,
-                                        const BindingOptions& options = {});
-
-/// Full HPE configuration: per-mode lists plus autonomous mode snooping.
-[[nodiscard]] hpe::HpeConfig build_hpe_config(const std::string& node,
-                                              const core::PolicySet& policy,
-                                              const BindingOptions& options = {});
-
-/// Software acceptance filters equivalent to the mode-`mode` read list.
-/// (Software filters cannot switch modes autonomously; the node's firmware
-/// must reprogram them on mode change — the vulnerability the HPE removes.)
-[[nodiscard]] std::vector<can::AcceptanceFilter> build_rx_filters(
-    const std::string& node, CarMode mode, const core::PolicySet& policy);
 
 }  // namespace psme::car

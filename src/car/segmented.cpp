@@ -74,13 +74,6 @@ hpe::BridgeLists build_gateway_lists(
   return lists;
 }
 
-hpe::BridgeLists build_gateway_lists(
-    const std::vector<std::string>& telematics_nodes, CarMode mode,
-    const core::PolicySet& policy) {
-  BindingCompiler compiler(policy);
-  return build_gateway_lists(compiler, telematics_nodes, mode);
-}
-
 hpe::BridgeConfig build_gateway_config(
     const std::vector<std::string>& telematics_nodes,
     const core::PolicySet& policy) {

@@ -38,11 +38,6 @@ namespace psme::car {
     BindingCompiler& compiler,
     const std::vector<std::string>& telematics_nodes, CarMode mode);
 
-/// Convenience overload compiling against `policy` directly.
-[[nodiscard]] hpe::BridgeLists build_gateway_lists(
-    const std::vector<std::string>& telematics_nodes, CarMode mode,
-    const core::PolicySet& policy);
-
 /// Full gateway configuration across all modes (one shared compiler, so
 /// the per-mode list builds reuse each other's policy verdicts).
 [[nodiscard]] hpe::BridgeConfig build_gateway_config(

@@ -68,12 +68,6 @@ struct SidRequest {
   mac::Sid mode = mac::kNullSid;  // kNullSid => mode-independent request
 };
 
-/// Batch chunk size the staged image pipeline is tuned for;
-/// car::FleetEvaluatorOptions defaults batch_chunk to it. Large enough to
-/// amortise per-batch costs, small enough that a chunk's requests and
-/// decisions stay cache-resident.
-inline constexpr std::size_t kRecommendedBatchChunk = 4096;
-
 /// Outcome of policy evaluation.
 struct Decision {
   bool allowed = false;

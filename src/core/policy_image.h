@@ -37,7 +37,6 @@
 // concurrently without synchronisation, provided build() happened-before
 // the readers started (thread creation, or a published snapshot, gives
 // that for free). Debug builds assert sealed-ness on the evaluate paths.
-// car::FleetEvaluator::tick_parallel leans on exactly this guarantee.
 // Lazy Meta materialisation in borrowed mode is the one internal
 // mutation, and it is made read-equivalent: a compare-exchange installs
 // each Meta exactly once, losers delete their copy, and an installed

@@ -1,6 +1,7 @@
 #include "monitor/anomaly.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace psme::monitor {
@@ -20,9 +21,10 @@ FrameRateMonitor::FrameRateMonitor(sim::Scheduler& sched,
   if (options_.window <= sim::SimDuration::zero()) {
     throw std::invalid_argument("FrameRateMonitor: window must be positive");
   }
-  if (options_.threshold_factor <= 1.0) {
+  if (!std::isfinite(options_.threshold_factor) ||
+      options_.threshold_factor <= 1.0) {
     throw std::invalid_argument(
-        "FrameRateMonitor: threshold factor must exceed 1");
+        "FrameRateMonitor: threshold factor must be finite and exceed 1");
   }
 }
 
@@ -106,9 +108,12 @@ void FrameRateMonitor::on_frame(const can::Frame& frame, sim::SimTime at) {
 
   const std::uint64_t effective_ceiling =
       std::max(known->second, options_.min_ceiling);
-  const auto threshold = static_cast<std::uint64_t>(
-      static_cast<double>(effective_ceiling) * options_.threshold_factor);
-  if (!state.alerted_this_window && state.count_in_window > threshold) {
+  // Compared in double: the product may exceed any integer type, and
+  // for an integral count `count > x` equals `count > floor(x)`.
+  const double threshold =
+      static_cast<double>(effective_ceiling) * options_.threshold_factor;
+  if (!state.alerted_this_window &&
+      static_cast<double>(state.count_in_window) > threshold) {
     state.alerted_this_window = true;
     alerts_.push_back(Alert{at, AlertKind::kRateExceeded, frame.id(),
                             state.count_in_window, known->second});

@@ -51,7 +51,8 @@ struct Alert {
 struct RateMonitorOptions {
   /// Bucketing granularity for rate accounting.
   sim::SimDuration window = std::chrono::milliseconds{100};
-  /// Alert when a window's count exceeds ceiling * factor.
+  /// Alert when a window's count exceeds ceiling * factor. Must be
+  /// finite and > 1.
   double threshold_factor = 4.0;
   /// Ids whose learned ceiling is below this floor use the floor instead
   /// (protects rarely-seen ids from alerting on normal jitter).

@@ -183,8 +183,10 @@ TEST(SegmentedVehicle, ModeChangeReachesBothSegments) {
 
 TEST(GatewayLists, DeriveFromPolicy) {
   const auto policy = car::full_policy(car::connected_car_threat_model());
+  car::BindingCompiler compiler(policy);
   const auto normal = car::build_gateway_lists(
-      car::SegmentedVehicle::telematics_nodes(), car::CarMode::kNormal, policy);
+      compiler, car::SegmentedVehicle::telematics_nodes(),
+      car::CarMode::kNormal);
   // Telematics may command the ECU in normal mode (T03 keeps RW)...
   EXPECT_TRUE(normal.a_to_b.contains(can::CanId::standard(car::msg::kEcuCommand)));
   // ...but not the EPS, the alarm, or the doors.
@@ -195,8 +197,8 @@ TEST(GatewayLists, DeriveFromPolicy) {
   EXPECT_TRUE(normal.b_to_a.contains(can::CanId::standard(car::msg::kSensorSpeed)));
 
   const auto diag = car::build_gateway_lists(
-      car::SegmentedVehicle::telematics_nodes(), car::CarMode::kRemoteDiagnostic,
-      policy);
+      compiler, car::SegmentedVehicle::telematics_nodes(),
+      car::CarMode::kRemoteDiagnostic);
   EXPECT_TRUE(diag.a_to_b.contains(can::CanId::standard(car::msg::kEpsCommand)));
 }
 

@@ -1,7 +1,14 @@
-// Unit and integration tests for the bus anomaly monitor (psme::monitor).
+// Unit and integration tests for the bus anomaly monitor and the fleet
+// deny-streak monitor (psme::monitor).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "attack/attacker.h"
+#include "car/base_policy.h"
+#include "car/fleet_evaluator.h"
+#include "car/table1.h"
 #include "car/vehicle.h"
 #include "monitor/anomaly.h"
 
@@ -18,6 +25,24 @@ TEST(Monitor, OptionValidation) {
   bad = RateMonitorOptions{};
   bad.threshold_factor = 1.0;
   EXPECT_THROW(FrameRateMonitor(sched, bad), std::invalid_argument);
+  bad.threshold_factor = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FrameRateMonitor(sched, bad), std::invalid_argument);
+  bad.threshold_factor = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FrameRateMonitor(sched, bad), std::invalid_argument);
+}
+
+TEST(Monitor, HugeFiniteThresholdFactorNeverAlerts) {
+  // ceiling x factor exceeds every integer type; the comparison must
+  // still read it as "far above any count".
+  sim::Scheduler sched;
+  RateMonitorOptions options;
+  options.threshold_factor = 1e300;
+  FrameRateMonitor monitor(sched, options);
+  monitor.start_training();
+  monitor.on_frame(can::make_frame(0x100, {}), sim::SimTime{0ms});
+  monitor.start_detection();
+  monitor.on_frame(can::make_frame(0x100, {}), sim::SimTime{1000ms});
+  EXPECT_TRUE(monitor.alerts().empty());
 }
 
 TEST(Monitor, DetectRequiresTraining) {
@@ -296,6 +321,103 @@ TEST(Monitor, VehicleIntegrationDetectsFloodOnKnownId) {
     }
   }
   EXPECT_TRUE(rate_alert);
+}
+
+// ------------------------------------------------------ deny-streak feed
+
+TEST(DenyStreakMonitor, FlagsOnlyPersistentDenyStreaks) {
+  DenyStreakOptions options;
+  options.deny_threshold = 2;
+  options.streak_ticks = 3;
+  DenyStreakMonitor streaks(4, options);
+
+  // Vehicle 1 denies persistently; vehicle 2 bursts then recovers.
+  const std::uint32_t tick1[] = {0, 5, 9, 1};
+  const std::uint32_t tick2[] = {0, 4, 0, 1};
+  const std::uint32_t tick3[] = {0, 6, 8, 1};
+  streaks.observe_tick(tick1);
+  streaks.observe_tick(tick2);
+  EXPECT_TRUE(streaks.flagged().empty());
+  streaks.observe_tick(tick3);
+
+  ASSERT_EQ(1u, streaks.flagged().size());
+  EXPECT_EQ(1u, streaks.flagged()[0]);
+  EXPECT_EQ(3u, streaks.streak(1));
+  EXPECT_EQ(1u, streaks.streak(2));  // reset by tick2, restarted by tick3
+  EXPECT_EQ(0u, streaks.streak(3));  // below threshold throughout
+  EXPECT_EQ(3u, streaks.ticks_observed());
+
+  // Flagging is sticky and emitted once.
+  streaks.observe_tick(tick3);
+  EXPECT_EQ(1u, streaks.flagged().size());
+
+  streaks.reset();
+  EXPECT_TRUE(streaks.flagged().empty());
+  EXPECT_EQ(0u, streaks.streak(1));
+}
+
+TEST(DenyStreakMonitor, HealthyFractionIsAnO1CohortSummary) {
+  DenyStreakOptions options;
+  options.deny_threshold = 1;
+  options.streak_ticks = 2;
+  DenyStreakMonitor streaks(8, options);
+  EXPECT_EQ(1.0, streaks.healthy_fraction());  // before any tick
+
+  // Vehicles 2 and 5 deny persistently; everyone else is quiet.
+  const std::uint32_t tick[] = {0, 0, 3, 0, 0, 7, 0, 0};
+  streaks.observe_tick(tick);
+  EXPECT_EQ(1.0, streaks.healthy_fraction());  // streaks open, no flags yet
+  streaks.observe_tick(tick);
+  EXPECT_EQ(2u, streaks.flagged().size());
+  EXPECT_DOUBLE_EQ(0.75, streaks.healthy_fraction());  // 6 of 8 healthy
+
+  // Sticky flags: recovery ticks do not raise the fraction...
+  const std::uint32_t quiet[] = {0, 0, 0, 0, 0, 0, 0, 0};
+  streaks.observe_tick(quiet);
+  EXPECT_DOUBLE_EQ(0.75, streaks.healthy_fraction());
+  // ...only reset() does (the campaign gate's window-open semantics).
+  streaks.reset();
+  EXPECT_EQ(1.0, streaks.healthy_fraction());
+}
+
+TEST(DenyStreakMonitor, ValidatesArguments) {
+  EXPECT_THROW(DenyStreakMonitor(0), std::invalid_argument);
+  DenyStreakOptions zero_threshold;
+  zero_threshold.deny_threshold = 0;
+  EXPECT_THROW(DenyStreakMonitor(4, zero_threshold), std::invalid_argument);
+  DenyStreakOptions zero_streak;
+  zero_streak.streak_ticks = 0;
+  EXPECT_THROW(DenyStreakMonitor(4, zero_streak), std::invalid_argument);
+
+  DenyStreakMonitor streaks(4);
+  const std::uint32_t wrong_size[] = {1, 2};
+  EXPECT_THROW(streaks.observe_tick(wrong_size), std::invalid_argument);
+}
+
+TEST(DenyStreakMonitor, ConsumesFleetEvaluatorTelemetry) {
+  const core::PolicySet policy =
+      car::full_policy(car::connected_car_threat_model());
+  const std::size_t fleet_size = 20;
+  car::FleetEvaluator fleet(policy.image(), car::default_fleet_checks(),
+                            fleet_size);
+
+  // Calibrate: normal-mode background denies, then wedge one vehicle
+  // into fail-safe (strictly more denials) and watch it flag after three
+  // consecutive sweeps.
+  const std::uint32_t background = fleet.tick().vehicle_denied[0];
+  fleet.set_mode(7, car::CarMode::kFailSafe);
+  ASSERT_GT(fleet.tick().vehicle_denied[7], background)
+      << "fixture assumption: fail-safe denies more than normal";
+
+  DenyStreakOptions streak_options;
+  streak_options.deny_threshold = background + 1;
+  streak_options.streak_ticks = 3;
+  DenyStreakMonitor streaks(fleet_size, streak_options);
+  for (int i = 0; i < 3; ++i) {
+    streaks.observe_tick(fleet.tick().vehicle_denied);
+  }
+  ASSERT_EQ(1u, streaks.flagged().size());
+  EXPECT_EQ(7u, streaks.flagged()[0]);
 }
 
 }  // namespace

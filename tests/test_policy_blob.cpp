@@ -282,15 +282,14 @@ TEST(FleetBoot, BootsFromBlobWithByteIdenticalSweeps) {
   const CompiledPolicyImage& compiled = car_policy().image();
   const std::vector<std::byte> blob = PolicyBlobWriter::write(compiled);
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 40;
+  const std::size_t fleet_size = 40;
   car::FleetEvaluator reference(compiled, car::default_fleet_checks(),
-                                options);
-  car::FleetBoot boot(blob, car::default_fleet_checks(), options);
+                                fleet_size);
+  car::FleetBoot boot(blob, car::default_fleet_checks(), fleet_size);
 
   // Scatter modes identically on both fleets.
   sim::Rng rng(99);
-  for (std::size_t v = 0; v < options.fleet_size; ++v) {
+  for (std::size_t v = 0; v < fleet_size; ++v) {
     const auto mode = static_cast<car::CarMode>(rng.uniform(0, 2));
     reference.set_mode(v, mode);
     boot.fleet().set_mode(v, mode);
@@ -334,9 +333,7 @@ TEST(FleetBoot, OtaUpdateSwapsPolicyAndRefusesRollback) {
   const std::vector<std::byte> blob_v1 = PolicyBlobWriter::write(v1.image());
   const std::vector<std::byte> blob_v2 = PolicyBlobWriter::write(v2.image());
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 8;
-  car::FleetBoot boot(blob_v1, car::default_fleet_checks(), options);
+  car::FleetBoot boot(blob_v1, car::default_fleet_checks(), 8);
   boot.fleet().set_mode(3, car::CarMode::kFailSafe);
   const std::uint64_t denied_v1 = boot.fleet().tick().denied;
   EXPECT_EQ(boot.policy_version(), 1u);
@@ -584,15 +581,14 @@ TEST(FleetBoot, BootsFromFileWithByteIdenticalSweeps) {
   const std::string path = ::testing::TempDir() + "psme_boot_v2.img";
   PolicyBlobWriter::write_file(compiled, path);
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 16;
+  const std::size_t fleet_size = 16;
   car::FleetEvaluator reference(compiled, car::default_fleet_checks(),
-                                options);
+                                fleet_size);
   // Boot once per trust level — a freshly staged file (untrusted) and a
   // locally sealed one (the O(1) attach) must sweep identically.
-  car::FleetBoot staged(path, car::default_fleet_checks(), options,
+  car::FleetBoot staged(path, car::default_fleet_checks(), fleet_size,
                         BlobTrust::kUntrusted);
-  car::FleetBoot sealed(path, car::default_fleet_checks(), options,
+  car::FleetBoot sealed(path, car::default_fleet_checks(), fleet_size,
                         BlobTrust::kSealedStore);
 
   std::vector<Decision> want_stream;

@@ -353,9 +353,7 @@ TEST(FleetBootDelta, DeltaUpdateSwapsPolicyAndPreservesModes) {
   const std::vector<std::byte> blob_v1 =
       PolicyBlobWriter::write(car_policy_v1().image());
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 8;
-  car::FleetBoot boot(blob_v1, car::default_fleet_checks(), options);
+  car::FleetBoot boot(blob_v1, car::default_fleet_checks(), 8);
   boot.fleet().set_mode(3, car::CarMode::kFailSafe);
   const std::uint64_t denied_v1 = boot.fleet().tick().denied;
   EXPECT_EQ(boot.policy_version(), 1u);
@@ -387,9 +385,7 @@ TEST(FleetBootDelta, RollbackDeltaIsRefused) {
   // the blob channel.
   const std::vector<std::byte> blob_v2 = PolicyBlobWriter::write(
       CompiledPolicyImage::from_policy_set(car_policy_v2()));
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 4;
-  car::FleetBoot boot(blob_v2, car::default_fleet_checks(), options);
+  car::FleetBoot boot(blob_v2, car::default_fleet_checks(), 4);
   EXPECT_EQ(boot.policy_version(), 2u);
 
   const CompiledPolicyImage& running = boot.image();

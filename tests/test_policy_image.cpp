@@ -2,13 +2,18 @@
 // with the legacy string evaluation (byte-identical Decisions against a
 // linear-scan oracle), batched evaluation (shuffled batch == scalar per
 // element, including deny/audit paths), the PolicyDb flat table against
-// a rule oracle, and the FleetEvaluator against the legacy string
-// pipeline.
+// a rule oracle, the FleetEvaluator against the legacy string
+// pipeline, and const evaluation of one built image from several
+// threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "car/base_policy.h"
@@ -357,17 +362,21 @@ TEST(FleetEvaluator, BatchedFleetByteIdenticalToStringPipeline) {
   const PolicySet policy = car::full_policy(model);
   const CompiledPolicyImage& image = policy.image();
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 7;
-  options.batch_chunk = 64;  // force mid-vehicle chunk boundaries
-  car::FleetEvaluator fleet(image, car::default_fleet_checks(), options);
+  // 43 vehicles x 192 checks: the 4096-request chunks end inside
+  // vehicles 21 and 42, so deny attribution must carry the chunk offset.
+  const std::vector<car::FleetCheck> checks = car::default_fleet_checks();
+  const std::size_t per_vehicle = checks.size();
+  ASSERT_EQ(per_vehicle, 192u);
+  const std::size_t fleet_size = 43;
+  car::FleetEvaluator fleet(image, checks, fleet_size);
   fleet.set_mode(1, car::CarMode::kRemoteDiagnostic);
   fleet.set_mode(2, car::CarMode::kFailSafe);
   fleet.set_mode(5, car::CarMode::kFailSafe);
+  fleet.set_mode(21, car::CarMode::kFailSafe);
+  fleet.set_mode(42, car::CarMode::kRemoteDiagnostic);
 
-  const std::vector<car::FleetCheck> checks = car::default_fleet_checks();
-  const std::size_t per_vehicle = checks.size();
   std::size_t cursor = 0;
+  std::vector<std::uint32_t> stream_denied(fleet_size, 0);
   const car::FleetTickStats stats =
       fleet.tick([&](std::span<const SidRequest> requests,
                      std::span<const Decision> decisions) {
@@ -381,32 +390,94 @@ TEST(FleetEvaluator, BatchedFleetByteIdenticalToStringPipeline) {
           expect_same_decision(decisions[i], oracle(policy, request),
                                "vehicle " + std::to_string(vehicle) + ": " +
                                    request.to_string());
+          if (!decisions[i].allowed) ++stream_denied[vehicle];
         }
       });
-  EXPECT_EQ(cursor, options.fleet_size * per_vehicle);
+  EXPECT_EQ(cursor, fleet_size * per_vehicle);
   EXPECT_EQ(stats.decisions, cursor);
   EXPECT_EQ(stats.allowed + stats.denied, stats.decisions);
   EXPECT_GT(stats.allowed, 0u);
   EXPECT_GT(stats.denied, 0u);
+  const std::vector<std::uint32_t> vehicle_denied(stats.vehicle_denied.begin(),
+                                                  stats.vehicle_denied.end());
+  EXPECT_EQ(vehicle_denied, stream_denied);
+
+  // The counting path (verdict bytes, no sink) tallies the same sweep.
+  const car::FleetTickStats counted = fleet.tick();
+  EXPECT_EQ(counted.decisions, stats.decisions);
+  EXPECT_EQ(counted.allowed, stats.allowed);
+  EXPECT_EQ(counted.denied, stats.denied);
+  EXPECT_EQ(std::vector<std::uint32_t>(counted.vehicle_denied.begin(),
+                                       counted.vehicle_denied.end()),
+            stream_denied);
+}
+
+TEST(FleetEvaluator, ThrowingSinkLeavesNoChunkQueued) {
+  const PolicySet policy = car::full_policy(car::connected_car_threat_model());
+  car::FleetEvaluator fleet(policy.image(), car::default_fleet_checks(), 43);
+  fleet.set_mode(21, car::CarMode::kFailSafe);
+  const car::FleetTickStats first = fleet.tick();
+  const std::vector<std::uint32_t> vehicle_denied(first.vehicle_denied.begin(),
+                                                  first.vehicle_denied.end());
+
+  // The sink throws on the first chunk; that chunk must not stay queued
+  // ahead of the next tick's requests.
+  const auto throwing_sink = [](std::span<const SidRequest>,
+                                std::span<const Decision>) {
+    throw std::runtime_error("sink failure");
+  };
+  EXPECT_THROW(fleet.tick(throwing_sink), std::runtime_error);
+
+  const car::FleetTickStats next = fleet.tick();
+  EXPECT_EQ(next.allowed, first.allowed);
+  EXPECT_EQ(next.denied, first.denied);
+  EXPECT_EQ(std::vector<std::uint32_t>(next.vehicle_denied.begin(),
+                                       next.vehicle_denied.end()),
+            vehicle_denied);
 }
 
 TEST(FleetEvaluator, ValidatesConstructionAndModeAccess) {
   const PolicySet policy = car::full_policy(car::connected_car_threat_model());
   const CompiledPolicyImage& image = policy.image();
-  car::FleetEvaluatorOptions empty_fleet;
-  empty_fleet.fleet_size = 0;
-  EXPECT_THROW(
-      car::FleetEvaluator(image, car::default_fleet_checks(), empty_fleet),
-      std::invalid_argument);
-  EXPECT_THROW(car::FleetEvaluator(image, {}, {}), std::invalid_argument);
+  EXPECT_THROW(car::FleetEvaluator(image, car::default_fleet_checks(), 0),
+               std::invalid_argument);
+  EXPECT_THROW(car::FleetEvaluator(image, {}), std::invalid_argument);
 
-  car::FleetEvaluatorOptions options;
-  options.fleet_size = 2;
-  car::FleetEvaluator fleet(image, car::default_fleet_checks(), options);
+  car::FleetEvaluator fleet(image, car::default_fleet_checks(), 2);
   EXPECT_EQ(fleet.mode(0), car::CarMode::kNormal);
   fleet.set_mode(1, car::CarMode::kFailSafe);
   EXPECT_EQ(fleet.mode(1), car::CarMode::kFailSafe);
   EXPECT_THROW(fleet.set_mode(2, car::CarMode::kNormal), std::out_of_range);
+}
+
+// ------------------------------------------------- concurrent evaluation
+
+TEST(PolicySetConcurrency, ConstEvaluationOverBuiltImageIsMultiThreaded) {
+  const PolicySet policy = car::full_policy(car::connected_car_threat_model());
+  // The image is compiled HERE, on this thread, before any reader
+  // starts — the relaxed pin applies only to the compile.
+  (void)policy.image();
+
+  const AccessRequest request{"telematics_unit", "vehicle_can_data",
+                              AccessType::kRead, {}};
+  const Decision expected = policy.evaluate(request);
+
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        const Decision decision = policy.evaluate(request);
+        if (decision.allowed != expected.allowed ||
+            decision.rule_id != expected.rule_id ||
+            decision.reason != expected.reason) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(0u, mismatches.load());
 }
 
 // ------------------------------------------- binding-compiler statistics

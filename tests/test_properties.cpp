@@ -27,7 +27,8 @@ class BindingInvariants : public ::testing::TestWithParam<NodeMode> {};
 
 TEST_P(BindingInvariants, WriteListHoldsOnlyOwnStatusOrGrantedCommands) {
   const auto [node, mode] = GetParam();
-  const auto lists = car::build_lists(node, mode, car_policy());
+  car::BindingCompiler compiler(car_policy());
+  const auto lists = compiler.build_lists(node, mode);
   for (const car::AssetBinding& asset : car::asset_bindings()) {
     const bool owns = asset.owner_node == node;
     for (const auto id : asset.status_ids) {
@@ -35,9 +36,8 @@ TEST_P(BindingInvariants, WriteListHoldsOnlyOwnStatusOrGrantedCommands) {
           << node << " status 0x" << std::hex << id;
     }
     for (const auto id : asset.command_ids) {
-      const bool granted = car::node_may(node, asset.asset_id,
-                                         core::AccessType::kWrite, mode,
-                                         car_policy());
+      const bool granted = compiler.node_may(node, asset.asset_id,
+                                             core::AccessType::kWrite, mode);
       EXPECT_EQ(lists.write.contains(can::CanId::standard(id)),
                 !owns && granted)
           << node << " command 0x" << std::hex << id;
@@ -47,7 +47,8 @@ TEST_P(BindingInvariants, WriteListHoldsOnlyOwnStatusOrGrantedCommands) {
 
 TEST_P(BindingInvariants, ReadListNeverExceedsPolicyGrants) {
   const auto [node, mode] = GetParam();
-  const auto lists = car::build_lists(node, mode, car_policy());
+  car::BindingCompiler compiler(car_policy());
+  const auto lists = compiler.build_lists(node, mode);
   // Structural ids every node receives regardless of policy.
   const auto structural = [](std::uint32_t id) {
     return id == car::msg::kModeChange || id == car::msg::kFailSafeTrigger ||
@@ -59,8 +60,8 @@ TEST_P(BindingInvariants, ReadListNeverExceedsPolicyGrants) {
     for (const auto id : asset.status_ids) {
       if (structural(id)) continue;
       if (lists.read.contains(can::CanId::standard(id))) {
-        EXPECT_TRUE(car::node_may(node, asset.asset_id,
-                                  core::AccessType::kRead, mode, car_policy()))
+        EXPECT_TRUE(compiler.node_may(node, asset.asset_id,
+                                      core::AccessType::kRead, mode))
             << node << " reads 0x" << std::hex << id << " without a grant";
       }
     }
@@ -69,8 +70,9 @@ TEST_P(BindingInvariants, ReadListNeverExceedsPolicyGrants) {
 
 TEST_P(BindingInvariants, SoftwareFiltersEquivalentToHpeReadList) {
   const auto [node, mode] = GetParam();
-  const auto lists = car::build_lists(node, mode, car_policy());
-  const auto filters = car::build_rx_filters(node, mode, car_policy());
+  car::BindingCompiler compiler(car_policy());
+  const auto lists = compiler.build_lists(node, mode);
+  const auto filters = compiler.build_rx_filters(node, mode);
   // Every filter's id is on the read list and vice versa (for the car's
   // known id universe, which build_rx_filters enumerates).
   for (const auto& filter : filters) {
@@ -115,17 +117,17 @@ class GatewayProperty : public ::testing::TestWithParam<car::CarMode> {};
 
 TEST_P(GatewayProperty, ForwardingNeverExceedsPolicy) {
   const car::CarMode mode = GetParam();
+  car::BindingCompiler compiler(car_policy());
   const auto lists = car::build_gateway_lists(
-      car::SegmentedVehicle::telematics_nodes(), mode, car_policy());
+      compiler, car::SegmentedVehicle::telematics_nodes(), mode);
   for (const car::AssetBinding& asset : car::asset_bindings()) {
     const bool telematics_asset =
         asset.owner_node == "connectivity" || asset.owner_node == "infotainment";
     if (telematics_asset) continue;
     bool granted = false;
     for (const auto& node : car::SegmentedVehicle::telematics_nodes()) {
-      granted = granted || car::node_may(node, asset.asset_id,
-                                         core::AccessType::kWrite, mode,
-                                         car_policy());
+      granted = granted || compiler.node_may(node, asset.asset_id,
+                                             core::AccessType::kWrite, mode);
     }
     for (const auto id : asset.command_ids) {
       EXPECT_EQ(lists.a_to_b.contains(can::CanId::standard(id)), granted)

@@ -2,6 +2,8 @@
 // the end-to-end replay attack against the vehicle.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attack/attacker.h"
 #include "can/recorder.h"
 #include "car/vehicle.h"
@@ -93,6 +95,19 @@ TEST(Replayer, PreservesSpacingAndSupportsSpeedup) {
   sched.run();
   EXPECT_EQ(fire_times[1] - fire_times[0], sim::SimDuration{25ms});
   EXPECT_THROW(replayer.replay(records, 0.0), std::invalid_argument);
+
+  // Rejected replays schedule nothing: a NaN speedup, a speedup that
+  // stretches the offsets past the clock, and records out of time order.
+  const std::size_t pending = sched.pending();
+  EXPECT_THROW(
+      replayer.replay(records, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_EQ(sched.pending(), pending);
+  EXPECT_THROW(replayer.replay(records, 1e-300), std::invalid_argument);
+  EXPECT_EQ(sched.pending(), pending);
+  const std::vector<RecordedFrame> reversed(records.rbegin(), records.rend());
+  EXPECT_THROW(replayer.replay(reversed), std::invalid_argument);
+  EXPECT_EQ(sched.pending(), pending);
 }
 
 TEST(Replayer, CountsRefusals) {

@@ -365,7 +365,7 @@ TEST(PolicySetIndex, IndexedEvaluateMatchesLinearScanUnderFuzz) {
 
 // -------------------------------------------------------- BindingCompiler
 
-TEST(BindingCompiler, MemoisedVerdictsMatchFreeFunctions) {
+TEST(BindingCompiler, MemoisedVerdictsMatchFreshCompilers) {
   const core::PolicySet policy =
       car::full_policy(car::connected_car_threat_model());
   car::BindingCompiler compiler(policy);
@@ -375,8 +375,8 @@ TEST(BindingCompiler, MemoisedVerdictsMatchFreeFunctions) {
         for (const auto access :
              {core::AccessType::kRead, core::AccessType::kWrite}) {
           EXPECT_EQ(compiler.node_may(binding.node, asset.asset_id, access, mode),
-                    car::node_may(binding.node, asset.asset_id, access, mode,
-                                  policy))
+                    car::BindingCompiler(policy).node_may(
+                        binding.node, asset.asset_id, access, mode))
               << binding.node << " " << asset.asset_id;
         }
       }
@@ -403,7 +403,8 @@ TEST(BindingCompiler, SharedCompilerBuildsIdenticalHpeConfigs) {
   car::BindingCompiler compiler(policy);
   for (const auto& binding : car::node_bindings()) {
     const hpe::HpeConfig shared = compiler.build_hpe_config(binding.node);
-    const hpe::HpeConfig fresh = car::build_hpe_config(binding.node, policy);
+    const hpe::HpeConfig fresh =
+        car::BindingCompiler(policy).build_hpe_config(binding.node);
     ASSERT_EQ(shared.per_mode.size(), fresh.per_mode.size());
     for (const auto& [mode, lists] : fresh.per_mode) {
       const auto it = shared.per_mode.find(mode);
