@@ -104,6 +104,7 @@ CampaignServer::CampaignServer(std::vector<core::PolicySet> lineage,
   }
   images_.reserve(lineage_.size());
   blobs_.reserve(lineage_.size());
+  fingerprints_.reserve(lineage_.size());
   for (std::size_t i = 0; i < lineage_.size(); ++i) {
     if (i > 0 && lineage_[i].version() <= lineage_[i - 1].version()) {
       throw std::invalid_argument(
@@ -122,6 +123,7 @@ CampaignServer::CampaignServer(std::vector<core::PolicySet> lineage,
                                                    std::move(sids)));
     blobs_.push_back(std::make_shared<const std::vector<std::byte>>(
         core::PolicyBlobWriter::write(*image)));
+    fingerprints_.push_back(image->fingerprint());
     version_index_.emplace(image->version(), i);
     images_.push_back(std::move(image));
   }
@@ -194,7 +196,7 @@ std::vector<CampaignVehicle> CampaignServer::make_fleet(
     auto& vehicle = fleet[v];
     vehicle.id = static_cast<std::uint32_t>(v);
     vehicle.version = images_[index]->version();
-    vehicle.fingerprint = images_[index]->fingerprint();
+    vehicle.fingerprint = fingerprints_[index];
     vehicle.sealed_blob = blobs_[index];
   }
   return fleet;
@@ -362,7 +364,7 @@ CampaignServer::Objective CampaignServer::objective_for(
     std::uint64_t base_version) {
   Objective objective;
   objective.version = images_.back()->version();
-  objective.fingerprint = images_.back()->fingerprint();
+  objective.fingerprint = fingerprints_.back();
   objective.blob = blobs_.back();
   objective.commit_store = blobs_.back();
   const Artefact plan = plan_for(base_version);
@@ -426,9 +428,15 @@ std::uint32_t CampaignServer::probe_denies(
 
 CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
                                    UpdateTransport& transport) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (fleet[i].id != i) {
+      throw std::invalid_argument(
+          "CampaignServer::run: vehicle ids must be fleet positions");
+    }
+  }
   CampaignReport report;
   report.target_version = images_.back()->version();
-  report.target_fingerprint = images_.back()->fingerprint();
+  report.target_fingerprint = fingerprints_.back();
 
   // Gate threshold: "denying more than the predecessor policy did".
   const std::uint32_t gate_deny_threshold =
@@ -619,14 +627,15 @@ void CampaignServer::run_rollback(std::vector<CampaignVehicle>& fleet,
         core::PolicyBlobWriter::write(*rollback_image_));
     rollback_delta_ = std::make_shared<const std::vector<std::byte>>(
         core::PolicyDeltaWriter::write(*images_.back(), *rollback_image_));
+    rollback_fingerprint_ = rollback_image_->fingerprint();
   }
   report.rolled_back = true;
   report.rollback_version = rollback_image_->version();
-  report.rollback_fingerprint = rollback_image_->fingerprint();
+  report.rollback_fingerprint = rollback_fingerprint_;
 
   Objective objective;
   objective.version = rollback_image_->version();
-  objective.fingerprint = rollback_image_->fingerprint();
+  objective.fingerprint = rollback_fingerprint_;
   objective.delta_base = images_.back().get();
   objective.delta = rollback_delta_;
   objective.blob = rollback_blob_;
@@ -640,7 +649,7 @@ void CampaignServer::run_rollback(std::vector<CampaignVehicle>& fleet,
   objectives.emplace(images_.back()->version(), std::move(objective));
   for (CampaignVehicle& vehicle : fleet) {
     if (vehicle.state == VehicleState::kHealthy &&
-        vehicle.fingerprint == images_.back()->fingerprint()) {
+        vehicle.fingerprint == fingerprints_.back()) {
       vehicle.state = VehicleState::kOffered;
       vehicle.tries = 0;
       vehicle.delta_failures = 0;
@@ -666,27 +675,39 @@ void CampaignServer::audit_fleet(const std::vector<CampaignVehicle>& fleet,
   // probe clean, match the vehicle's own record, and carry a fingerprint
   // the server ever released (lineage or rollback). Injected damage may
   // strand a vehicle on an OLD version; it must never corrupt a store.
+  //
+  // Stores are shared (make_fleet and every delta-channel commit hand out
+  // the server's blobs), so each distinct store is probed once: its
+  // carried fingerprint, or nullopt when the probe rejects it. The fleet
+  // keeps every store alive for the whole audit, so an address names one
+  // buffer throughout and the memo gives each vehicle the verdict its
+  // own probe would.
+  const auto released = [this](std::uint64_t fingerprint) {
+    return (rollback_image_ && fingerprint == rollback_fingerprint_) ||
+           std::find(fingerprints_.begin(), fingerprints_.end(),
+                     fingerprint) != fingerprints_.end();
+  };
+  std::unordered_map<const std::vector<std::byte>*,
+                     std::optional<std::uint64_t>>
+      probed;
   for (const CampaignVehicle& vehicle : fleet) {
     if (!vehicle.sealed_blob) {
       ++report.corrupt_images;
       continue;
     }
-    try {
-      const core::PolicyBlobInfo info =
-          core::PolicyBlobReader::probe(*vehicle.sealed_blob);
-      if (info.fingerprint != vehicle.fingerprint) {
-        ++report.corrupt_images;
-        continue;
+    auto store = probed.find(vehicle.sealed_blob.get());
+    if (store == probed.end()) {
+      std::optional<std::uint64_t> fingerprint;
+      try {
+        fingerprint =
+            core::PolicyBlobReader::probe(*vehicle.sealed_blob).fingerprint;
+      } catch (const core::PolicyBlobError&) {
+        // Rejected: the store's verdict stays nullopt.
       }
-      bool known = rollback_image_ &&
-                   info.fingerprint == rollback_image_->fingerprint();
-      for (const auto& image : images_) {
-        known = known || info.fingerprint == image->fingerprint();
-      }
-      if (!known) {
-        ++report.corrupt_images;
-      }
-    } catch (const core::PolicyBlobError&) {
+      store = probed.emplace(vehicle.sealed_blob.get(), fingerprint).first;
+    }
+    if (!store->second || *store->second != vehicle.fingerprint ||
+        !released(vehicle.fingerprint)) {
       ++report.corrupt_images;
     }
   }

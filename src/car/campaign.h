@@ -197,11 +197,14 @@ struct CampaignReport {
   std::size_t dark = 0;
   std::size_t untouched = 0;  // already on target before the campaign
 
-  /// Post-campaign audit: vehicles whose sealed blob fails probe or
-  /// disagrees with their recorded fingerprint, or whose fingerprint is
-  /// not a lineage (or rollback) fingerprint. The acceptance invariant
-  /// is ZERO at any fault rate — injected damage may delay a vehicle,
-  /// never corrupt its store.
+  /// Post-campaign audit: vehicles with no sealed store, or whose store
+  /// fails probe, disagrees with the vehicle's recorded fingerprint, or
+  /// carries a fingerprint the server never released (lineage or
+  /// rollback). Each distinct store is probed once; every vehicle's
+  /// record is checked against its store's verdict, so a bad store
+  /// shared by n vehicles counts n. The acceptance invariant is ZERO at
+  /// any fault rate — injected damage may delay a vehicle, never
+  /// corrupt its store.
   std::size_t corrupt_images = 0;
 
   bool rolled_back = false;
@@ -276,6 +279,10 @@ class CampaignServer {
   /// `transport`, wave by wave, gating each wave and halting + rolling
   /// back on a failed gate. Mutates the fleet in place (final states,
   /// versions, sealed blobs) and returns the full report.
+  ///
+  /// Precondition: every vehicle's id is its position in `fleet`
+  /// (fleet[i].id == i), as make_fleet builds it. Throws
+  /// std::invalid_argument otherwise, before any vehicle is touched.
   [[nodiscard]] CampaignReport run(std::vector<CampaignVehicle>& fleet,
                                    UpdateTransport& transport);
 
@@ -339,6 +346,10 @@ class CampaignServer {
   std::vector<core::PolicySet> lineage_;
   std::vector<std::shared_ptr<const core::CompiledPolicyImage>> images_;
   std::vector<std::shared_ptr<const std::vector<std::byte>>> blobs_;
+  /// fingerprints_[i] == images_[i]->fingerprint(), computed once: the
+  /// fingerprint rehashes every entry, and the fleet paths need it per
+  /// vehicle.
+  std::vector<std::uint64_t> fingerprints_;
   std::unordered_map<std::uint64_t, std::size_t> version_index_;
   std::unordered_map<std::uint64_t, Artefact> plan_cache_;
   std::uint64_t plan_blob_fallbacks_ = 0;
@@ -349,6 +360,7 @@ class CampaignServer {
   std::shared_ptr<const core::CompiledPolicyImage> rollback_image_;
   std::shared_ptr<const std::vector<std::byte>> rollback_blob_;
   std::shared_ptr<const std::vector<std::byte>> rollback_delta_;
+  std::uint64_t rollback_fingerprint_ = 0;
 };
 
 }  // namespace psme::car

@@ -195,7 +195,9 @@ class CompiledPolicyImage {
 
   /// Stable 64-bit fingerprint over name, version, flags and the packed
   /// entries (via their audit strings) — the integrity anchor the
-  /// persistent-image serialisation will reuse.
+  /// persistent-image serialisation will reuse. Nothing is cached: each
+  /// call hashes every entry, so a caller that needs it per vehicle (or
+  /// in any other loop) computes it once and keeps the value.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Total sealed-index slots inspected to answer this request, summed

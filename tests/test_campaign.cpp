@@ -15,6 +15,10 @@
 //  * HALT + ROLLBACK: a poisoned (deny-storm) target trips the canary
 //    wave's health gate; the campaign halts before wave two and rolls
 //    the canary cohort back to the predecessor's content.
+//  * AUDIT: the post-campaign audit counts every vehicle whose sealed
+//    store is missing, fails its probe, disagrees with the vehicle's
+//    record or was never released — per vehicle, even where vehicles
+//    share one bad store.
 //  * TAXONOMY: FleetBoot::try_apply_* classifies rejections
 //    (rollback-refused / validation-failed / fingerprint-mismatch /
 //    anchor-mismatch) without string matching.
@@ -23,8 +27,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "car/campaign.h"
@@ -169,7 +175,7 @@ TEST(CampaignConvergence, AcceptanceScaleHundredThousandVehicles) {
   expect_zero_corruption(report);
   EXPECT_EQ(report.healthy + report.dark + report.failed, fleet.size());
   EXPECT_EQ(report.failed, 0u);
-  // The composed-delta plan must beat naive full-blob distribution.
+  // The base->target delta plan must beat naive full-blob distribution.
   EXPECT_GT(report.full_blob_bytes_baseline, 0u);
   EXPECT_LT(report.delta_bytes_shipped + report.blob_bytes_shipped,
             report.full_blob_bytes_baseline);
@@ -341,6 +347,64 @@ TEST(CampaignServer, RejectsInvalidLineageAndFractions) {
   EXPECT_EQ(report.status, CampaignStatus::kConverged);
   ASSERT_EQ(report.waves.size(), 1u);
   EXPECT_EQ(report.waves[0].size, 50u);
+}
+
+TEST(CampaignServer, RunRejectsFleetWhoseIdsAreNotPositions) {
+  CampaignServer server(fleet_lineage(3), test_config());
+  std::vector<CampaignVehicle> fleet = server.make_fleet(10, 1);
+  // Every remaining id is one past its position; the last one is past
+  // the end of the fleet.
+  fleet.erase(fleet.begin());
+  fleet.shrink_to_fit();
+  PerfectTransport transport;
+  EXPECT_THROW((void)server.run(fleet, transport), std::invalid_argument);
+  for (const CampaignVehicle& vehicle : fleet) {
+    EXPECT_EQ(vehicle.state, VehicleState::kIdle)
+        << "a rejected fleet must be left untouched";
+  }
+}
+
+TEST(CampaignAudit, CountsEveryVehicleWhoseStoreIsBad) {
+  CampaignServer server(fleet_lineage(4), test_config());
+  const std::size_t last = server.lineage_size() - 1;
+  const CompiledPolicyImage& target = server.target_image();
+  const auto target_blob = server.blob_at(last);
+
+  auto flipped = std::make_shared<std::vector<std::byte>>(*target_blob);
+  (*flipped)[flipped->size() / 2] ^= std::byte{0x01};  // fails the checksum
+
+  // Well formed and self-consistent, but never released by the server.
+  PolicySet rogue("rogue", target.version());
+  rogue.set_default_allow(true);
+  const CompiledPolicyImage rogue_image =
+      CompiledPolicyImage::from_policy_set(rogue);
+  const auto rogue_blob = std::make_shared<const std::vector<std::byte>>(
+      PolicyBlobWriter::write(rogue_image));
+
+  std::vector<CampaignVehicle> fleet = server.make_fleet(12, 0xA0D17ULL);
+  // Vehicles 0..6 sit on the target version, so the campaign leaves
+  // them alone and only the audit looks at them.
+  const auto on_target = [&](std::size_t i,
+                             std::shared_ptr<const std::vector<std::byte>> store,
+                             std::uint64_t fingerprint) {
+    fleet[i].version = target.version();
+    fleet[i].fingerprint = fingerprint;
+    fleet[i].sealed_blob = std::move(store);
+  };
+  on_target(0, nullptr, target.fingerprint());
+  for (std::size_t i = 1; i <= 3; ++i) {
+    on_target(i, flipped, target.fingerprint());  // one bad buffer, 3 vehicles
+  }
+  on_target(4, target_blob, target.fingerprint() ^ 1);  // wrong record
+  on_target(5, rogue_blob, rogue_image.fingerprint());  // never released
+  on_target(6, target_blob, target.fingerprint());      // clean
+
+  PerfectTransport transport;
+  const CampaignReport report = server.run(fleet, transport);
+  EXPECT_EQ(report.status, CampaignStatus::kConverged);
+  EXPECT_EQ(report.untouched, 7u);
+  EXPECT_EQ(report.corrupt_images, 6u)
+      << "every vehicle on a bad store counts, not every bad store";
 }
 
 TEST(CampaignFallback, RepeatedDeltaCorruptionSwitchesVehicleToBlob) {
