@@ -5,10 +5,11 @@
 //    timestamped frames is what the analyst works from (cf. Akatyev &
 //    James, which the paper builds on);
 //  * replay attacks — the classic CAN attack primitive: record a
-//    legitimate frame (an unlock command, say) and inject it later. The
-//    attack framework uses Replayer to model exactly that, which is also
-//    why freshness cannot come from the frame itself and policy filters
-//    must gate by mode/context instead.
+//    legitimate frame (an unlock command, say) and inject it later.
+//    Replayer models exactly that, which is also why freshness cannot
+//    come from the frame itself and policy filters must gate by
+//    mode/context instead. Its callers are the ReplayAttack tests and
+//    examples/intrusion_detection.cpp; no library code uses it.
 #pragma once
 
 #include <cstdint>

@@ -213,8 +213,7 @@ std::uint64_t CampaignServer::backoff_ticks(std::uint32_t vehicle,
 
 void CampaignServer::retry_or_fail(CampaignVehicle& vehicle, std::uint64_t now,
                                    Tally& tally) {
-  vehicle.staged.clear();
-  vehicle.staged.shrink_to_fit();
+  vehicle.staged.reset();
   if (++vehicle.tries >= config_.max_tries) {
     vehicle.state = VehicleState::kFailed;
     return;
@@ -227,12 +226,14 @@ void CampaignServer::retry_or_fail(CampaignVehicle& vehicle, std::uint64_t now,
 UpdateResult CampaignServer::validate_staged(const CampaignVehicle& vehicle,
                                              Objective& objective) const {
   const bool via_delta = vehicle.channel == UpdateChannel::kDelta;
-  const auto& clean = via_delta ? *objective.delta : *objective.blob;
+  const auto& clean = via_delta ? objective.delta : objective.blob;
   auto& memo =
       via_delta ? objective.clean_delta_verdict : objective.clean_blob_verdict;
-  const bool is_clean =
-      vehicle.staged.size() == clean.size() &&
-      std::equal(vehicle.staged.begin(), vehicle.staged.end(), clean.begin());
+  const std::vector<std::byte>& staged = *vehicle.staged;
+  // Only the server's own buffer, which a clean delivery hands back, hits
+  // the memo. Any other buffer is validated on its own: the verdict is a
+  // pure function of the bytes, so a byte-equal copy still gets it right.
+  const bool is_clean = vehicle.staged == clean;
   if (is_clean && memo) {
     return *memo;
   }
@@ -240,13 +241,13 @@ UpdateResult CampaignServer::validate_staged(const CampaignVehicle& vehicle,
   try {
     if (via_delta) {
       const core::CompiledPolicyImage applied =
-          core::PolicyDeltaReader::apply(*objective.delta_base, vehicle.staged);
+          core::PolicyDeltaReader::apply(*objective.delta_base, staged);
       result = applied.fingerprint() == objective.fingerprint
                    ? UpdateResult::kOk
                    : UpdateResult::kFingerprintMismatch;
     } else {
       const core::CompiledPolicyImage loaded =
-          core::PolicyBlobReader::load(vehicle.staged);
+          core::PolicyBlobReader::load(staged);
       result = loaded.fingerprint() == objective.fingerprint &&
                        loaded.version() == objective.version
                    ? UpdateResult::kOk
@@ -274,16 +275,16 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
         vehicle.channel = UpdateChannel::kBlob;  // no delta path planned
       }
       const auto& artefact = vehicle.channel == UpdateChannel::kDelta
-                                 ? *objective.delta
-                                 : *objective.blob;
+                                 ? objective.delta
+                                 : objective.blob;
       ++vehicle.attempts;
       if (vehicle.channel == UpdateChannel::kDelta) {
-        report.delta_bytes_shipped += artefact.size();
+        report.delta_bytes_shipped += artefact->size();
       } else {
-        report.blob_bytes_shipped += artefact.size();
+        report.blob_bytes_shipped += artefact->size();
       }
-      Delivery delivery = transport.send(vehicle.id, vehicle.attempts,
-                                         std::span<const std::byte>(artefact));
+      Delivery delivery =
+          transport.send(vehicle.id, vehicle.attempts, artefact);
       switch (delivery.status) {
         case DeliveryStatus::kDark:
           vehicle.state = VehicleState::kDark;
@@ -336,17 +337,16 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
         return;
       }
       if (vehicle.channel == UpdateChannel::kBlob) {
-        vehicle.sealed_blob = std::make_shared<const std::vector<std::byte>>(
-            std::move(vehicle.staged));
+        // The validated blob is immutable, so it becomes the sealed
+        // store as is (for a clean delivery, the server's own blob).
+        vehicle.sealed_blob = std::move(vehicle.staged);
       } else {
         // Delta commit: the vehicle's re-serialised applied image is
-        // byte-identical to the server's target blob (the PR 5 delta
-        // contract, pinned in tests), so the shared target blob IS the
-        // sealed store.
-        vehicle.sealed_blob = objective.commit_store;
+        // byte-identical to the objective's blob (the delta contract,
+        // pinned in tests), so the shared blob IS the sealed store.
+        vehicle.sealed_blob = objective.blob;
       }
-      vehicle.staged.clear();
-      vehicle.staged.shrink_to_fit();
+      vehicle.staged.reset();
       vehicle.version = objective.version;
       vehicle.fingerprint = objective.fingerprint;
       vehicle.state = VehicleState::kHealthy;
@@ -366,7 +366,6 @@ CampaignServer::Objective CampaignServer::objective_for(
   objective.version = images_.back()->version();
   objective.fingerprint = fingerprints_.back();
   objective.blob = blobs_.back();
-  objective.commit_store = blobs_.back();
   const Artefact plan = plan_for(base_version);
   if (plan.channel == UpdateChannel::kDelta) {
     objective.delta = plan.bytes;
@@ -382,33 +381,33 @@ std::uint64_t CampaignServer::drive(
     UpdateTransport& transport, std::uint64_t deadline, std::uint64_t& now,
     CampaignReport& report, Tally& tally) {
   const std::uint64_t start = now;
-  while (now < deadline) {
-    bool live = false;
-    for (const std::uint32_t id : members) {
-      if (!terminal(fleet[id].state)) {
-        live = true;
-        break;
-      }
+  // The members not yet terminal, in member order. A tick steps only
+  // these and drops the ones that finish, so it costs the live work,
+  // not the wave; the step order is the member order throughout.
+  std::vector<std::uint32_t> live;
+  live.reserve(members.size());
+  for (const std::uint32_t id : members) {
+    if (!terminal(fleet[id].state)) {
+      live.push_back(id);
     }
-    if (!live) {
-      break;
-    }
+  }
+  while (!live.empty() && now < deadline) {
     ++now;
-    for (const std::uint32_t id : members) {
-      CampaignVehicle& vehicle = fleet[id];
-      if (terminal(vehicle.state)) {
-        continue;
-      }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      CampaignVehicle& vehicle = fleet[live[i]];
       step_vehicle(vehicle, objectives.at(vehicle.version), transport, now,
                    report, tally);
+      if (!terminal(vehicle.state)) {
+        live[kept++] = live[i];
+      }
     }
+    live.resize(kept);
   }
   // Deadline passed with vehicles still mid-flight: fail them out (their
   // retry budget was not enough inside this wave's window).
-  for (const std::uint32_t id : members) {
-    if (!terminal(fleet[id].state)) {
-      fleet[id].state = VehicleState::kFailed;
-    }
+  for (const std::uint32_t id : live) {
+    fleet[id].state = VehicleState::kFailed;
   }
   return now - start;
 }
@@ -444,10 +443,12 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
                           : 1;
 
   // Eligible vehicles, id order; wave boundaries as cumulative counts.
+  // Only a vehicle on an OLDER version is eligible: offering the target
+  // to one past it would be a downgrade, which FleetBoot refuses too.
   std::vector<std::uint32_t> eligible;
   eligible.reserve(fleet.size());
   for (const CampaignVehicle& vehicle : fleet) {
-    if (vehicle.version != report.target_version) {
+    if (vehicle.version < report.target_version) {
       eligible.push_back(vehicle.id);
     } else {
       ++report.untouched;
@@ -639,7 +640,6 @@ void CampaignServer::run_rollback(std::vector<CampaignVehicle>& fleet,
   objective.delta_base = images_.back().get();
   objective.delta = rollback_delta_;
   objective.blob = rollback_blob_;
-  objective.commit_store = rollback_blob_;
 
   // Every vehicle that committed the (bad) target rolls back — across
   // all waves run so far. Mid-flight and failed vehicles never left

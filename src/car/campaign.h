@@ -21,15 +21,15 @@
 //    a pair the writer refuses or a delta that outweighs the blob falls
 //    back to the full target blob. Plans are cached per base version.
 //
-//  * WAVES. Vehicles roll in waves: a canary slice first, then
-//    successively larger cohorts. After each wave an observation
-//    window opens: the committed cohort answers the health-probe
-//    workload and a monitor::DenyStreakMonitor (reset at window open —
-//    see its reset() notes) watches for deny streaks. The wave gate is
-//    two-sided: enough of the reachable cohort must have COMMITTED,
-//    and enough of the committed cohort must look HEALTHY. A failed
-//    gate halts the campaign before the next wave and rolls every
-//    committed vehicle back.
+//  * WAVES. Vehicles on a version older than the target roll in waves:
+//    a canary slice first, then successively larger cohorts. After
+//    each wave an observation window opens: the committed cohort
+//    answers the health-probe workload and a monitor::DenyStreakMonitor
+//    (reset at window open — see its reset() notes) watches for deny
+//    streaks. The wave gate is two-sided: enough of the reachable
+//    cohort must have COMMITTED, and enough of the committed cohort
+//    must look HEALTHY. A failed gate halts the campaign before the
+//    next wave and rolls every committed vehicle back.
 //
 //  * VEHICLE STATE MACHINE. Each vehicle walks
 //        idle -> offered -> downloading -> validating -> committing
@@ -86,7 +86,8 @@ enum class VehicleState : std::uint8_t {
   kValidating,   // artefact staged; validation runs next tick
   kCommitting,   // validated; sealed-store commit runs next tick
   kHealthy,      // committed and live on the objective version
-  kFailed,       // retry budget exhausted (campaign may retry next wave)
+  kFailed,       // retry budget or wave window exhausted; each vehicle
+                 // belongs to one wave, so a run never re-offers it
   kDark,         // unreachable; excluded from gates and convergence
 };
 
@@ -120,7 +121,11 @@ struct CampaignVehicle {
 
   std::uint64_t next_attempt_tick = 0;
   std::uint64_t stage_deadline = 0;
-  std::vector<std::byte> staged;  // downloaded artefact awaiting validation
+  /// Downloaded artefact awaiting validation. A clean delivery is the
+  /// server's own buffer, so staging it copies nothing; damage arrives
+  /// in a buffer of its own. Immutable either way: a blob-channel commit
+  /// installs this pointer as the sealed store.
+  std::shared_ptr<const std::vector<std::byte>> staged;
 };
 
 struct CampaignConfig {
@@ -195,7 +200,10 @@ struct CampaignReport {
   std::size_t healthy = 0;
   std::size_t failed = 0;
   std::size_t dark = 0;
-  std::size_t untouched = 0;  // already on target before the campaign
+  /// Vehicles at or past the target version before the campaign: never
+  /// offered, since only a vehicle on an older version is eligible
+  /// (FleetBoot refuses the downgrade anyway).
+  std::size_t untouched = 0;
 
   /// Post-campaign audit: vehicles with no sealed store, or whose store
   /// fails probe, disagrees with the vehicle's recorded fingerprint, or
@@ -275,10 +283,11 @@ class CampaignServer {
       std::size_t fleet_size, std::uint64_t seed, double skew = 0.5,
       std::size_t skew_depth = 6) const;
 
-  /// Runs the campaign: drives `fleet` onto the lineage target over
-  /// `transport`, wave by wave, gating each wave and halting + rolling
-  /// back on a failed gate. Mutates the fleet in place (final states,
-  /// versions, sealed blobs) and returns the full report.
+  /// Runs the campaign: drives every vehicle of `fleet` on an older
+  /// version onto the lineage target over `transport`, wave by wave,
+  /// gating each wave and halting + rolling back on a failed gate.
+  /// Mutates the fleet in place (final states, versions, sealed blobs)
+  /// and returns the full report.
   ///
   /// Precondition: every vehicle's id is its position in `fleet`
   /// (fleet[i].id == i), as make_fleet builds it. Throws
@@ -296,16 +305,18 @@ class CampaignServer {
     /// running version); null disables the delta channel.
     const core::CompiledPolicyImage* delta_base = nullptr;
     std::shared_ptr<const std::vector<std::byte>> delta;  // may be null
+    /// The objective's sealed blob: what the blob channel ships, and
+    /// what a delta-channel commit installs as the sealed store. Safe by
+    /// the delta contract: the applied image's blob byte-equals it
+    /// (pinned in tests/test_policy_delta.cpp).
     std::shared_ptr<const std::vector<std::byte>> blob;
-    /// Sealed-store bytes a delta-channel commit installs. Safe by the
-    /// delta contract: the applied image's blob byte-equals the
-    /// target's (pinned in tests/test_policy_delta.cpp).
-    std::shared_ptr<const std::vector<std::byte>> commit_store;
-    /// Validation memo for CLEAN deliveries: a staged payload
-    /// byte-identical to the artefact the server sent validates once
-    /// per objective and the verdict is reused fleet-wide (what makes
-    /// 10^5-vehicle campaigns cheap). Damaged payloads never match the
-    /// clean bytes and validate individually, per vehicle.
+    /// Validation memo for CLEAN deliveries: a staged payload that is
+    /// the server's own artefact buffer (what a clean delivery hands
+    /// back) validates once per objective and the verdict is reused
+    /// fleet-wide (what makes 10^5-vehicle campaigns cheap). Only that
+    /// buffer hits the memo; any other buffer — every damaged payload,
+    /// or a copy from a transport that copies — validates on its own,
+    /// per vehicle, and still gets the verdict its bytes earn.
     std::optional<UpdateResult> clean_delta_verdict;
     std::optional<UpdateResult> clean_blob_verdict;
   };
@@ -326,6 +337,7 @@ class CampaignServer {
 
   /// Drives `members` of `fleet` to per-version objectives from
   /// `objectives` until all terminal or `deadline`; returns ticks run.
+  /// Each tick steps only the members still live, in member order.
   std::uint64_t drive(std::vector<CampaignVehicle>& fleet,
                       const std::vector<std::uint32_t>& members,
                       std::unordered_map<std::uint64_t, Objective>& objectives,

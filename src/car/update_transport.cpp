@@ -4,19 +4,21 @@
 
 namespace psme::car {
 
-Delivery PerfectTransport::send(std::uint32_t vehicle, std::uint32_t attempt,
-                                std::span<const std::byte> artefact) {
+Delivery PerfectTransport::send(
+    std::uint32_t vehicle, std::uint32_t attempt,
+    const std::shared_ptr<const std::vector<std::byte>>& artefact) {
   (void)vehicle;
   (void)attempt;
   Delivery delivery;
-  delivery.payload.assign(artefact.begin(), artefact.end());
+  delivery.payload = artefact;
   return delivery;
 }
 
-Delivery FaultyTransport::send(std::uint32_t vehicle, std::uint32_t attempt,
-                               std::span<const std::byte> artefact) {
+Delivery FaultyTransport::send(
+    std::uint32_t vehicle, std::uint32_t attempt,
+    const std::shared_ptr<const std::vector<std::byte>>& artefact) {
   ++counters_.sent;
-  counters_.bytes_sent += artefact.size();
+  counters_.bytes_sent += artefact->size();
 
   Delivery delivery;
   if (dark_.contains(vehicle)) {
@@ -45,23 +47,24 @@ Delivery FaultyTransport::send(std::uint32_t vehicle, std::uint32_t attempt,
     case sim::FaultKind::kTruncate: {
       // Short delivery: at least one byte missing, possibly all of them.
       const std::size_t keep = std::min(
-          artefact.size() - 1,
+          artefact->size() - 1,
           static_cast<std::size_t>(fault.at *
-                                   static_cast<double>(artefact.size())));
-      delivery.payload.assign(artefact.begin(),
-                              artefact.begin() + static_cast<long>(keep));
+                                   static_cast<double>(artefact->size())));
+      delivery.payload = std::make_shared<const std::vector<std::byte>>(
+          artefact->begin(), artefact->begin() + static_cast<long>(keep));
       ++counters_.truncated;
       return delivery;
     }
     case sim::FaultKind::kCorrupt: {
-      delivery.payload.assign(artefact.begin(), artefact.end());
-      if (!delivery.payload.empty()) {
+      auto damaged = std::make_shared<std::vector<std::byte>>(*artefact);
+      if (!damaged->empty()) {
         const std::size_t at = std::min(
-            delivery.payload.size() - 1,
-            static_cast<std::size_t>(
-                fault.at * static_cast<double>(delivery.payload.size())));
-        delivery.payload[at] ^= std::byte{fault.flip};
+            damaged->size() - 1,
+            static_cast<std::size_t>(fault.at *
+                                     static_cast<double>(damaged->size())));
+        (*damaged)[at] ^= std::byte{fault.flip};
       }
+      delivery.payload = std::move(damaged);
       ++counters_.corrupted;
       return delivery;
     }
@@ -69,7 +72,7 @@ Delivery FaultyTransport::send(std::uint32_t vehicle, std::uint32_t attempt,
     case sim::FaultKind::kNone:
       break;
   }
-  delivery.payload.assign(artefact.begin(), artefact.end());
+  delivery.payload = artefact;
   ++counters_.delivered_clean;
   return delivery;
 }

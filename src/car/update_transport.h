@@ -11,6 +11,13 @@
 // (seed, vehicle, attempt) so a campaign replays bit-identically.
 //
 // Contract notes for implementors:
+//  * Artefacts travel as shared, immutable buffers. A clean delivery may
+//    hand back the artefact's own buffer (both simulation transports
+//    do), so a clean transfer copies nothing and the campaign reuses
+//    its fleet-wide clean verdict. A transport that delivers a copy
+//    still gets correct verdicts; the copy is validated per vehicle.
+//    Damage must build a NEW buffer: the artefact is const and shared
+//    fleet-wide, so a transport never writes into it.
 //  * Truncation and corruption are DELIVERED damage: the receiver gets
 //    bytes and must discover the defect through validation (that is the
 //    trust boundary the wire formats defend; the campaign tests pin that
@@ -25,7 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -46,17 +53,21 @@ struct Delivery {
   /// delivery) — telemetry for campaign reports and tests; a real
   /// receiver obviously never sees this field.
   sim::FaultKind injected = sim::FaultKind::kNone;
-  /// The received bytes (kDelivered only; empty otherwise).
-  std::vector<std::byte> payload;
+  /// The received bytes (kDelivered only; null otherwise): the sent
+  /// artefact's own buffer when the delivery is clean, a buffer of its
+  /// own when it is damaged.
+  std::shared_ptr<const std::vector<std::byte>> payload;
 };
 
 class UpdateTransport {
  public:
   virtual ~UpdateTransport() = default;
 
-  /// Transfers `artefact` to `vehicle` as transfer attempt `attempt`.
-  virtual Delivery send(std::uint32_t vehicle, std::uint32_t attempt,
-                        std::span<const std::byte> artefact) = 0;
+  /// Transfers `artefact` (non-null) to `vehicle` as transfer attempt
+  /// `attempt`.
+  virtual Delivery send(
+      std::uint32_t vehicle, std::uint32_t attempt,
+      const std::shared_ptr<const std::vector<std::byte>>& artefact) = 0;
 
   /// Whether `vehicle` loses power after validating attempt `attempt`
   /// but before the sealed-store commit completes. Default: never.
@@ -68,11 +79,13 @@ class UpdateTransport {
   }
 };
 
-/// Lossless reference transport: every send delivers an intact copy.
+/// Lossless reference transport: every send delivers the artefact's own
+/// buffer.
 class PerfectTransport final : public UpdateTransport {
  public:
-  Delivery send(std::uint32_t vehicle, std::uint32_t attempt,
-                std::span<const std::byte> artefact) override;
+  Delivery send(
+      std::uint32_t vehicle, std::uint32_t attempt,
+      const std::shared_ptr<const std::vector<std::byte>>& artefact) override;
 };
 
 /// Deterministic fault-injecting transport over a sim::FaultPlan.
@@ -93,8 +106,9 @@ class FaultyTransport final : public UpdateTransport {
 
   explicit FaultyTransport(sim::FaultPlan plan) : plan_(std::move(plan)) {}
 
-  Delivery send(std::uint32_t vehicle, std::uint32_t attempt,
-                std::span<const std::byte> artefact) override;
+  Delivery send(
+      std::uint32_t vehicle, std::uint32_t attempt,
+      const std::shared_ptr<const std::vector<std::byte>>& artefact) override;
 
   [[nodiscard]] bool power_loss_before_commit(
       std::uint32_t vehicle, std::uint32_t attempt) const override {

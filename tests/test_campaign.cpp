@@ -14,7 +14,14 @@
 //    its OLD sealed blob via FleetBoot — never a half-applied image.
 //  * HALT + ROLLBACK: a poisoned (deny-storm) target trips the canary
 //    wave's health gate; the campaign halts before wave two and rolls
-//    the canary cohort back to the predecessor's content.
+//    the canary cohort back to the predecessor's content. A rerun
+//    leaves the rolled-back vehicles, now past the target, alone.
+//  * SHARED ARTEFACTS: a clean delivery hands back the server's own
+//    buffer and damage builds a buffer of its own, so no fault reaches
+//    the artefact the fleet is served; committed vehicles share the
+//    server's sealed blob.
+//  * GOLDEN: one hash over four whole campaigns (reports, every
+//    vehicle's record and sealed-store bytes, injection counters).
 //  * AUDIT: the post-campaign audit counts every vehicle whose sealed
 //    store is missing, fails its probe, disagrees with the vehicle's
 //    record or was never released — per vehicle, even where vehicles
@@ -24,6 +31,8 @@
 //    anchor-mismatch) without string matching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -131,6 +140,89 @@ void expect_zero_corruption(const CampaignReport& report) {
   EXPECT_EQ(report.corrupt_images, 0u)
       << "injected faults must never corrupt a sealed store";
 }
+
+/// FNV-1a over everything a campaign leaves behind: every report field
+/// (per-wave stats included), each vehicle's state, counters and
+/// sealed-store bytes, and the transport's injection counters.
+class CampaignHash {
+ public:
+  void add(std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      byte(static_cast<std::uint8_t>(value >> shift));
+    }
+  }
+  void add_real(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+
+  void add_report(const CampaignReport& report) {
+    add(static_cast<std::uint64_t>(report.status));
+    add(report.target_version);
+    add(report.target_fingerprint);
+    add(report.waves.size());
+    for (const car::WaveStats& wave : report.waves) {
+      for (const std::uint64_t v :
+           {std::uint64_t{wave.wave}, std::uint64_t{wave.size},
+            std::uint64_t{wave.committed}, std::uint64_t{wave.failed},
+            std::uint64_t{wave.dark}, wave.retries, wave.ticks}) {
+        add(v);
+      }
+      add_real(wave.commit_fraction);
+      add_real(wave.healthy_fraction);
+      add(wave.gate_passed);
+    }
+    for (const std::uint64_t v :
+         {report.ticks, report.retries, report.power_loss_reboots,
+          report.blob_fallbacks, report.delta_bytes_shipped,
+          report.blob_bytes_shipped, report.full_blob_bytes_baseline,
+          std::uint64_t{report.healthy}, std::uint64_t{report.failed},
+          std::uint64_t{report.dark}, std::uint64_t{report.untouched},
+          std::uint64_t{report.corrupt_images},
+          std::uint64_t{report.rolled_back},
+          std::uint64_t{report.rolled_back_vehicles}, report.rollback_version,
+          report.rollback_fingerprint}) {
+      add(v);
+    }
+  }
+
+  void add_fleet(const std::vector<CampaignVehicle>& fleet) {
+    add(fleet.size());
+    for (const CampaignVehicle& vehicle : fleet) {
+      for (const std::uint64_t v :
+           {static_cast<std::uint64_t>(vehicle.state),
+            static_cast<std::uint64_t>(vehicle.channel),
+            static_cast<std::uint64_t>(vehicle.last_result), vehicle.version,
+            vehicle.fingerprint, std::uint64_t{vehicle.attempts},
+            std::uint64_t{vehicle.tries}, std::uint64_t{vehicle.delta_failures},
+            std::uint64_t{vehicle.power_losses}}) {
+        add(v);
+      }
+      if (!vehicle.sealed_blob) {
+        add(~std::uint64_t{0});
+        continue;
+      }
+      add(vehicle.sealed_blob->size());
+      for (const std::byte b : *vehicle.sealed_blob) {
+        byte(std::to_integer<std::uint8_t>(b));
+      }
+    }
+  }
+
+  void add_counters(const FaultyTransport::Counters& counters) {
+    for (const std::uint64_t v :
+         {counters.sent, counters.delivered_clean, counters.dropped,
+          counters.truncated, counters.corrupted, counters.stalled,
+          counters.dark, counters.bytes_sent}) {
+      add(v);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    state_ = (state_ ^ b) * 0x100000001B3ULL;
+  }
+  std::uint64_t state_ = 0xCBF29CE484222325ULL;
+};
 
 TEST(CampaignConvergence, ThreePinnedSeedsMixedFaults) {
   CampaignServer server(fleet_lineage(7), test_config());
@@ -255,6 +347,41 @@ TEST(CampaignHalt, PoisonedCanaryHaltsBeforeWaveTwoAndRollsBack) {
   EXPECT_EQ(on_rollback, report.rolled_back_vehicles);
 }
 
+TEST(CampaignHalt, RerunLeavesRolledBackVehiclesAlone) {
+  std::vector<PolicySet> lineage = fleet_lineage(4);
+  lineage.push_back(deny_storm_after(lineage.back()));
+  CampaignServer server(std::move(lineage), test_config());
+  std::vector<CampaignVehicle> fleet = server.make_fleet(500, 0x57028A1ULL);
+  PerfectTransport transport;
+  const CampaignReport first = server.run(fleet, transport);
+  ASSERT_GT(first.rolled_back_vehicles, 0u);
+
+  // The rolled-back canaries now sit one version PAST the storm target.
+  const std::vector<CampaignVehicle> before = fleet;
+  const CampaignReport rerun = server.run(fleet, transport);
+  EXPECT_EQ(rerun.untouched, first.rolled_back_vehicles)
+      << "vehicles at or past the target are not eligible";
+
+  const auto target_blob = server.blob_at(server.lineage_size() - 1);
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (before[i].version != first.rollback_version) {
+      continue;
+    }
+    ++checked;
+    SCOPED_TRACE("vehicle " + std::to_string(i));
+    EXPECT_EQ(fleet[i].version, before[i].version);
+    EXPECT_EQ(fleet[i].sealed_blob, before[i].sealed_blob);
+    EXPECT_EQ(fleet[i].attempts, before[i].attempts)
+        << "a vehicle past the target must not be offered the target";
+    // The same refusal FleetBoot makes on the vehicle itself.
+    car::FleetBoot boot(*fleet[i].sealed_blob, probe_checks());
+    EXPECT_EQ(boot.try_apply_update(*target_blob),
+              UpdateResult::kRollbackRefused);
+  }
+  EXPECT_EQ(checked, first.rolled_back_vehicles);
+}
+
 TEST(CampaignDeterminism, IdenticalSeedsReplayBitIdentically) {
   const std::uint64_t fleet_seed = 0x5A5A5A5AULL;
   const std::uint64_t fault_seed = 0x1BADB002ULL;
@@ -292,6 +419,45 @@ TEST(CampaignDeterminism, IdenticalSeedsReplayBitIdentically) {
     EXPECT_EQ(fleet_a[i].state, fleet_b[i].state);
     EXPECT_EQ(fleet_a[i].attempts, fleet_b[i].attempts);
   }
+}
+
+// One hash over four campaigns: two seeds at 5% mixed faults, the
+// heavy-corruption blob-fallback run and the deny-storm halt + rollback
+// drill (here behind a 25% mixed-fault link, so the canary wave and the
+// rollback both retry). A change meant to move no simulated number must
+// leave this hash as it is.
+TEST(CampaignGolden, FourCampaignsMatchPinnedHash) {
+  CampaignHash hash;
+  const auto run = [&hash](CampaignServer& server, std::size_t fleet_size,
+                           std::uint64_t fleet_seed, std::uint64_t fault_seed,
+                           const FaultProfile& profile) {
+    std::vector<CampaignVehicle> fleet =
+        server.make_fleet(fleet_size, fleet_seed);
+    FaultyTransport transport{FaultPlan(fault_seed, profile)};
+    hash.add_report(server.run(fleet, transport));
+    hash.add_fleet(fleet);
+    hash.add_counters(transport.counters());
+  };
+
+  CampaignServer mixed(fleet_lineage(7), test_config());
+  for (const std::uint64_t seed : {0xA11CE5EEDULL, 0xB0B5EED02ULL}) {
+    run(mixed, 2000, seed, seed, FaultProfile::mixed(0.05));
+  }
+
+  CampaignConfig fallback_config = test_config();
+  fallback_config.blob_fallback_after = 2;
+  fallback_config.max_tries = 16;
+  CampaignServer fallback(fleet_lineage(6), fallback_config);
+  FaultProfile heavy_corruption;
+  heavy_corruption.corrupt = 0.6;
+  run(fallback, 200, 0xFA11BAC2ULL, 0xC0221977ULL, heavy_corruption);
+
+  std::vector<PolicySet> poisoned = fleet_lineage(4);
+  poisoned.push_back(deny_storm_after(poisoned.back()));
+  CampaignServer storm(std::move(poisoned), test_config());
+  run(storm, 500, 0x57028A1ULL, 0x5708F417ULL, FaultProfile::mixed(0.25));
+
+  EXPECT_EQ(hash.value(), 0xB318F2D93E4672FFULL);
 }
 
 TEST(CampaignPlanning, DeltaPreferredAndSmallerThanBlob) {
@@ -423,6 +589,82 @@ TEST(CampaignFallback, RepeatedDeltaCorruptionSwitchesVehicleToBlob) {
       << "repeated delta corruption must switch vehicles to the blob";
   expect_zero_corruption(report);
   EXPECT_EQ(report.status, CampaignStatus::kConverged);
+
+  // 60% of deliveries were damaged, and none of that damage reached the
+  // shared artefact: the server's blob still byte-equals a fresh write,
+  // and every healthy vehicle shares it, whichever channel committed.
+  const auto target_blob = server.blob_at(server.lineage_size() - 1);
+  EXPECT_EQ(*target_blob, PolicyBlobWriter::write(server.target_image()));
+  std::size_t via_blob = 0;
+  for (const CampaignVehicle& vehicle : fleet) {
+    if (vehicle.state != VehicleState::kHealthy) {
+      continue;
+    }
+    EXPECT_EQ(vehicle.sealed_blob, target_blob) << "vehicle " << vehicle.id;
+    via_blob += vehicle.channel == UpdateChannel::kBlob ? 1 : 0;
+  }
+  EXPECT_GE(via_blob, 1u) << "some vehicle must have committed a blob";
+}
+
+std::shared_ptr<const std::vector<std::byte>> sample_artefact() {
+  auto bytes = std::make_shared<std::vector<std::byte>>(370);
+  for (std::size_t i = 0; i < bytes->size(); ++i) {
+    (*bytes)[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  return bytes;
+}
+
+TEST(CampaignTransport, CleanSendHandsBackTheArtefactBuffer) {
+  const auto artefact = sample_artefact();
+  FaultyTransport faulty{FaultPlan(0xC1EA7ULL, FaultProfile{})};
+  PerfectTransport perfect;
+  car::UpdateTransport* const transports[] = {&faulty, &perfect};
+  for (std::uint32_t attempt = 1; attempt <= 4; ++attempt) {
+    for (car::UpdateTransport* transport : transports) {
+      const car::Delivery delivery = transport->send(7, attempt, artefact);
+      EXPECT_EQ(delivery.status, car::DeliveryStatus::kDelivered);
+      EXPECT_EQ(delivery.injected, sim::FaultKind::kNone);
+      EXPECT_EQ(delivery.payload, artefact) << "a clean send copies nothing";
+    }
+  }
+  EXPECT_EQ(faulty.counters().delivered_clean, 4u);
+}
+
+TEST(CampaignTransport, DamagedSendsBuildTheirOwnBuffers) {
+  const auto artefact = sample_artefact();
+  const std::vector<std::byte> original = *artefact;
+  FaultProfile truncate_all;
+  truncate_all.truncate = 1.0;
+  FaultProfile corrupt_all;
+  corrupt_all.corrupt = 1.0;
+  for (const auto& [profile, kind] :
+       {std::pair{truncate_all, sim::FaultKind::kTruncate},
+        std::pair{corrupt_all, sim::FaultKind::kCorrupt}}) {
+    SCOPED_TRACE(std::string(sim::to_string(kind)));
+    FaultyTransport transport{FaultPlan(0xDA3A9EULL, profile)};
+    // Every payload stays alive, so no two can share an address by reuse.
+    std::vector<std::shared_ptr<const std::vector<std::byte>>> payloads;
+    for (std::uint32_t vehicle = 0; vehicle < 16; ++vehicle) {
+      for (std::uint32_t attempt = 1; attempt <= 4; ++attempt) {
+        const car::Delivery delivery =
+            transport.send(vehicle, attempt, artefact);
+        ASSERT_EQ(delivery.status, car::DeliveryStatus::kDelivered);
+        EXPECT_EQ(delivery.injected, kind);
+        ASSERT_TRUE(delivery.payload);
+        EXPECT_NE(*delivery.payload, original);
+        payloads.push_back(delivery.payload);
+      }
+    }
+    std::vector<const std::vector<std::byte>*> buffers{artefact.get()};
+    for (const auto& payload : payloads) {
+      buffers.push_back(payload.get());
+    }
+    std::sort(buffers.begin(), buffers.end());
+    EXPECT_EQ(std::adjacent_find(buffers.begin(), buffers.end()),
+              buffers.end())
+        << "each damaged payload is a buffer of its own";
+    EXPECT_EQ(*artefact, original) << "damage never reaches the artefact";
+  }
 }
 
 TEST(UpdateResultTaxonomy, FleetBootClassifiesEveryRejection) {
