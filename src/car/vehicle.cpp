@@ -1,6 +1,41 @@
 #include "car/vehicle.h"
 
+#include <algorithm>
+#include <mutex>
+#include <stdexcept>
+#include <tuple>
+
 namespace psme::car {
+
+namespace {
+
+/// Component nodes in attach order (the gateway attaches before them).
+constexpr std::array<std::string_view, 8> kNodeNames = {
+    "ecu",   "eps",    "engine",       "sensors",
+    "doors", "safety", "connectivity", "infotainment"};
+
+[[nodiscard]] std::size_t node_index(std::string_view node) {
+  const auto it = std::find(kNodeNames.begin(), kNodeNames.end(), node);
+  if (it == kNodeNames.end()) {
+    throw std::out_of_range("VehiclePlan: unknown node");
+  }
+  return static_cast<std::size_t>(it - kNodeNames.begin());
+}
+
+/// The binding switches a plan is compiled with. Software filters bind
+/// with default options and kNone binds nothing, so the ablation
+/// switches shape only HPE configurations — and only HPE plan keys.
+[[nodiscard]] BindingOptions plan_options(const VehicleConfig& config) noexcept {
+  BindingOptions options;
+  if (config.enforcement == Enforcement::kHpe) {
+    options.content_rules = config.hpe_content_rules;
+    options.writer_existence_gate = config.hpe_writer_gate;
+    options.mode_conditional = config.hpe_mode_conditional;
+  }
+  return options;
+}
+
+}  // namespace
 
 std::string_view to_string(Enforcement e) noexcept {
   switch (e) {
@@ -11,15 +46,71 @@ std::string_view to_string(Enforcement e) noexcept {
   return "?";
 }
 
+VehiclePlan::VehiclePlan(core::PolicySet policy, Enforcement enforcement,
+                         BindingOptions options)
+    : policy_(std::move(policy)), binding_(policy_, options) {
+  // binding_ compiled policy_'s image above, so the plan is published
+  // with it built: no reader ever takes the lazy compile path.
+  switch (enforcement) {
+    case Enforcement::kHpe:
+      for (const std::string_view node : kNodeNames) {
+        hpe_configs_.push_back(binding_.build_hpe_config(std::string(node)));
+      }
+      break;
+    case Enforcement::kSoftwareFilter:
+      rx_filters_.resize(kNodeNames.size());
+      for (std::size_t n = 0; n < kNodeNames.size(); ++n) {
+        for (const CarMode mode : kAllModes) {
+          rx_filters_[n][static_cast<std::size_t>(mode)] =
+              binding_.build_rx_filters(std::string(kNodeNames[n]), mode);
+        }
+      }
+      break;
+    case Enforcement::kNone:
+      break;
+  }
+}
+
+std::shared_ptr<const VehiclePlan> VehiclePlan::shared(
+    const VehicleConfig& config) {
+  const BindingOptions options = plan_options(config);
+  using Key = std::tuple<std::uint64_t, Enforcement, bool, bool, bool>;
+  const Key key{config.policy_version, config.enforcement,
+                options.content_rules, options.writer_existence_gate,
+                options.mode_conditional};
+  // A policy version has at most ten plans (kNone, software filters and
+  // eight kHpe switch sets), so the memo keeps every plan it compiles. A
+  // compile runs under the lock: the first builds on a key wait for one
+  // plan instead of racing to make several.
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const VehiclePlan>> plans;
+  const std::lock_guard lock(mutex);
+  std::shared_ptr<const VehiclePlan>& plan = plans[key];
+  if (plan == nullptr) {
+    plan = std::make_shared<const VehiclePlan>(
+        full_policy(connected_car_threat_model(), config.policy_version),
+        config.enforcement, options);
+  }
+  return plan;
+}
+
+const hpe::HpeConfig& VehiclePlan::hpe_config(std::string_view node) const {
+  return hpe_configs_.at(node_index(node));
+}
+
+const std::vector<can::AcceptanceFilter>& VehiclePlan::rx_filters(
+    std::string_view node, CarMode mode) const {
+  return rx_filters_.at(node_index(node))[static_cast<std::size_t>(mode)];
+}
+
 Vehicle::Vehicle(sim::Scheduler& sched, VehicleConfig config,
                  sim::Trace* trace)
     : sched_(sched),
       config_(config),
       trace_(trace),
       bus_(sched, can::kBitRate500k, trace, config.seed),
-      policy_(full_policy(connected_car_threat_model(), config.policy_version)) {
+      plan_(VehiclePlan::shared(config)) {
   bus_.set_error_rate(config_.bus_error_rate);
-  reset_binding_compiler();
 
   // The gateway is part of the trusted computing base (it owns the mode);
   // it attaches directly, without a policy shim.
@@ -70,27 +161,12 @@ Vehicle::Vehicle(sim::Scheduler& sched, VehicleConfig config,
   }
 }
 
-BindingOptions Vehicle::binding_options() const noexcept {
-  BindingOptions options;
-  options.content_rules = config_.hpe_content_rules;
-  options.writer_existence_gate = config_.hpe_writer_gate;
-  options.mode_conditional = config_.hpe_mode_conditional;
-  return options;
-}
-
-void Vehicle::reset_binding_compiler() {
-  binding_ = std::make_unique<BindingCompiler>(
-      policy_, config_.enforcement == Enforcement::kSoftwareFilter
-                   ? BindingOptions{}
-                   : binding_options());
-}
-
 can::Channel& Vehicle::make_channel(const std::string& name) {
   Station& station = stations_[name];
   station.port = &bus_.attach(name);
   if (config_.enforcement == Enforcement::kHpe) {
     station.engine = std::make_unique<hpe::HardwarePolicyEngine>(
-        *station.port, binding_->build_hpe_config(name), name, trace_);
+        *station.port, plan_->hpe_config(name), name, trace_);
     // The engine powers up in the configured initial mode.
     station.engine->set_mode(static_cast<std::uint8_t>(config_.initial_mode));
     return *station.engine;
@@ -100,10 +176,7 @@ can::Channel& Vehicle::make_channel(const std::string& name) {
 
 void Vehicle::install_software_filters(CarMode mode) {
   for (const auto& name : node_names()) {
-    CarNode* n = node(name);
-    if (n != nullptr) {
-      n->controller().set_filters(binding_->build_rx_filters(name, mode));
-    }
+    node(name)->controller().set_filters(plan_->rx_filters(name, mode));
   }
   gateway_->controller().set_filters({
       can::AcceptanceFilter::exact(msg::kFailSafeTrigger),
@@ -124,8 +197,7 @@ CarNode* Vehicle::node(const std::string& name) noexcept {
 }
 
 std::vector<std::string> Vehicle::node_names() const {
-  return {"ecu",    "eps",    "engine",       "sensors",
-          "doors",  "safety", "connectivity", "infotainment"};
+  return {kNodeNames.begin(), kNodeNames.end()};
 }
 
 hpe::HardwarePolicyEngine* Vehicle::hpe(const std::string& name) noexcept {
@@ -141,45 +213,40 @@ void Vehicle::set_mode(CarMode mode) { gateway_->change_mode(mode); }
 
 bool Vehicle::apply_policy_update(const core::PolicyBundle& bundle,
                                   const core::PolicySigner& verifier) {
-  switch (config_.enforcement) {
-    case Enforcement::kHpe: {
-      // One compiler for the whole fleet of per-node configs; its memo
-      // carries every shared policy verdict across the eight nodes.
-      BindingCompiler update_binding(bundle.set, binding_options());
-      bool all_ok = true;
-      for (auto& [name, station] : stations_) {
-        if (!station.engine) continue;
-        const bool ok = station.engine->apply_update(
-            bundle, verifier, update_binding.build_hpe_config(name));
-        all_ok = all_ok && ok;
+  // Every precondition is checked before anything changes, so a refused
+  // bundle leaves every engine, the plan, policy() and binding() as they
+  // were.
+  const bool authentic = verifier.verify(bundle.set, bundle.tag);
+  if (config_.enforcement == Enforcement::kHpe) {
+    // An engine that would refuse the bundle (every engine, when it is
+    // forged) is handed it anyway: its own update path refuses it and
+    // counts a tamper attempt. The others are not touched.
+    bool refused = false;
+    for (auto& [name, station] : stations_) {
+      if (!authentic ||
+          bundle.version() <= station.engine->policy_version()) {
+        station.engine->apply_update(bundle, verifier, {});
+        refused = true;
       }
-      if (all_ok) {
-        policy_ = bundle.set;
-        reset_binding_compiler();
-      }
-      return all_ok;
     }
-    case Enforcement::kSoftwareFilter: {
-      if (!verifier.verify(bundle.set, bundle.tag) ||
-          bundle.version() <= policy_.version()) {
-        return false;
-      }
-      policy_ = bundle.set;
-      reset_binding_compiler();
-      install_software_filters(mode());
-      return true;
-    }
-    case Enforcement::kNone: {
-      if (!verifier.verify(bundle.set, bundle.tag) ||
-          bundle.version() <= policy_.version()) {
-        return false;
-      }
-      policy_ = bundle.set;  // recorded, but nothing enforces it
-      reset_binding_compiler();
-      return true;
+    if (refused) return false;
+  } else if (!authentic || bundle.version() <= policy().version()) {
+    return false;
+  }
+
+  // Every engine accepts now: each checks what was checked above.
+  auto next = std::make_shared<const VehiclePlan>(
+      bundle.set, config_.enforcement, plan_options(config_));
+  for (auto& [name, station] : stations_) {
+    if (station.engine) {
+      station.engine->apply_update(bundle, verifier, next->hpe_config(name));
     }
   }
-  return false;
+  plan_ = std::move(next);
+  if (config_.enforcement == Enforcement::kSoftwareFilter) {
+    install_software_filters(mode());
+  }
+  return true;
 }
 
 std::uint64_t Vehicle::total_hpe_blocks() const noexcept {

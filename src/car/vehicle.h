@@ -13,11 +13,25 @@
 //  kHpe            — a HardwarePolicyEngine wraps every node's bus port
 //                    (Fig. 4), with per-mode approved lists, autonomous
 //                    mode snooping, and lockable configuration.
+//
+// What the regime enforces is compiled once, not per vehicle. A
+// VehiclePlan holds the policy (threat model -> full_policy -> compiled
+// image) and everything bound from it: every node's HPE configuration
+// under kHpe, every node's receive filters in each mode under
+// kSoftwareFilter. It depends only on the plan key (policy version,
+// regime and, under kHpe, the three binding switches), so
+// VehiclePlan::shared hands every vehicle with one key the same
+// immutable plan. A build then wires the bus, the nodes and the engines,
+// and copies each engine's configuration out of the plan; an engine
+// never shares its lists. An OTA update compiles a private plan from the
+// bundle's policy through the same constructor.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "can/bus.h"
@@ -51,6 +65,55 @@ struct VehicleConfig {
   bool hpe_mode_conditional = true;
   std::uint64_t seed = 42;
   std::uint64_t policy_version = 1;
+};
+
+/// The compiled enforcement of one plan key: the policy, the compiler
+/// that answered its binding questions, and per node either the HPE
+/// configuration (kHpe) or the receive filters of each mode
+/// (kSoftwareFilter); kNone binds nothing. Immutable once constructed,
+/// so any number of vehicles on any threads read one plan without
+/// synchronisation (DESIGN.md §3).
+class VehiclePlan {
+ public:
+  /// Compiles `policy` for `enforcement`: the policy's image first, then
+  /// every node's HPE configuration (kHpe, bound with `options`) or
+  /// every node's receive filters in every mode (kSoftwareFilter).
+  VehiclePlan(core::PolicySet policy, Enforcement enforcement,
+              BindingOptions options);
+
+  /// The plan for `config`'s key, compiled from
+  /// full_policy(connected_car_threat_model(), config.policy_version) on
+  /// the key's first call and shared by every later one. The key is the
+  /// policy version and the regime, plus, under kHpe only, the content
+  /// rules, writer gate and mode conditionality switches. Thread-safe:
+  /// one process-wide memo behind a mutex, which keeps every plan.
+  [[nodiscard]] static std::shared_ptr<const VehiclePlan> shared(
+      const VehicleConfig& config);
+
+  [[nodiscard]] const core::PolicySet& policy() const noexcept {
+    return policy_;
+  }
+  /// The memoising compiler that bound this plan; its stats() count the
+  /// questions the whole compile asked.
+  [[nodiscard]] const BindingCompiler& binding() const noexcept {
+    return binding_;
+  }
+
+  /// The node's HPE configuration. Throws std::out_of_range for an
+  /// unknown node or a plan of another regime.
+  [[nodiscard]] const hpe::HpeConfig& hpe_config(std::string_view node) const;
+
+  /// The node's receive filters in `mode`. Throws std::out_of_range for
+  /// an unknown node or a plan of another regime.
+  [[nodiscard]] const std::vector<can::AcceptanceFilter>& rx_filters(
+      std::string_view node, CarMode mode) const;
+
+ private:
+  core::PolicySet policy_;
+  BindingCompiler binding_;  // after policy_: it compiles policy_'s image
+  /// Indexed like the vehicle's node names; empty in other regimes.
+  std::vector<hpe::HpeConfig> hpe_configs_;
+  std::vector<std::array<std::vector<can::AcceptanceFilter>, 3>> rx_filters_;
 };
 
 class Vehicle {
@@ -90,22 +153,32 @@ class Vehicle {
   void set_mode(CarMode mode);
   [[nodiscard]] CarMode mode() const noexcept { return gateway_->current_mode(); }
 
-  [[nodiscard]] const core::PolicySet& policy() const noexcept { return policy_; }
+  /// The plan this vehicle enforces: the shared plan of its config's key
+  /// until an accepted OTA update replaces it with a private one.
+  [[nodiscard]] const VehiclePlan& plan() const noexcept { return *plan_; }
+  [[nodiscard]] const core::PolicySet& policy() const noexcept {
+    return plan_->policy();
+  }
   [[nodiscard]] Enforcement enforcement() const noexcept {
     return config_.enforcement;
   }
 
-  /// The vehicle's shared memoising binding compiler — its stats() show
-  /// how many unique policy questions one vehicle compilation actually
-  /// asks (examples/connected_car.cpp surfaces them).
+  /// The plan's memoising binding compiler — its stats() show how many
+  /// unique policy questions compiling the plan asked
+  /// (examples/connected_car.cpp surfaces them).
   [[nodiscard]] const BindingCompiler& binding() const noexcept {
-    return *binding_;
+    return plan_->binding();
   }
 
-  /// Applies an OTA policy update to every enforcement point. With the HPE
-  /// regime this goes through each engine's authenticated update path;
-  /// with software filters the vehicle firmware verifies and reprograms.
-  /// Returns true when the update was accepted everywhere.
+  /// Applies an OTA policy update to every enforcement point, all or
+  /// nothing. The bundle must be signed and, under kHpe, newer than
+  /// every engine's policy_version() (otherwise newer than policy()).
+  /// A refusal changes no engine, policy() or binding(); under kHpe the
+  /// engines that refuse the bundle count a tamper attempt. Accepted, it
+  /// compiles a private plan from the bundle's policy: with the HPE
+  /// regime each engine takes its configuration through its own
+  /// authenticated update path; with software filters the vehicle
+  /// firmware reprograms them. Returns true when the update was applied.
   bool apply_policy_update(const core::PolicyBundle& bundle,
                            const core::PolicySigner& verifier);
 
@@ -121,23 +194,13 @@ class Vehicle {
   /// Prepares the channel (port or HPE shim) a node should attach to.
   can::Channel& make_channel(const std::string& name);
 
-  [[nodiscard]] BindingOptions binding_options() const noexcept;
-
-  /// Rebuilds binding_ against the current policy_ (after construction or
-  /// a policy update). Software filters are bound with default options —
-  /// the ablation switches only shape HPE configurations.
-  void reset_binding_compiler();
-
   void install_software_filters(CarMode mode);
 
   sim::Scheduler& sched_;
   VehicleConfig config_;
   sim::Trace* trace_;
   can::Bus bus_;
-  core::PolicySet policy_;
-  /// Shared memoising compiler from policy_ to approved lists/filters;
-  /// one instance serves every node (and every mode) of this vehicle.
-  std::unique_ptr<BindingCompiler> binding_;
+  std::shared_ptr<const VehiclePlan> plan_;
   std::map<std::string, Station> stations_;
 
   std::unique_ptr<GatewayNode> gateway_;
