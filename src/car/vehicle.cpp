@@ -166,7 +166,8 @@ can::Channel& Vehicle::make_channel(const std::string& name) {
   station.port = &bus_.attach(name);
   if (config_.enforcement == Enforcement::kHpe) {
     station.engine = std::make_unique<hpe::HardwarePolicyEngine>(
-        *station.port, plan_->hpe_config(name), name, trace_);
+        *station.port, plan_->hpe_config(name), name, trace_,
+        plan_->policy().version());
     // The engine powers up in the configured initial mode.
     station.engine->set_mode(static_cast<std::uint8_t>(config_.initial_mode));
     return *station.engine;

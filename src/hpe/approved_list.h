@@ -4,10 +4,13 @@
 // messages IDs that provides necessary information to the node ..."
 // (paper Sec. V-B.2, Fig. 4). Hardware implementations hold such lists in
 // CAM/LUT structures supporting exact entries and masked entries; both are
-// modelled, and lookup cost is O(exact: log n, masked: m) to mirror a
-// realistic priority-encoded TCAM fallback.
+// modelled. The 11-bit identifier space is small enough for a LUT: one bit
+// per id in a 2048-bit table, answered in O(1). Exact 29-bit ids are
+// sparse and kept in an ordered set (O(log n)); masked entries are tried
+// in order (O(m)), mirroring a priority-encoded TCAM fallback.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -38,23 +41,23 @@ class ApprovedIdList {
   bool remove(can::CanId id);
 
   [[nodiscard]] bool contains(can::CanId id) const noexcept;
-  [[nodiscard]] std::size_t exact_count() const noexcept { return exact_.size(); }
+  [[nodiscard]] std::size_t exact_count() const noexcept;
   [[nodiscard]] std::size_t masked_count() const noexcept { return masked_.size(); }
   [[nodiscard]] bool empty() const noexcept {
-    return exact_.empty() && masked_.empty();
+    return exact_count() == 0 && masked_.empty();
   }
   void clear() noexcept;
 
-  /// One line per entry, for audit reports.
+  /// One line per entry, for audit reports: exact standard ids ascending,
+  /// then exact extended ids ascending, then masked entries in the order
+  /// they were added.
   [[nodiscard]] std::string to_string() const;
 
  private:
-  // Exact ids stored as (raw | extended-bit<<31... ) — encode format in key.
-  [[nodiscard]] static std::uint64_t key(can::CanId id) noexcept {
-    return (static_cast<std::uint64_t>(id.is_extended()) << 32) | id.raw();
-  }
-
-  std::set<std::uint64_t> exact_;
+  /// Bit `raw % 64` of word `raw / 64` is set when standard id `raw` is
+  /// approved. CanId guarantees a standard raw value is at most 0x7FF.
+  std::array<std::uint64_t, (can::CanId::kMaxStandard + 1) / 64> standard_{};
+  std::set<std::uint32_t> extended_;
   std::vector<MaskedEntry> masked_;
 };
 

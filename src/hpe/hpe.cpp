@@ -10,12 +10,14 @@ std::string_view to_string(Direction d) noexcept {
 
 HardwarePolicyEngine::HardwarePolicyEngine(can::Channel& inner,
                                            HpeConfig config, std::string name,
-                                           sim::Trace* trace)
+                                           sim::Trace* trace,
+                                           std::uint64_t policy_version)
     : inner_(inner),
       config_(std::move(config)),
       name_(std::move(name)),
       trace_(trace),
-      trace_component_("hpe." + name_) {
+      trace_component_("hpe." + name_),
+      policy_version_(policy_version) {
   refresh_active_lists();
   inner_.set_sink(this);
 }

@@ -106,9 +106,12 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
  public:
   /// Wraps `inner` (usually a Bus port). The engine registers itself as the
   /// inner channel's sink; the protected controller then attaches to the
-  /// engine. `name` labels trace/audit output.
+  /// engine. `name` labels trace/audit output. `policy_version` is the
+  /// version of the policy `config` was compiled from: apply_update()
+  /// accepts only bundles newer than it.
   HardwarePolicyEngine(can::Channel& inner, HpeConfig config, std::string name,
-                       sim::Trace* trace = nullptr);
+                       sim::Trace* trace = nullptr,
+                       std::uint64_t policy_version = 1);
   ~HardwarePolicyEngine() override;
 
   HardwarePolicyEngine(const HardwarePolicyEngine&) = delete;
@@ -179,7 +182,7 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   can::FrameSink* node_sink_ = nullptr;
   bool locked_ = false;
   std::uint8_t mode_ = 0;
-  std::uint64_t policy_version_ = 1;
+  std::uint64_t policy_version_;
   std::uint64_t cycles_ = 0;
   HpeStats stats_;
   std::vector<AuditRecord> audit_;

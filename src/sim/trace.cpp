@@ -1,7 +1,10 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace psme::sim {
 
@@ -34,9 +37,50 @@ TraceText::TraceText(std::initializer_list<std::string_view> pieces) {
 void Trace::record(SimTime at, TraceLevel level, std::string_view component,
                    std::string_view message) {
   if (!keeps(level)) return;
-  auto name = components_.find(component);
-  if (name == components_.end()) name = components_.emplace(component).first;
-  entries_.push_back(TraceEntry{at, level, *name, store(message)});
+  if (message.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "Trace::record: message of 2^32 characters or more");
+  }
+  const std::uint16_t index = component_index(component);
+  // Tested on the block count, not on size_ % kBlockEntries: a block
+  // opened by a record whose text then failed to store serves the next.
+  if (size_ == blocks_.size() * kBlockEntries) {
+    blocks_.push_back(std::make_unique_for_overwrite<Record[]>(kBlockEntries));
+  }
+  const std::string_view text = store(message);
+  blocks_.back()[size_ % kBlockEntries] =
+      Record{at, text.data(), static_cast<std::uint32_t>(text.size()), index,
+             level};
+  ++size_;
+}
+
+std::uint16_t Trace::component_index(std::string_view component) {
+  static_assert(std::has_single_bit(kMemoSlots));
+  const auto address = static_cast<std::uint64_t>(
+      reinterpret_cast<std::uintptr_t>(component.data()));
+  MemoSlot& slot = memo_[(address * 0x9E3779B97F4A7C15ULL) >>
+                         (64 - std::countr_zero(kMemoSlots))];
+  if (slot.key == component.data() && slot.key != nullptr &&
+      slot.name == component) {
+    return slot.index;
+  }
+  auto it = name_index_.find(component);
+  if (it == name_index_.end()) {
+    if (names_.size() == kMaxComponents) {
+      throw std::length_error("Trace::record: too many component names");
+    }
+    const std::string& name = names_.emplace_back(component);
+    it = name_index_
+             .emplace(name, static_cast<std::uint16_t>(names_.size() - 1))
+             .first;
+  }
+  slot = MemoSlot{component.data(), it->first, it->second};
+  return it->second;
+}
+
+std::size_t Trace::find_component(std::string_view component) const noexcept {
+  const auto it = name_index_.find(component);
+  return it == name_index_.end() ? kMaxComponents : it->second;
 }
 
 std::string_view Trace::store(std::string_view text) {
@@ -58,8 +102,31 @@ std::string_view Trace::store(std::string_view text) {
   return {copy, text.size()};
 }
 
+TraceEntry Trace::entry(const Record& record) const noexcept {
+  return TraceEntry{record.at, record.level, names_[record.component],
+                    std::string_view(record.text, record.length)};
+}
+
+template <typename Fn>
+void Trace::visit(Fn&& fn) const {
+  std::size_t left = size_;
+  for (const std::unique_ptr<Record[]>& block : blocks_) {
+    const std::size_t n = std::min(left, kBlockEntries);
+    for (std::size_t i = 0; i < n; ++i) fn(block[i]);
+    left -= n;
+  }
+}
+
+std::vector<TraceEntry> Trace::entries() const {
+  std::vector<TraceEntry> out;
+  out.reserve(size_);
+  visit([&](const Record& r) { out.push_back(entry(r)); });
+  return out;
+}
+
 void Trace::clear() noexcept {
-  entries_.clear();
+  blocks_.clear();
+  size_ = 0;
   chunks_.clear();
   cursor_ = nullptr;
   room_ = 0;
@@ -67,33 +134,32 @@ void Trace::clear() noexcept {
 
 std::size_t Trace::count(TraceLevel level) const noexcept {
   std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.level == level) ++n;
-  }
+  visit([&](const Record& r) { n += r.level == level ? 1 : 0; });
   return n;
 }
 
 std::size_t Trace::count_component(std::string_view component) const noexcept {
+  const std::size_t index = find_component(component);
   std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.component == component) ++n;
-  }
+  visit([&](const Record& r) { n += r.component == index ? 1 : 0; });
   return n;
 }
 
 void Trace::for_each(std::string_view component,
                      const std::function<void(const TraceEntry&)>& fn) const {
-  for (const auto& e : entries_) {
-    if (component.empty() || e.component == component) fn(e);
-  }
+  const std::size_t index = find_component(component);
+  visit([&](const Record& r) {
+    if (component.empty() || r.component == index) fn(entry(r));
+  });
 }
 
 std::string Trace::render() const {
   std::ostringstream out;
-  for (const auto& e : entries_) {
+  visit([&](const Record& r) {
+    const TraceEntry e = entry(r);
     out << "t=" << to_millis(e.at) << "ms [" << to_string(e.level) << "] "
         << e.component << ": " << e.message << '\n';
-  }
+  });
   return out.str();
 }
 

@@ -3,16 +3,23 @@
 // A lightweight structured event log. Components record what happened and
 // when; tests and benches query it afterwards. Severity levels let noisy
 // frame-level detail be filtered from security-relevant decisions.
+//
+// A kept entry is stored as a 24-byte record in fixed-size blocks that
+// never move or regrow; its message is copied into a text arena and its
+// component is an index into a table of names. Queries walk the records;
+// entries() hands out a snapshot of them as TraceEntry values.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
@@ -70,6 +77,12 @@ class Trace {
   /// Size of one chunk of the text arena that kept messages are copied
   /// into. A message longer than this gets a chunk of its own.
   static constexpr std::size_t kTextChunk = 16 * 1024;
+  /// Entries per record block. A block is allocated when the last one is
+  /// full and is never moved, regrown or shrunk while the trace keeps it.
+  static constexpr std::size_t kBlockEntries = 4096;
+  /// Most distinct component names one trace can hold; a record() that
+  /// would add one more throws std::length_error.
+  static constexpr std::size_t kMaxComponents = 65536;
 
   explicit Trace(TraceLevel min_level = TraceLevel::kInfo)
       : min_level_(min_level) {}
@@ -81,8 +94,10 @@ class Trace {
 
   /// Records an entry if `level >= min_level()`. Each distinct component
   /// name is stored once and the message is copied into the text arena,
-  /// so a kept entry allocates only when the entry vector or the arena
-  /// needs to grow.
+  /// so a kept entry allocates only when it opens a record block or an
+  /// arena chunk, or the list of either grows. Throws std::length_error
+  /// for a message of 2^32 characters or more, or a component name beyond
+  /// kMaxComponents; the trace is unchanged then.
   void record(SimTime at, TraceLevel level, std::string_view component,
               std::string_view message);
 
@@ -94,10 +109,11 @@ class Trace {
   [[nodiscard]] TraceLevel min_level() const noexcept { return min_level_; }
   void set_min_level(TraceLevel level) noexcept { min_level_ = level; }
 
-  [[nodiscard]] const std::vector<TraceEntry>& entries() const noexcept {
-    return entries_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  /// A snapshot of every entry, oldest first. It copies each entry (not
+  /// its text): take it once, not once per entry. Its views stay valid
+  /// until clear() or the end of the trace.
+  [[nodiscard]] std::vector<TraceEntry> entries() const;
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Drops every entry and the text they view; the component table stays.
   void clear() noexcept;
 
@@ -116,12 +132,49 @@ class Trace {
   [[nodiscard]] std::string render() const;
 
  private:
+  /// One kept entry as stored: 24 bytes where a TraceEntry takes 48.
+  /// Left uninitialised until record() writes it.
+  struct Record {
+    SimTime at;
+    const char* text;          // into the text arena
+    std::uint32_t length;      // of the text
+    std::uint16_t component;   // into names_
+    TraceLevel level;
+  };
+  static_assert(sizeof(Record) == 24);
+
+  /// A component recently looked up, keyed by the address of the caller's
+  /// text. An address may be reused for another name, so a hit counts
+  /// only when `name` equals the caller's text too.
+  struct MemoSlot {
+    const char* key = nullptr;
+    std::string_view name;     // views names_
+    std::uint16_t index = 0;
+  };
+  static constexpr std::size_t kMemoSlots = 32;
+
+  /// Index of `component` in names_, added if new.
+  [[nodiscard]] std::uint16_t component_index(std::string_view component);
+  /// Index of `component` in names_, or kMaxComponents if absent.
+  [[nodiscard]] std::size_t find_component(
+      std::string_view component) const noexcept;
   /// Copies `text` into the arena and returns the copy.
-  std::string_view store(std::string_view text);
+  [[nodiscard]] std::string_view store(std::string_view text);
+  [[nodiscard]] TraceEntry entry(const Record& record) const noexcept;
+  /// Calls `fn` on each record, oldest first.
+  template <typename Fn>
+  void visit(Fn&& fn) const;
 
   TraceLevel min_level_;
-  std::set<std::string, std::less<>> components_;  // nodes never move
-  std::vector<TraceEntry> entries_;
+  // The component table: a deque never moves its names, so entries may
+  // view them; name_index_ views them too.
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, std::uint16_t> name_index_;
+  std::array<MemoSlot, kMemoSlots> memo_{};
+  // The records: block b holds entries [b * kBlockEntries, ...), and
+  // every block but the last is full.
+  std::vector<std::unique_ptr<Record[]>> blocks_;
+  std::size_t size_ = 0;
   // The text arena: chunks never move or shrink while the trace keeps
   // them, so entries may view them. Messages fill the open chunk at
   // `cursor_`, which has `room_` characters left.

@@ -4,19 +4,20 @@
 // sees every heap allocation the simulator makes while a clean HPE-regime
 // vehicle drives: scheduler → bus → HPE → controller → node handler. After
 // warm-up the path must allocate nothing at all without a trace, and with
-// one only what its storage needs to grow: the entry vector's regrowths
-// and the chunks of the text arena that kept messages fill. No kept entry
-// allocates a message of its own. A count is exact where a timing gate is
-// noisy, so this is the regression gate for the allocation-free frame
-// path.
+// one only what its storage needs to grow: the record blocks and text
+// arena chunks that kept entries fill, and the regrowths of the two lists
+// that hold them. No kept entry allocates a message of its own. A count is
+// exact where a timing gate is noisy, so this is the regression gate for
+// the allocation-free frame path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "car/vehicle.h"
 #include "sim/event_queue.h"
@@ -42,12 +43,47 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// What a trace's storage holds after some entries: record blocks and
+/// text arena chunks, replayed from the entries' message sizes by the
+/// rules of Trace::record.
+struct Storage {
+  std::size_t blocks = 0;
+  std::size_t chunks = 0;
+  std::size_t room = 0;  // left in the open chunk
+
+  void add(std::size_t entries_before, std::size_t message) {
+    if (entries_before % sim::Trace::kBlockEntries == 0) ++blocks;
+    if (message <= room) {
+      room -= message;
+    } else if (message > sim::Trace::kTextChunk) {
+      ++chunks;  // a chunk of its own; the open one stays open
+    } else {
+      ++chunks;
+      room = sim::Trace::kTextChunk - message;
+    }
+  }
+};
+
+/// Reallocations of a std::vector growing by push_back from `from` to `to`
+/// elements. libstdc++ and libc++ both double a full vector's capacity
+/// (from 1), so it reallocates when it holds 0 or a power of two.
+std::uint64_t regrowths(std::size_t from, std::size_t to) {
+  std::uint64_t n = 0;
+  for (std::size_t size = from; size < to; ++size) {
+    if (size == 0 || std::has_single_bit(size)) ++n;
+  }
+  return n;
+}
+
 struct Window {
   std::uint64_t allocations = 0;
   std::uint64_t frames = 0;
   std::uint64_t kept_entries = 0;
-  std::size_t kept_text = 0;       // characters of the kept messages
-  std::size_t longest_message = 0;
+  Storage before;  // the trace's storage when the window opened
+  Storage after;   // and when it closed
+  // Each HPE's audit log keeps the first 1,024 blocks it makes, so it may
+  // still be growing in the window.
+  std::uint64_t audit_regrowths = 0;
 };
 
 /// Drives a clean, locked HPE vehicle for 20 simulated seconds of
@@ -61,6 +97,11 @@ Window drive(sim::Trace* trace) {
   const auto vehicle = std::make_unique<car::Vehicle>(sched, config, trace);
 
   sched.run_until(sched.now() + 20s);
+  const std::vector<std::string> nodes = vehicle->node_names();
+  std::vector<std::size_t> audits;
+  for (const std::string& node : nodes) {
+    audits.push_back(vehicle->hpe(node)->audit_log().size());
+  }
   const std::uint64_t frames = vehicle->bus().frames_delivered();
   const std::size_t entries = trace != nullptr ? trace->size() : 0;
   const std::uint64_t allocations = g_allocations;
@@ -69,12 +110,16 @@ Window drive(sim::Trace* trace) {
   Window w;
   w.allocations = g_allocations - allocations;
   w.frames = vehicle->bus().frames_delivered() - frames;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    w.audit_regrowths +=
+        regrowths(audits[n], vehicle->hpe(nodes[n])->audit_log().size());
+  }
   if (trace != nullptr) {
     w.kept_entries = trace->size() - entries;
-    for (std::size_t i = entries; i < trace->size(); ++i) {
-      const std::size_t size = trace->entries()[i].message.size();
-      w.kept_text += size;
-      w.longest_message = std::max(w.longest_message, size);
+    const std::vector<sim::TraceEntry> kept = trace->entries();
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      if (i == entries) w.before = w.after;
+      w.after.add(i, kept[i].message.size());
     }
   }
   return w;
@@ -107,18 +152,20 @@ TEST(FramePathAlloc, SecurityTraceAllocatesOnlyForKeptEntries) {
   const Window w = drive(&trace);
   ASSERT_GT(w.frames, 10'000u);
   ASSERT_GT(w.kept_entries, 0u);  // the clean drive records HPE read blocks
-  // Growth only. The entry vector and the arena's list of chunks regrow
-  // geometrically: together fewer than bit_width(n) times for the n
-  // entries the window adds to a trace that warm-up already filled. Every
-  // arena chunk opened in the window but the last was left with less room
-  // than its next message needed, so it holds more than
-  // kTextChunk - longest characters of the window's text.
-  const std::uint64_t chunks =
-      w.kept_text / (sim::Trace::kTextChunk - w.longest_message) + 1;
-  EXPECT_LE(w.allocations, std::bit_width(w.kept_entries) + chunks)
+  // Growth only, counted exactly: the record blocks and arena chunks the
+  // window opened, the reallocations of the block index and of the chunk
+  // list as they grew to hold them, and those of the audit logs.
+  const Storage& a = w.before;
+  const Storage& b = w.after;
+  const std::uint64_t growth = (b.blocks - a.blocks) + (b.chunks - a.chunks) +
+                               regrowths(a.blocks, b.blocks) +
+                               regrowths(a.chunks, b.chunks) +
+                               w.audit_regrowths;
+  EXPECT_LE(w.allocations, growth)
       << w.allocations << " allocations for " << w.kept_entries
-      << " kept entries (" << w.kept_text << " characters) over "
-      << w.frames << " frames";
+      << " kept entries (" << b.blocks - a.blocks << " blocks, "
+      << b.chunks - a.chunks << " chunks, " << w.audit_regrowths
+      << " audit log regrowths) over " << w.frames << " frames";
 }
 
 }  // namespace

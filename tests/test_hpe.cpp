@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "core/update.h"
 #include "hpe/approved_list.h"
 #include "hpe/hpe.h"
+#include "sim/rng.h"
 
 namespace psme::hpe {
 namespace {
@@ -53,6 +57,145 @@ TEST(ApprovedIdList, ToStringListsEntries) {
   const std::string s = list.to_string();
   EXPECT_NE(s.find("0x42"), std::string::npos);
   EXPECT_NE(s.find("mask=0x700"), std::string::npos);
+}
+
+/// The list as a std::set of (extended << 32 | raw) keys, the storage the
+/// list had before 11-bit ids moved into a table: the reference the
+/// differential test compares every answer and to_string() against.
+class ReferenceIdList {
+ public:
+  void add(CanId id) { exact_.insert(key(id)); }
+  void add_masked(MaskedEntry entry) { masked_.push_back(entry); }
+  bool remove(CanId id) { return exact_.erase(key(id)) != 0; }
+  void clear() {
+    exact_.clear();
+    masked_.clear();
+  }
+  [[nodiscard]] bool contains(CanId id) const {
+    if (exact_.count(key(id)) != 0) return true;
+    for (const MaskedEntry& e : masked_) {
+      if (e.matches(id)) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::size_t exact_count() const { return exact_.size(); }
+  [[nodiscard]] std::size_t masked_count() const { return masked_.size(); }
+  [[nodiscard]] std::string to_string() const {
+    std::ostringstream out;
+    for (const std::uint64_t k : exact_) {
+      out << ((k >> 32) != 0 ? "ext " : "std ") << "0x" << std::hex
+          << static_cast<std::uint32_t>(k) << std::dec << '\n';
+    }
+    for (const MaskedEntry& m : masked_) {
+      out << (m.extended ? "ext " : "std ") << "value=0x" << std::hex
+          << m.value << " mask=0x" << m.mask << std::dec << '\n';
+    }
+    return out.str();
+  }
+  [[nodiscard]] const std::set<std::uint64_t>& keys() const { return exact_; }
+
+ private:
+  static std::uint64_t key(CanId id) {
+    return (static_cast<std::uint64_t>(id.is_extended()) << 32) | id.raw();
+  }
+
+  std::set<std::uint64_t> exact_;
+  std::vector<MaskedEntry> masked_;
+};
+
+/// Every answer of `list` equals the reference's: membership of every
+/// 11-bit id in both formats, of every id the reference holds and of
+/// random 29-bit ids, the counts and to_string() byte for byte.
+void expect_same(const ApprovedIdList& list, const ReferenceIdList& ref,
+                 sim::Rng& rng) {
+  for (std::uint32_t raw = 0; raw <= CanId::kMaxStandard; ++raw) {
+    for (const CanId id : {CanId::standard(raw), CanId::extended(raw)}) {
+      ASSERT_EQ(list.contains(id), ref.contains(id)) << id.to_string();
+    }
+  }
+  for (const std::uint64_t k : ref.keys()) {
+    const auto raw = static_cast<std::uint32_t>(k);
+    const CanId id =
+        (k >> 32) != 0 ? CanId::extended(raw) : CanId::standard(raw);
+    ASSERT_TRUE(list.contains(id)) << id.to_string();
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const CanId id = CanId::extended(
+        static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxExtended)));
+    ASSERT_EQ(list.contains(id), ref.contains(id)) << id.to_string();
+  }
+  EXPECT_EQ(list.exact_count(), ref.exact_count());
+  EXPECT_EQ(list.masked_count(), ref.masked_count());
+  EXPECT_EQ(list.empty(), ref.exact_count() == 0 && ref.masked_count() == 0);
+  EXPECT_EQ(list.to_string(), ref.to_string());
+}
+
+TEST(ApprovedIdList, MatchesSetReference) {
+  sim::Rng rng(20261016);
+  ApprovedIdList list;
+  ReferenceIdList ref;
+  // Extended ids the random draws would rarely hit: the ends of the
+  // range and the raw values a standard id can share.
+  const std::vector<std::uint32_t> edges = {0, 1, 0x7FF, 0x800,
+                                            CanId::kMaxExtended};
+  const auto random_id = [&]() -> CanId {
+    const std::uint64_t pick = rng.uniform(0, 9);
+    if (pick < 5) {
+      return CanId::standard(
+          static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxStandard)));
+    }
+    if (pick < 7) {
+      return CanId::extended(edges[rng.uniform(0, edges.size() - 1)]);
+    }
+    if (pick < 8) {
+      return CanId::extended(
+          static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxStandard)));
+    }
+    return CanId::extended(
+        static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxExtended)));
+  };
+  expect_same(list, ref, rng);
+  for (int round = 0; round < 24; ++round) {
+    // Rounds alternate between filling (mostly adds) and draining (mostly
+    // removes, of ids held and not held); every sixth ends in clear().
+    const bool filling = round % 2 == 0;
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t pick = rng.uniform(0, 99);
+      const CanId id = random_id();
+      if (pick < (filling ? 70u : 25u)) {
+        list.add(id);
+        ref.add(id);
+      } else if (pick < 99) {
+        ASSERT_EQ(list.remove(id), ref.remove(id)) << id.to_string();
+      } else {
+        const bool extended = rng.chance(0.5);
+        const std::uint32_t max =
+            extended ? CanId::kMaxExtended : CanId::kMaxStandard;
+        const MaskedEntry entry{
+            static_cast<std::uint32_t>(rng.uniform(0, max)),
+            static_cast<std::uint32_t>(rng.uniform(0, max)), extended};
+        list.add_masked(entry);
+        ref.add_masked(entry);
+      }
+    }
+    expect_same(list, ref, rng);
+    if (round % 6 == 5) {
+      list.clear();
+      ref.clear();
+      expect_same(list, ref, rng);
+    }
+  }
+  // Every standard id at once, then none: the table's full and empty ends.
+  for (std::uint32_t raw = 0; raw <= CanId::kMaxStandard; ++raw) {
+    list.add(CanId::standard(raw));
+    ref.add(CanId::standard(raw));
+  }
+  expect_same(list, ref, rng);
+  for (std::uint32_t raw = 0; raw <= CanId::kMaxStandard; ++raw) {
+    ASSERT_TRUE(list.remove(CanId::standard(raw)));
+    ref.remove(CanId::standard(raw));
+  }
+  expect_same(list, ref, rng);
 }
 
 TEST(PayloadRule, AppliesOnlyToItsId) {

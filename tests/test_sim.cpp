@@ -9,7 +9,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace psme::sim {
 namespace {
@@ -252,114 +251,6 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (parent() == child()) ++equal;
   }
   EXPECT_LT(equal, 3);
-}
-
-TEST(Trace, FiltersBelowMinLevel) {
-  Trace trace(TraceLevel::kSecurity);
-  trace.record(SimTime{1ns}, TraceLevel::kDebug, "x", "dropped");
-  trace.record(SimTime{2ns}, TraceLevel::kSecurity, "x", "kept");
-  trace.record(SimTime{3ns}, TraceLevel::kError, "y", "kept too");
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.count(TraceLevel::kSecurity), 1u);
-  EXPECT_EQ(trace.count_component("y"), 1u);
-}
-
-TEST(Trace, RenderContainsComponentAndMessage) {
-  Trace trace(TraceLevel::kDebug);
-  trace.record(SimTime{1500000ns}, TraceLevel::kInfo, "can.bus", "hello");
-  const std::string out = trace.render();
-  EXPECT_NE(out.find("can.bus"), std::string::npos);
-  EXPECT_NE(out.find("hello"), std::string::npos);
-  EXPECT_NE(out.find("1.5ms"), std::string::npos);
-}
-
-TEST(Trace, ForEachFiltersByComponent) {
-  Trace trace(TraceLevel::kDebug);
-  trace.record(SimTime{}, TraceLevel::kInfo, "a", "1");
-  trace.record(SimTime{}, TraceLevel::kInfo, "b", "2");
-  int seen = 0;
-  trace.for_each("a", [&](const TraceEntry&) { ++seen; });
-  EXPECT_EQ(seen, 1);
-  seen = 0;
-  trace.for_each("", [&](const TraceEntry&) { ++seen; });
-  EXPECT_EQ(seen, 2);
-}
-
-TEST(Trace, EntryComponentOutlivesTheCallersString) {
-  Trace trace(TraceLevel::kDebug);
-  {
-    const std::string name = "hpe.component-longer-than-sso";
-    trace.record(SimTime{}, TraceLevel::kInfo, name, "first");
-  }
-  for (int i = 0; i < 1000; ++i) {
-    trace.record(SimTime{}, TraceLevel::kInfo, "other." + std::to_string(i),
-                 "more");
-  }
-  EXPECT_EQ(trace.entries().front().component, "hpe.component-longer-than-sso");
-  EXPECT_EQ(trace.count_component("hpe.component-longer-than-sso"), 1u);
-}
-
-TEST(Trace, EntryMessageOutlivesTheCallersString) {
-  Trace trace(TraceLevel::kDebug);
-  {
-    const std::string message = "a message longer than the sso buffer";
-    trace.record(SimTime{}, TraceLevel::kInfo, "x", message);
-  }
-  for (int i = 0; i < 1000; ++i) {
-    trace.record(SimTime{}, TraceLevel::kInfo, "x", "more " + std::to_string(i));
-  }
-  EXPECT_EQ(trace.entries().front().message,
-            "a message longer than the sso buffer");
-  EXPECT_EQ(trace.entries().back().message, "more 999");
-}
-
-TEST(Trace, MessagesSurviveChunkGrowthAndClear) {
-  Trace trace(TraceLevel::kDebug);
-  std::vector<std::string> expected;
-  const auto record = [&](std::string_view message) {
-    trace.record(SimTime{}, TraceLevel::kInfo, "x", message);
-    expected.emplace_back(message);
-  };
-  // Three chunks of short messages, with one message longer than a chunk
-  // in the middle: it gets a chunk of its own, and the open chunk keeps
-  // filling after it. That one is joined by a TraceText too long for its
-  // stack buffer; the one after it fits the buffer.
-  const std::string half(Trace::kTextChunk / 2 + 1, 'L');
-  std::size_t text = 0;
-  for (int i = 0; text < 4 * Trace::kTextChunk; ++i) {
-    if (i == 500) {
-      record(TraceText{half, half});
-    } else if (i == 501) {
-      record(TraceText{"joined ", "on the ", "stack"});
-    } else {
-      record("message " + std::to_string(i));
-    }
-    text += expected.back().size();
-  }
-  EXPECT_EQ(expected[500].size(), Trace::kTextChunk + 2);
-  EXPECT_EQ(expected[501], "joined on the stack");
-  record("");
-  ASSERT_EQ(trace.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(trace.entries()[i].message, expected[i]) << "entry " << i;
-  }
-
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
-  trace.record(SimTime{}, TraceLevel::kInfo, "x", "after clear");
-  trace.record(SimTime{}, TraceLevel::kInfo, "y", "and again");
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.entries()[0].message, "after clear");
-  EXPECT_EQ(trace.entries()[1].message, "and again");
-  EXPECT_EQ(trace.entries()[1].component, "y");
-}
-
-TEST(Trace, KeepsMatchesRecordFiltering) {
-  Trace trace(TraceLevel::kSecurity);
-  EXPECT_FALSE(trace.keeps(TraceLevel::kDebug));
-  EXPECT_FALSE(trace.keeps(TraceLevel::kInfo));
-  EXPECT_TRUE(trace.keeps(TraceLevel::kSecurity));
-  EXPECT_TRUE(trace.keeps(TraceLevel::kError));
 }
 
 // Property: run_until never executes events beyond the deadline, for

@@ -211,6 +211,35 @@ TEST(Vehicle, PolicyUpdateRejectedWhenForged) {
   }
 }
 
+TEST(Vehicle, SameVersionBundleIsRefusedUnderEveryRegime) {
+  // A vehicle built from v2 runs v2 in every regime, its engines too, so
+  // a signed v2 bundle is no update; v3 still is.
+  const core::PolicySigner oem(0xFEED);
+  const core::PolicySet v2 = full_policy(connected_car_threat_model(), 2);
+  const core::PolicySet v3 = full_policy(connected_car_threat_model(), 3);
+  for (const Enforcement regime :
+       {Enforcement::kNone, Enforcement::kSoftwareFilter, Enforcement::kHpe}) {
+    sim::Scheduler sched;
+    VehicleConfig config;
+    config.enforcement = regime;
+    config.policy_version = 2;
+    Vehicle vehicle(sched, config);
+    for (const std::string& name : vehicle.node_names()) {
+      if (const hpe::HardwarePolicyEngine* engine = vehicle.hpe(name)) {
+        EXPECT_EQ(engine->policy_version(), 2u) << name;
+      }
+    }
+    EXPECT_FALSE(vehicle.apply_policy_update(
+        core::PolicyBundle{v2, oem.sign(v2), "oem"}, oem))
+        << to_string(regime);
+    EXPECT_EQ(vehicle.policy().version(), 2u) << to_string(regime);
+    EXPECT_TRUE(vehicle.apply_policy_update(
+        core::PolicyBundle{v3, oem.sign(v3), "oem"}, oem))
+        << to_string(regime);
+    EXPECT_EQ(vehicle.policy().version(), 3u) << to_string(regime);
+  }
+}
+
 TEST(Vehicle, BusErrorsToleratedByRetransmission) {
   sim::Scheduler sched;
   VehicleConfig config;
