@@ -211,29 +211,30 @@ std::uint64_t CampaignServer::backoff_ticks(std::uint32_t vehicle,
   return wait + sim::mix3(config_.seed, vehicle, tries) % kBackoffJitterTicks;
 }
 
-void CampaignServer::retry_or_fail(CampaignVehicle& vehicle, std::uint64_t now,
-                                   Tally& tally) {
-  vehicle.staged.reset();
+void CampaignServer::retry_or_fail(CampaignVehicle& vehicle, Attempt& attempt,
+                                   std::uint64_t now, WaveStats& stats) {
+  attempt.staged.reset();
   if (++vehicle.tries >= config_.max_tries) {
     vehicle.state = VehicleState::kFailed;
     return;
   }
-  ++tally.retries;
+  ++stats.retries;
   vehicle.state = VehicleState::kOffered;
-  vehicle.next_attempt_tick = now + backoff_ticks(vehicle.id, vehicle.tries);
+  attempt.next_tick = now + backoff_ticks(vehicle.id, vehicle.tries);
 }
 
 UpdateResult CampaignServer::validate_staged(const CampaignVehicle& vehicle,
+                                             const Attempt& attempt,
                                              Objective& objective) const {
   const bool via_delta = vehicle.channel == UpdateChannel::kDelta;
   const auto& clean = via_delta ? objective.delta : objective.blob;
   auto& memo =
       via_delta ? objective.clean_delta_verdict : objective.clean_blob_verdict;
-  const std::vector<std::byte>& staged = *vehicle.staged;
+  const std::vector<std::byte>& staged = *attempt.staged;
   // Only the server's own buffer, which a clean delivery hands back, hits
   // the memo. Any other buffer is validated on its own: the verdict is a
   // pure function of the bytes, so a byte-equal copy still gets it right.
-  const bool is_clean = vehicle.staged == clean;
+  const bool is_clean = attempt.staged == clean;
   if (is_clean && memo) {
     return *memo;
   }
@@ -262,15 +263,12 @@ UpdateResult CampaignServer::validate_staged(const CampaignVehicle& vehicle,
   return result;
 }
 
-void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
+void CampaignServer::step_vehicle(CampaignVehicle& vehicle, Attempt& attempt,
                                   Objective& objective,
                                   UpdateTransport& transport, std::uint64_t now,
-                                  CampaignReport& report, Tally& tally) {
+                                  CampaignReport& report, WaveStats& stats) {
   switch (vehicle.state) {
     case VehicleState::kOffered: {
-      if (now < vehicle.next_attempt_tick) {
-        return;
-      }
       if (vehicle.channel == UpdateChannel::kDelta && !objective.delta) {
         vehicle.channel = UpdateChannel::kBlob;  // no delta path planned
       }
@@ -292,24 +290,22 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
         case DeliveryStatus::kLost:
           // Nothing will arrive; the stage deadline discovers the loss.
           vehicle.state = VehicleState::kDownloading;
-          vehicle.stage_deadline = now + kDownloadTimeoutTicks;
+          attempt.stage_deadline = now + kDownloadTimeoutTicks;
           return;
         case DeliveryStatus::kDelivered:
-          vehicle.staged = std::move(delivery.payload);
+          attempt.staged = std::move(delivery.payload);
           vehicle.state = VehicleState::kValidating;
           return;
       }
       return;
     }
     case VehicleState::kDownloading: {
-      if (now >= vehicle.stage_deadline) {
-        vehicle.last_result = UpdateResult::kValidationFailed;
-        retry_or_fail(vehicle, now, tally);
-      }
+      vehicle.last_result = UpdateResult::kValidationFailed;
+      retry_or_fail(vehicle, attempt, now, stats);
       return;
     }
     case VehicleState::kValidating: {
-      const UpdateResult result = validate_staged(vehicle, objective);
+      const UpdateResult result = validate_staged(vehicle, attempt, objective);
       vehicle.last_result = result;
       if (result == UpdateResult::kOk) {
         vehicle.state = VehicleState::kCommitting;
@@ -322,7 +318,7 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
           ++report.blob_fallbacks;
         }
       }
-      retry_or_fail(vehicle, now, tally);
+      retry_or_fail(vehicle, attempt, now, stats);
       return;
     }
     case VehicleState::kCommitting: {
@@ -333,20 +329,20 @@ void CampaignServer::step_vehicle(CampaignVehicle& vehicle,
         // sealed blob). It retries like any other failed try.
         ++vehicle.power_losses;
         ++report.power_loss_reboots;
-        retry_or_fail(vehicle, now, tally);
+        retry_or_fail(vehicle, attempt, now, stats);
         return;
       }
       if (vehicle.channel == UpdateChannel::kBlob) {
         // The validated blob is immutable, so it becomes the sealed
         // store as is (for a clean delivery, the server's own blob).
-        vehicle.sealed_blob = std::move(vehicle.staged);
+        vehicle.sealed_blob = std::move(attempt.staged);
       } else {
         // Delta commit: the vehicle's re-serialised applied image is
         // byte-identical to the objective's blob (the delta contract,
         // pinned in tests), so the shared blob IS the sealed store.
         vehicle.sealed_blob = objective.blob;
       }
-      vehicle.staged.reset();
+      attempt.staged.reset();
       vehicle.version = objective.version;
       vehicle.fingerprint = objective.fingerprint;
       vehicle.state = VehicleState::kHealthy;
@@ -374,42 +370,67 @@ CampaignServer::Objective CampaignServer::objective_for(
   return objective;
 }
 
-std::uint64_t CampaignServer::drive(
-    std::vector<CampaignVehicle>& fleet,
-    const std::vector<std::uint32_t>& members,
-    std::unordered_map<std::uint64_t, Objective>& objectives,
-    UpdateTransport& transport, std::uint64_t deadline, std::uint64_t& now,
-    CampaignReport& report, Tally& tally) {
+void CampaignServer::drive(std::vector<CampaignVehicle>& fleet,
+                           std::span<const std::uint32_t> members,
+                           Objectives& objectives,
+                           UpdateTransport& transport, std::uint64_t deadline,
+                           std::uint64_t& now, CampaignReport& report,
+                           WaveStats& stats) {
   const std::uint64_t start = now;
-  // The members not yet terminal, in member order. A tick steps only
-  // these and drops the ones that finish, so it costs the live work,
-  // not the wave; the step order is the member order throughout.
-  std::vector<std::uint32_t> live;
-  live.reserve(members.size());
+  std::uint64_t end = start;
   for (const std::uint32_t id : members) {
-    if (!terminal(fleet[id].state)) {
-      live.push_back(id);
+    CampaignVehicle& vehicle = fleet[id];
+    const auto entry = std::find_if(
+        objectives.begin(), objectives.end(),
+        [&vehicle](const auto& e) { return e.first == vehicle.version; });
+    if (entry == objectives.end()) {
+      throw std::out_of_range("CampaignServer: no objective for version");
     }
-  }
-  while (!live.empty() && now < deadline) {
-    ++now;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      CampaignVehicle& vehicle = fleet[live[i]];
-      step_vehicle(vehicle, objectives.at(vehicle.version), transport, now,
-                   report, tally);
-      if (!terminal(vehicle.state)) {
-        live[kept++] = live[i];
+    Objective& objective = entry->second;
+    vehicle.state = VehicleState::kOffered;
+    vehicle.tries = 0;
+    Attempt attempt;
+    attempt.next_tick = start;
+    std::uint64_t tick = start;
+    while (!terminal(vehicle.state)) {
+      // The next tick the vehicle acts on: an offered vehicle waits out
+      // its backoff and a downloading one its stage deadline, and the
+      // ticks in between change nothing, so they are skipped.
+      std::uint64_t next = tick + 1;
+      if (vehicle.state == VehicleState::kOffered) {
+        next = std::max(next, attempt.next_tick);
+      } else if (vehicle.state == VehicleState::kDownloading) {
+        next = std::max(next, attempt.stage_deadline);
       }
+      if (next > deadline) {
+        // The deadline passes with the vehicle mid-flight: fail it out
+        // (its retry budget was not enough inside this window). It
+        // waited out every tick up to the deadline.
+        tick = deadline;
+        vehicle.state = VehicleState::kFailed;
+        break;
+      }
+      tick = next;
+      step_vehicle(vehicle, attempt, objective, transport, tick, report,
+                   stats);
     }
-    live.resize(kept);
+    end = std::max(end, tick);
+    switch (vehicle.state) {
+      case VehicleState::kHealthy:
+        ++stats.committed;
+        break;
+      case VehicleState::kFailed:
+        ++stats.failed;
+        break;
+      case VehicleState::kDark:
+        ++stats.dark;
+        break;
+      default:
+        break;
+    }
   }
-  // Deadline passed with vehicles still mid-flight: fail them out (their
-  // retry budget was not enough inside this wave's window).
-  for (const std::uint32_t id : live) {
-    fleet[id].state = VehicleState::kFailed;
-  }
-  return now - start;
+  stats.ticks = end - start;
+  now = end;
 }
 
 std::uint32_t CampaignServer::probe_denies(
@@ -427,12 +448,6 @@ std::uint32_t CampaignServer::probe_denies(
 
 CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
                                    UpdateTransport& transport) {
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (fleet[i].id != i) {
-      throw std::invalid_argument(
-          "CampaignServer::run: vehicle ids must be fleet positions");
-    }
-  }
   CampaignReport report;
   report.target_version = images_.back()->version();
   report.target_fingerprint = fingerprints_.back();
@@ -441,22 +456,38 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
   const std::uint32_t gate_deny_threshold =
       images_.size() >= 2 ? probe_denies(*images_[images_.size() - 2]) + 1
                           : 1;
+  // Every committed vehicle runs the target image, so each answers the
+  // probe with this deny count.
+  const std::uint32_t target_denies = probe_denies(*images_.back());
 
-  // Eligible vehicles, id order; wave boundaries as cumulative counts.
-  // Only a vehicle on an OLDER version is eligible: offering the target
-  // to one past it would be a downgrade, which FleetBoot refuses too.
+  // One pass checks the id precondition, collects the eligible vehicles
+  // (id order) and the distinct versions they start from. Only a vehicle
+  // on an OLDER version is eligible: offering the target to one past it
+  // would be a downgrade, which FleetBoot refuses too. Nothing changes
+  // before the pass completes, so a bad fleet throws untouched.
   std::vector<std::uint32_t> eligible;
   eligible.reserve(fleet.size());
-  for (const CampaignVehicle& vehicle : fleet) {
-    if (vehicle.version < report.target_version) {
-      eligible.push_back(vehicle.id);
-    } else {
-      ++report.untouched;
+  std::vector<std::uint64_t> bases;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const CampaignVehicle& vehicle = fleet[i];
+    if (vehicle.id != i) {
+      throw std::invalid_argument(
+          "CampaignServer::run: vehicle ids must be fleet positions");
     }
+    if (vehicle.version >= report.target_version) {
+      ++report.untouched;
+      continue;
+    }
+    if (std::find(bases.begin(), bases.end(), vehicle.version) ==
+        bases.end()) {
+      bases.push_back(vehicle.version);
+    }
+    eligible.push_back(vehicle.id);
   }
   report.full_blob_bytes_baseline =
       static_cast<std::uint64_t>(eligible.size()) * blobs_.back()->size();
 
+  // Wave boundaries as cumulative counts into `eligible`.
   std::vector<std::size_t> boundaries;
   if (!eligible.empty()) {
     // Fractions are finite and >= 0 (constructor-checked); clamping to
@@ -479,56 +510,28 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
   }
 
   // Per-base-version objectives, shared across waves.
-  std::unordered_map<std::uint64_t, Objective> objectives;
-  for (const std::uint32_t id : eligible) {
-    const std::uint64_t base = fleet[id].version;
-    if (!objectives.contains(base)) {
-      objectives.emplace(base, objective_for(base));
-    }
+  Objectives objectives;
+  objectives.reserve(bases.size());
+  for (const std::uint64_t base : bases) {
+    objectives.emplace_back(base, objective_for(base));
   }
 
   std::uint64_t now = 0;
   std::size_t covered = 0;
+  std::size_t failed = 0;
   bool halted = false;
   for (std::size_t w = 0; w < boundaries.size() && !halted; ++w) {
-    const std::vector<std::uint32_t> wave(eligible.begin() + covered,
-                                          eligible.begin() + boundaries[w]);
+    const std::span<const std::uint32_t> wave(eligible.data() + covered,
+                                              boundaries[w] - covered);
     covered = boundaries[w];
-
-    for (const std::uint32_t id : wave) {
-      CampaignVehicle& vehicle = fleet[id];
-      vehicle.state = VehicleState::kOffered;
-      vehicle.tries = 0;
-      vehicle.next_attempt_tick = now;
-    }
-    Tally tally;
-    const std::uint64_t ticks =
-        drive(fleet, wave, objectives, transport,
-              now + kWaveTimeoutTicks, now, report, tally);
 
     WaveStats stats;
     stats.wave = w;
     stats.size = wave.size();
-    stats.ticks = ticks;
-    stats.retries = tally.retries;
-    report.retries += tally.retries;
-    std::vector<std::uint32_t> committed;
-    for (const std::uint32_t id : wave) {
-      switch (fleet[id].state) {
-        case VehicleState::kHealthy:
-          ++stats.committed;
-          committed.push_back(id);
-          break;
-        case VehicleState::kFailed:
-          ++stats.failed;
-          break;
-        case VehicleState::kDark:
-          ++stats.dark;
-          break;
-        default:
-          break;
-      }
-    }
+    drive(fleet, wave, objectives, transport, now + kWaveTimeoutTicks, now,
+          report, stats);
+    report.retries += stats.retries;
+    failed += stats.failed;
     const std::size_t reachable = stats.size - stats.dark;
     stats.commit_fraction =
         reachable == 0 ? 1.0
@@ -537,27 +540,14 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
 
     // Observation window: the committed cohort answers the probe under
     // a fresh gate monitor (reset-at-window-open semantics — see
-    // DenyStreakMonitor::reset()). All committed vehicles run the same
-    // target image, so one probe evaluation per distinct version feeds
-    // every vehicle's deny count.
-    if (!committed.empty() && !probe_.empty()) {
+    // DenyStreakMonitor::reset()). Its vehicles give identical answers
+    // and the monitor judges each alone, so the cohort is flagged
+    // together or not at all: a monitor over one of them returns the
+    // cohort's healthy fraction, 1.0 or 0.0.
+    if (stats.committed > 0 && !probe_.empty()) {
       monitor::DenyStreakMonitor gate(
-          committed.size(),
-          monitor::DenyStreakOptions{gate_deny_threshold, kGateStreakTicks});
-      std::unordered_map<std::uint64_t, std::uint32_t> denies_by_version;
-      std::vector<std::uint32_t> counts(committed.size());
-      for (std::size_t i = 0; i < committed.size(); ++i) {
-        const std::uint64_t version = fleet[committed[i]].version;
-        auto entry = denies_by_version.find(version);
-        if (entry == denies_by_version.end()) {
-          entry = denies_by_version
-                      .emplace(version,
-                               probe_denies(
-                                   *images_[version_index_.at(version)]))
-                      .first;
-        }
-        counts[i] = entry->second;
-      }
+          1, monitor::DenyStreakOptions{gate_deny_threshold, kGateStreakTicks});
+      const std::uint32_t counts[] = {target_denies};
       for (std::uint64_t tick = 0; tick < kHealthTicks; ++tick) {
         gate.observe_tick(counts);
       }
@@ -576,32 +566,13 @@ CampaignReport CampaignServer::run(std::vector<CampaignVehicle>& fleet,
     report.status = CampaignStatus::kHalted;
     run_rollback(fleet, transport, now, report);
   } else {
-    report.status = CampaignStatus::kConverged;
-    for (const std::uint32_t id : eligible) {
-      if (fleet[id].state != VehicleState::kHealthy &&
-          fleet[id].state != VehicleState::kDark) {
-        report.status = CampaignStatus::kStalled;
-        break;
-      }
-    }
+    // Every wave ran, so every eligible vehicle ended healthy, dark or
+    // failed; one failure stalls the campaign.
+    report.status =
+        failed == 0 ? CampaignStatus::kConverged : CampaignStatus::kStalled;
   }
 
   report.ticks = now;
-  for (const CampaignVehicle& vehicle : fleet) {
-    switch (vehicle.state) {
-      case VehicleState::kHealthy:
-        ++report.healthy;
-        break;
-      case VehicleState::kFailed:
-        ++report.failed;
-        break;
-      case VehicleState::kDark:
-        ++report.dark;
-        break;
-      default:
-        break;
-    }
-  }
   audit_fleet(fleet, report);
   return report;
 }
@@ -643,30 +614,25 @@ void CampaignServer::run_rollback(std::vector<CampaignVehicle>& fleet,
 
   // Every vehicle that committed the (bad) target rolls back — across
   // all waves run so far. Mid-flight and failed vehicles never left
-  // their old version; they need no rollback.
+  // their old version; they need no rollback. The rollback is a new
+  // objective, so each victim starts it on the delta channel with no
+  // delta failures.
   std::vector<std::uint32_t> victims;
-  std::unordered_map<std::uint64_t, Objective> objectives;
-  objectives.emplace(images_.back()->version(), std::move(objective));
   for (CampaignVehicle& vehicle : fleet) {
     if (vehicle.state == VehicleState::kHealthy &&
         vehicle.fingerprint == fingerprints_.back()) {
-      vehicle.state = VehicleState::kOffered;
-      vehicle.tries = 0;
       vehicle.delta_failures = 0;
       vehicle.channel = UpdateChannel::kDelta;
-      vehicle.next_attempt_tick = now;
       victims.push_back(vehicle.id);
     }
   }
-  Tally tally;
-  drive(fleet, victims, objectives, transport,
-        now + kWaveTimeoutTicks, now, report, tally);
-  report.retries += tally.retries;
-  for (const std::uint32_t id : victims) {
-    if (fleet[id].state == VehicleState::kHealthy) {
-      ++report.rolled_back_vehicles;
-    }
-  }
+  Objectives objectives;
+  objectives.emplace_back(images_.back()->version(), std::move(objective));
+  WaveStats stats;
+  drive(fleet, victims, objectives, transport, now + kWaveTimeoutTicks, now,
+        report, stats);
+  report.retries += stats.retries;
+  report.rolled_back_vehicles = stats.committed;
 }
 
 void CampaignServer::audit_fleet(const std::vector<CampaignVehicle>& fleet,
@@ -677,11 +643,12 @@ void CampaignServer::audit_fleet(const std::vector<CampaignVehicle>& fleet,
   // strand a vehicle on an OLD version; it must never corrupt a store.
   //
   // Stores are shared (make_fleet and every delta-channel commit hand out
-  // the server's blobs), so each distinct store is probed once: its
-  // carried fingerprint, or nullopt when the probe rejects it. The fleet
-  // keeps every store alive for the whole audit, so an address names one
-  // buffer throughout and the memo gives each vehicle the verdict its
-  // own probe would.
+  // the server's blobs), so each distinct store is probed once. Its
+  // verdict is the fingerprint it carries when it probes clean and the
+  // server released it, nullopt otherwise; a vehicle passes when its
+  // record names that fingerprint. The fleet keeps every store alive for
+  // the whole audit, so an address names one buffer throughout and the
+  // memo gives each vehicle the verdict its own probe would.
   const auto released = [this](std::uint64_t fingerprint) {
     return (rollback_image_ && fingerprint == rollback_fingerprint_) ||
            std::find(fingerprints_.begin(), fingerprints_.end(),
@@ -691,6 +658,19 @@ void CampaignServer::audit_fleet(const std::vector<CampaignVehicle>& fleet,
                      std::optional<std::uint64_t>>
       probed;
   for (const CampaignVehicle& vehicle : fleet) {
+    switch (vehicle.state) {
+      case VehicleState::kHealthy:
+        ++report.healthy;
+        break;
+      case VehicleState::kFailed:
+        ++report.failed;
+        break;
+      case VehicleState::kDark:
+        ++report.dark;
+        break;
+      default:
+        break;
+    }
     if (!vehicle.sealed_blob) {
       ++report.corrupt_images;
       continue;
@@ -704,10 +684,12 @@ void CampaignServer::audit_fleet(const std::vector<CampaignVehicle>& fleet,
       } catch (const core::PolicyBlobError&) {
         // Rejected: the store's verdict stays nullopt.
       }
+      if (fingerprint && !released(*fingerprint)) {
+        fingerprint.reset();
+      }
       store = probed.emplace(vehicle.sealed_blob.get(), fingerprint).first;
     }
-    if (!store->second || *store->second != vehicle.fingerprint ||
-        !released(vehicle.fingerprint)) {
+    if (store->second != vehicle.fingerprint) {
       ++report.corrupt_images;
     }
   }

@@ -44,6 +44,17 @@
 //    commit discards the staged artefact; the vehicle reboots on its
 //    old sealed blob — never a half-applied image — and retries.
 //
+//    The machine is walked per vehicle: a wave visits each member
+//    once and steps it, tick by tick, from the wave start to a terminal
+//    state or the wave deadline, skipping the ticks on which it only
+//    waits. That is the same walk a tick-major loop over the wave
+//    would make, because a vehicle's trajectory depends only on its
+//    own record and on transport decisions keyed by (vehicle, attempt)
+//    (the contract in car/update_transport.h); the clean-verdict memo
+//    is a pure function of the bytes, and every report counter is a
+//    sum. The per-attempt state (the staged artefact, the backoff end,
+//    the download deadline) lives in the visit, not in the record.
+//
 //  * ROLLBACK. FleetBoot refuses version rollbacks by design, so the
 //    campaign rolls FORWARD: the rollback artefact is the prior
 //    version's CONTENT restamped as target_version + 1, compiled in
@@ -59,8 +70,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "car/fleet_boot.h"
@@ -81,7 +94,7 @@ enum class UpdateChannel : std::uint8_t {
 
 enum class VehicleState : std::uint8_t {
   kIdle,         // not yet offered in any wave
-  kOffered,      // update offered; transfer starts at next_attempt_tick
+  kOffered,      // update offered; transfer starts when the backoff ends
   kDownloading,  // transfer in flight; a stage deadline bounds the wait
   kValidating,   // artefact staged; validation runs next tick
   kCommitting,   // validated; sealed-store commit runs next tick
@@ -94,12 +107,13 @@ enum class VehicleState : std::uint8_t {
 [[nodiscard]] std::string_view to_string(VehicleState state) noexcept;
 
 /// One simulated vehicle, deliberately lightweight: per-version images
-/// and sealed blobs are shared across the fleet (shared_ptr), so a
-/// 10^5..10^6-vehicle fleet costs a few hundred bytes per vehicle. The
-/// sealed_blob is the vehicle's power-loss-durable store: whatever it
-/// points at is what the vehicle boots from after a crash, and the
-/// campaign only ever replaces it in the commit step (atomic in the
-/// model; FleetBoot's strong guarantee in the real boot path).
+/// and sealed blobs are shared across the fleet (shared_ptr), and the
+/// record holds only what outlives a wave, so a vehicle costs 64 bytes
+/// and a 10^5-vehicle fleet 6.4 MB. The sealed_blob is the vehicle's
+/// power-loss-durable store: whatever it points at is what the vehicle
+/// boots from after a crash, and the campaign only ever replaces it in
+/// the commit step (atomic in the model; FleetBoot's strong guarantee
+/// in the real boot path).
 struct CampaignVehicle {
   std::uint32_t id = 0;
   std::uint64_t version = 0;
@@ -118,14 +132,6 @@ struct CampaignVehicle {
   /// Delta-channel validation failures (drives the blob fallback).
   std::uint32_t delta_failures = 0;
   std::uint32_t power_losses = 0;
-
-  std::uint64_t next_attempt_tick = 0;
-  std::uint64_t stage_deadline = 0;
-  /// Downloaded artefact awaiting validation. A clean delivery is the
-  /// server's own buffer, so staging it copies nothing; damage arrives
-  /// in a buffer of its own. Immutable either way: a blob-channel commit
-  /// installs this pointer as the sealed store.
-  std::shared_ptr<const std::vector<std::byte>> staged;
 };
 
 struct CampaignConfig {
@@ -292,6 +298,11 @@ class CampaignServer {
   /// Precondition: every vehicle's id is its position in `fleet`
   /// (fleet[i].id == i), as make_fleet builds it. Throws
   /// std::invalid_argument otherwise, before any vehicle is touched.
+  ///
+  /// Cost: base versions and their objectives are found by linear
+  /// search, so V eligible vehicles starting on B distinct versions
+  /// cost V * B comparisons.
+  /// A make_fleet fleet starts on at most `skew_depth` versions.
   [[nodiscard]] CampaignReport run(std::vector<CampaignVehicle>& fleet,
                                    UpdateTransport& transport);
 
@@ -321,29 +332,48 @@ class CampaignServer {
     std::optional<UpdateResult> clean_blob_verdict;
   };
 
-  struct Tally {
-    std::uint64_t retries = 0;
+  /// The objectives of one drive, keyed by the base version a vehicle
+  /// starts from: one per distinct version the driven vehicles start
+  /// on, found by linear search (the cost note on run()).
+  using Objectives = std::vector<std::pair<std::uint64_t, Objective>>;
+
+  /// A vehicle's state within one visit: what a failed try discards.
+  struct Attempt {
+    /// Tick the next transfer starts at (kOffered).
+    std::uint64_t next_tick = 0;
+    /// Tick a lost transfer is given up at (kDownloading).
+    std::uint64_t stage_deadline = 0;
+    /// Downloaded artefact awaiting validation. A clean delivery is the
+    /// server's own buffer, so staging it copies nothing; damage arrives
+    /// in a buffer of its own. Immutable either way: a blob-channel
+    /// commit installs this pointer as the sealed store.
+    std::shared_ptr<const std::vector<std::byte>> staged;
   };
 
-  void step_vehicle(CampaignVehicle& vehicle, Objective& objective,
-                    UpdateTransport& transport, std::uint64_t now,
-                    CampaignReport& report, Tally& tally);
-  void retry_or_fail(CampaignVehicle& vehicle, std::uint64_t now,
-                     Tally& tally);
+  /// Runs `vehicle`'s state machine for tick `now`, a tick it acts on:
+  /// drive() skips the ticks on which it only waits.
+  void step_vehicle(CampaignVehicle& vehicle, Attempt& attempt,
+                    Objective& objective, UpdateTransport& transport,
+                    std::uint64_t now, CampaignReport& report,
+                    WaveStats& stats);
+  void retry_or_fail(CampaignVehicle& vehicle, Attempt& attempt,
+                     std::uint64_t now, WaveStats& stats);
   [[nodiscard]] UpdateResult validate_staged(const CampaignVehicle& vehicle,
+                                             const Attempt& attempt,
                                              Objective& objective) const;
   [[nodiscard]] std::uint64_t backoff_ticks(std::uint32_t vehicle,
                                             std::uint32_t tries) const;
 
-  /// Drives `members` of `fleet` to per-version objectives from
-  /// `objectives` until all terminal or `deadline`; returns ticks run.
-  /// Each tick steps only the members still live, in member order.
-  std::uint64_t drive(std::vector<CampaignVehicle>& fleet,
-                      const std::vector<std::uint32_t>& members,
-                      std::unordered_map<std::uint64_t, Objective>& objectives,
-                      UpdateTransport& transport, std::uint64_t deadline,
-                      std::uint64_t& now, CampaignReport& report,
-                      Tally& tally);
+  /// Visits each of `members` once, in order: offers it the objective
+  /// for its version from `objectives` (state kOffered, no tries spent),
+  /// steps it from `now` until it is terminal or `deadline` has passed
+  /// (failing it out then), and counts its outcome and retries into
+  /// `stats`. Advances `now` to the latest tick any member stepped and
+  /// sets stats.ticks to the ticks run.
+  void drive(std::vector<CampaignVehicle>& fleet,
+             std::span<const std::uint32_t> members, Objectives& objectives,
+             UpdateTransport& transport, std::uint64_t deadline,
+             std::uint64_t& now, CampaignReport& report, WaveStats& stats);
 
   [[nodiscard]] Objective objective_for(std::uint64_t base_version);
   [[nodiscard]] std::uint32_t probe_denies(
@@ -351,6 +381,7 @@ class CampaignServer {
   void run_rollback(std::vector<CampaignVehicle>& fleet,
                     UpdateTransport& transport, std::uint64_t& now,
                     CampaignReport& report);
+  /// The final census and the post-campaign audit, in one fleet pass.
   void audit_fleet(const std::vector<CampaignVehicle>& fleet,
                    CampaignReport& report) const;
 

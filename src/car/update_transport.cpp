@@ -21,7 +21,8 @@ Delivery FaultyTransport::send(
   counters_.bytes_sent += artefact->size();
 
   Delivery delivery;
-  if (dark_.contains(vehicle)) {
+  const auto dark = std::lower_bound(dark_.begin(), dark_.end(), vehicle);
+  if (dark != dark_.end() && *dark == vehicle) {
     delivery.status = DeliveryStatus::kDark;
     delivery.injected = sim::FaultKind::kDark;
     ++counters_.dark;
@@ -40,7 +41,7 @@ Delivery FaultyTransport::send(
       ++counters_.stalled;
       return delivery;
     case sim::FaultKind::kDark:
-      dark_.insert(vehicle);
+      dark_.insert(dark, vehicle);
       delivery.status = DeliveryStatus::kDark;
       ++counters_.dark;
       return delivery;

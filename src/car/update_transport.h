@@ -28,12 +28,20 @@
 //    vehicle it must keep answering dark (FaultyTransport derives
 //    darkness from the fault stream's first dark decision and remembers
 //    it).
+//  * Every decision is a function of (vehicle, attempt) and of that
+//    vehicle's own earlier transfers, never of the order of calls
+//    across vehicles: each send's status, injected fault and payload,
+//    and each power_loss_before_commit answer. The campaign relies on
+//    it to walk one vehicle's attempts to the end before it starts the
+//    next vehicle's (car/campaign.h), which must give what interleaving
+//    them tick by tick would. FaultPlan decides this way, and
+//    FaultyTransport's only state is the per-vehicle dark set and
+//    counters that are sums.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -121,9 +129,10 @@ class FaultyTransport final : public UpdateTransport {
  private:
   sim::FaultPlan plan_;
   Counters counters_;
-  /// Vehicles the fault stream has sent dark — sticky for the
-  /// transport's lifetime (a campaign).
-  std::unordered_set<std::uint32_t> dark_;
+  /// Vehicles the fault stream has sent dark, sorted — sticky for the
+  /// transport's lifetime (a campaign). Sized by the dark vehicles, not
+  /// by the largest id; a send searches it without hashing.
+  std::vector<std::uint32_t> dark_;
 };
 
 }  // namespace psme::car

@@ -65,14 +65,27 @@ bool HardwarePolicyEngine::decide(const can::Frame& frame, Direction direction,
 
 void HardwarePolicyEngine::record_block(can::CanId id, Direction direction,
                                         sim::SimTime at) {
-  if (audit_.size() < kAuditCapacity) {
-    audit_.push_back(AuditRecord{at, direction, id, mode_});
+  if (!audit_) {
+    audit_ = std::make_unique<AuditRecord[]>(kAuditCapacity);
   }
+  audit_[audit_blocks_++ % kAuditCapacity] =
+      AuditRecord{at, direction, id, mode_};
   if (trace_ != nullptr && trace_->keeps(sim::TraceLevel::kSecurity)) {
     trace_->record(
         at, sim::TraceLevel::kSecurity, trace_component_,
         sim::TraceText{to_string(direction), " blocked id=", id.text()});
   }
+}
+
+std::vector<AuditRecord> HardwarePolicyEngine::audit_log() const {
+  const std::uint64_t first =
+      audit_blocks_ > kAuditCapacity ? audit_blocks_ - kAuditCapacity : 0;
+  std::vector<AuditRecord> log;
+  log.reserve(audit_blocks_ - first);
+  for (std::uint64_t n = first; n < audit_blocks_; ++n) {
+    log.push_back(audit_[n % kAuditCapacity]);
+  }
+  return log;
 }
 
 bool HardwarePolicyEngine::submit(const can::Frame& frame) {

@@ -23,8 +23,10 @@
 // software involvement, supporting Table I's mode-conditional policies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,6 +106,9 @@ struct HpeConfig {
 
 class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
  public:
+  /// Blocks the audit log keeps: the most recent ones.
+  static constexpr std::size_t kAuditCapacity = 1024;
+
   /// Wraps `inner` (usually a Bus port). The engine registers itself as the
   /// inner channel's sink; the protected controller then attaches to the
   /// engine. `name` labels trace/audit output. `policy_version` is the
@@ -149,9 +154,9 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
 
   // -- observation --------------------------------------------------------
   [[nodiscard]] const HpeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<AuditRecord>& audit_log() const noexcept {
-    return audit_;
-  }
+  /// The last kAuditCapacity blocks (all of them until there are more),
+  /// oldest first: a snapshot, as sim::Trace::entries() is.
+  [[nodiscard]] std::vector<AuditRecord> audit_log() const;
   [[nodiscard]] std::uint8_t current_mode() const noexcept { return mode_; }
   [[nodiscard]] std::uint64_t policy_version() const noexcept {
     return policy_version_;
@@ -185,8 +190,10 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   std::uint64_t policy_version_;
   std::uint64_t cycles_ = 0;
   HpeStats stats_;
-  std::vector<AuditRecord> audit_;
-  static constexpr std::size_t kAuditCapacity = 1024;
+  /// Ring of the most recent blocks, allocated at the first block: block
+  /// n (from 0) lands at n % kAuditCapacity, over the oldest record.
+  std::unique_ptr<AuditRecord[]> audit_;
+  std::uint64_t audit_blocks_ = 0;  // blocks recorded so far
 };
 
 }  // namespace psme::hpe

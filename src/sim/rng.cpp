@@ -1,41 +1,8 @@
 #include "sim/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace psme::sim {
-namespace {
-
-constexpr std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
 
 std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
   const std::uint64_t range = hi - lo;
@@ -46,16 +13,6 @@ std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
   std::uint64_t v = (*this)();
   while (v >= limit) v = (*this)();
   return lo + v % bound;
-}
-
-double Rng::uniform01() noexcept {
-  // 53 high bits -> double in [0, 1) with full mantissa resolution.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  return uniform01() < clamped;
 }
 
 double Rng::exponential(double mean) noexcept {

@@ -9,6 +9,7 @@
 // keyed construction).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -27,7 +28,10 @@ class Rng {
   /// Seeds the generator. Two generators with equal seeds produce equal
   /// streams. The seed is expanded with splitmix64 so that small seeds
   /// (0, 1, 2, ...) still yield well-mixed states.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept {
+    std::uint64_t s = seed;
+    for (auto& word : state_) word = splitmix64(s);
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -35,16 +39,31 @@ class Rng {
   }
 
   /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Precondition: lo <= hi.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform01() noexcept;
+  [[nodiscard]] double uniform01() noexcept {
+    // 53 high bits -> double in [0, 1) with full mantissa resolution.
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
-  [[nodiscard]] bool chance(double p) noexcept;
+  [[nodiscard]] bool chance(double p) noexcept {
+    return uniform01() < std::clamp(p, 0.0, 1.0);
+  }
 
   /// Exponentially distributed value with the given mean (> 0). Used for
   /// Poisson-process inter-arrival times in traffic generators.
@@ -56,6 +75,17 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t splitmix64(std::uint64_t& x) noexcept {
+    x += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

@@ -21,7 +21,11 @@
 //    the artefact the fleet is served; committed vehicles share the
 //    server's sealed blob.
 //  * GOLDEN: one hash over four whole campaigns (reports, every
-//    vehicle's record and sealed-store bytes, injection counters).
+//    vehicle's record and sealed-store bytes, injection counters), and
+//    one per campaign whose vehicles fail out at a wave deadline.
+//  * CALL ORDER: transport decisions depend on (vehicle, attempt), not
+//    on the order of calls across vehicles — what lets a wave walk one
+//    vehicle at a time.
 //  * AUDIT: the post-campaign audit counts every vehicle whose sealed
 //    store is missing, fails its probe, disagrees with the vehicle's
 //    record or was never released — per vehicle, even where vehicles
@@ -32,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -460,6 +465,66 @@ TEST(CampaignGolden, FourCampaignsMatchPinnedHash) {
   EXPECT_EQ(hash.value(), 0xB318F2D93E4672FFULL);
 }
 
+// Campaigns whose retry budget outlasts the wave window, so vehicles
+// fail out at their wave's deadline: every send dropped (the canary
+// fails out at tick 4,096 and the campaign halts), 90% of sends dropped
+// (every wave runs, some vehicles fail out and the campaign stalls), and
+// every send dropped with the whole fleet in the canary (300 vehicles
+// reach the deadline mid-flight, and some act on the deadline tick
+// itself). Most of their ticks are spent waiting out backoffs and
+// download timeouts. Pinned before a campaign walked each vehicle to the
+// end of its wave in one visit; that walk must keep every hash.
+TEST(CampaignGolden, WaveDeadlineCampaignsMatchPinnedHashes) {
+  const auto run = [](double drop, double canary_fraction) {
+    CampaignConfig config = test_config();
+    config.max_tries = 1000;
+    config.canary_fraction = canary_fraction;
+    CampaignServer server(fleet_lineage(5), config);
+    std::vector<CampaignVehicle> fleet = server.make_fleet(300, 0xDEAD11E5ULL);
+    FaultProfile profile;
+    profile.drop = drop;
+    profile.power_loss = 0.3;
+    FaultyTransport transport{FaultPlan(0x7105EULL, profile)};
+    const CampaignReport report = server.run(fleet, transport);
+    CampaignHash hash;
+    hash.add_report(report);
+    hash.add_fleet(fleet);
+    hash.add_counters(transport.counters());
+    return std::pair{report, hash.value()};
+  };
+
+  const auto [dropped, dropped_hash] = run(1.0, 0.02);
+  EXPECT_EQ(dropped.status, CampaignStatus::kHalted);
+  ASSERT_EQ(dropped.waves.size(), 1u);
+  EXPECT_EQ(dropped.waves[0].ticks, 4096u);
+  EXPECT_EQ(dropped.waves[0].failed, dropped.waves[0].size);
+  EXPECT_EQ(dropped_hash, 0x4499FB0C85F13A59ULL);
+
+  const auto [lossy, lossy_hash] = run(0.9, 0.02);
+  EXPECT_EQ(lossy.status, CampaignStatus::kStalled);
+  ASSERT_EQ(lossy.waves.size(), 3u);
+  std::size_t at_deadline = 0;
+  for (const car::WaveStats& wave : lossy.waves) {
+    EXPECT_TRUE(wave.gate_passed);
+    at_deadline += wave.ticks == 4096 ? 1 : 0;
+  }
+  EXPECT_GT(at_deadline, 0u);
+  EXPECT_GT(lossy.failed, 0u);
+  EXPECT_EQ(lossy_hash, 0xDC3298DDC8540CD6ULL);
+
+  const auto [whole, whole_hash] = run(1.0, 1.0);
+  EXPECT_EQ(whole.status, CampaignStatus::kHalted);
+  EXPECT_EQ(whole.failed, 300u);
+  EXPECT_EQ(whole.ticks, 4096u);
+  EXPECT_EQ(whole_hash, 0x9F62D29C9B00701CULL);
+}
+
+// Per-attempt state lives in the campaign's visit, not in the record, so
+// a fleet pass touches one cache line per vehicle.
+TEST(CampaignVehicleRecord, FitsInSixtyFourBytes) {
+  EXPECT_LE(sizeof(CampaignVehicle), 64u);
+}
+
 TEST(CampaignPlanning, DeltaPreferredAndSmallerThanBlob) {
   CampaignServer server(fleet_lineage(7), test_config());
   const std::size_t last = server.lineage_size() - 1;
@@ -665,6 +730,82 @@ TEST(CampaignTransport, DamagedSendsBuildTheirOwnBuffers) {
         << "each damaged payload is a buffer of its own";
     EXPECT_EQ(*artefact, original) << "damage never reaches the artefact";
   }
+}
+
+// The transport contract the campaign relies on to walk one vehicle at a
+// time: decisions depend on (vehicle, attempt), never on the order of
+// calls across vehicles. Two transports over one plan are called over
+// the same grid, one vehicle by vehicle and one attempt by attempt.
+TEST(CampaignTransport, DecisionsIgnoreCallOrder) {
+  const auto artefact = sample_artefact();
+  FaultProfile profile = FaultProfile::mixed(0.6);
+  profile.dark = 0.1;
+  profile.power_loss = 0.3;
+  const FaultPlan plan(0x0DE2ULL, profile);
+  // Ids far apart as well: the dark set holds only the dark vehicles.
+  const std::vector<std::uint32_t> vehicles = {
+      0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 40'000, 1u << 20, 4'000'000'000u};
+  constexpr std::uint32_t kAttempts = 12;
+
+  struct Outcome {
+    car::DeliveryStatus status = car::DeliveryStatus::kDelivered;
+    sim::FaultKind injected = sim::FaultKind::kNone;
+    bool has_payload = false;
+    std::vector<std::byte> payload;
+    bool power_loss = false;
+  };
+  const auto call = [&artefact](FaultyTransport& transport,
+                                std::uint32_t vehicle, std::uint32_t attempt) {
+    const car::Delivery delivery = transport.send(vehicle, attempt, artefact);
+    Outcome outcome;
+    outcome.status = delivery.status;
+    outcome.injected = delivery.injected;
+    outcome.has_payload = delivery.payload != nullptr;
+    if (delivery.payload) {
+      outcome.payload = *delivery.payload;
+    }
+    outcome.power_loss = transport.power_loss_before_commit(vehicle, attempt);
+    return outcome;
+  };
+
+  FaultyTransport by_vehicle{plan};
+  FaultyTransport by_attempt{plan};
+  std::vector<Outcome> vehicle_major(vehicles.size() * kAttempts);
+  std::vector<Outcome> attempt_major(vehicles.size() * kAttempts);
+  for (std::size_t v = 0; v < vehicles.size(); ++v) {
+    for (std::uint32_t a = 0; a < kAttempts; ++a) {
+      vehicle_major[v * kAttempts + a] = call(by_vehicle, vehicles[v], a + 1);
+    }
+  }
+  for (std::uint32_t a = 0; a < kAttempts; ++a) {
+    for (std::size_t v = 0; v < vehicles.size(); ++v) {
+      attempt_major[v * kAttempts + a] = call(by_attempt, vehicles[v], a + 1);
+    }
+  }
+
+  std::size_t dark = 0;
+  std::size_t damaged = 0;
+  for (std::size_t i = 0; i < vehicle_major.size(); ++i) {
+    SCOPED_TRACE("vehicle " + std::to_string(vehicles[i / kAttempts]) +
+                 " attempt " + std::to_string(i % kAttempts + 1));
+    const Outcome& x = vehicle_major[i];
+    const Outcome& y = attempt_major[i];
+    EXPECT_EQ(x.status, y.status);
+    EXPECT_EQ(x.injected, y.injected);
+    EXPECT_EQ(x.has_payload, y.has_payload);
+    EXPECT_EQ(x.payload, y.payload);
+    EXPECT_EQ(x.power_loss, y.power_loss);
+    dark += x.status == car::DeliveryStatus::kDark ? 1 : 0;
+    damaged += x.has_payload && x.payload != *artefact ? 1 : 0;
+  }
+  EXPECT_GT(dark, 0u) << "the grid must reach the sticky dark state";
+  EXPECT_GT(damaged, 0u);
+
+  const auto fields = [](const FaultyTransport::Counters& c) {
+    return std::array{c.sent,    c.delivered_clean, c.dropped, c.truncated,
+                      c.corrupted, c.stalled,       c.dark,    c.bytes_sent};
+  };
+  EXPECT_EQ(fields(by_vehicle.counters()), fields(by_attempt.counters()));
 }
 
 TEST(UpdateResultTaxonomy, FleetBootClassifiesEveryRejection) {

@@ -275,6 +275,31 @@ TEST(Hpe, AuditLogRecordsBlocks) {
   EXPECT_EQ(rig.engine->audit_log()[0].direction, Direction::kRead);
 }
 
+// The log is a ring of the most recent blocks: past its capacity each
+// block replaces the oldest, and the snapshot lists them oldest first.
+TEST(Hpe, AuditLogKeepsTheMostRecentBlocks) {
+  Rig rig;
+  constexpr std::size_t kBlocks = 1500;
+  constexpr std::size_t kCapacity = HardwarePolicyEngine::kAuditCapacity;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    // Unapproved read ids arriving straight from the bus side, each
+    // stamped with its own time.
+    const auto id = static_cast<std::uint32_t>(0x300 + i % 0x400);
+    rig.engine->on_frame(make_frame(id, {}),
+                         sim::SimTime{static_cast<std::int64_t>(i)});
+  }
+  EXPECT_EQ(rig.engine->stats().read_blocked, kBlocks);
+  const std::vector<AuditRecord> log = rig.engine->audit_log();
+  ASSERT_EQ(log.size(), kCapacity);
+  for (std::size_t k = 0; k < kCapacity; ++k) {
+    const std::size_t block = kBlocks - kCapacity + k;
+    ASSERT_EQ(log[k].at, sim::SimTime{static_cast<std::int64_t>(block)})
+        << "record " << k;
+    EXPECT_EQ(log[k].id.raw(), 0x300 + block % 0x400);
+    EXPECT_EQ(log[k].direction, Direction::kRead);
+  }
+}
+
 TEST(Hpe, ContentRuleNarrowsApprovedId) {
   sim::Scheduler sched;
   can::Bus bus(sched);
