@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <span>
@@ -192,6 +193,7 @@ std::vector<AttackStep> CampaignPlan::steps(Family family,
       const std::uint8_t payload[8] = {0xAA, 0xAA, 0xAA, 0xAA,
                                        0xAA, 0xAA, 0xAA, 0xAA};
       const can::Frame frame(can::CanId::standard(kFloodId), payload);
+      steps.reserve(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         steps.push_back({std::chrono::microseconds{i * 200}, frame});
       }
@@ -297,10 +299,14 @@ std::vector<AttackStep> CampaignPlan::steps(Family family,
       break;
   }
 
-  std::stable_sort(steps.begin(), steps.end(),
-                   [](const AttackStep& a, const AttackStep& b) {
-                     return a.offset < b.offset;
-                   });
+  // Only the families that draw random offsets (NM impersonation, NM
+  // sleep abuse, frame fuzz) generate out of order.
+  const auto earlier = [](const AttackStep& a, const AttackStep& b) {
+    return a.offset < b.offset;
+  };
+  if (!std::is_sorted(steps.begin(), steps.end(), earlier)) {
+    std::stable_sort(steps.begin(), steps.end(), earlier);
+  }
   return steps;
 }
 
@@ -672,9 +678,14 @@ ScenarioReport CampaignRunner::run(Family family, std::uint32_t index) const {
   } else if (family == Family::kLateralMovement) {
     const std::vector<AttackStep> steps = plan_.steps(family, index);
     report.artefacts = steps.size();
-    const SegmentedObservation control = run_segmented_world(report.seed, {});
+    // The pair shares no mutable state (DESIGN.md §3): the control world
+    // runs on a second thread while this one runs the attack world, and
+    // get() joins it before the oracle reads either observation.
+    auto pending = std::async(std::launch::async, run_segmented_world,
+                              report.seed, std::vector<AttackStep>{});
     const SegmentedObservation attacked =
         run_segmented_world(report.seed, steps);
+    const SegmentedObservation control = pending.get();
     report.denied = delta(attacked.denied, control.denied);
     report.flagged = delta(attacked.flagged, control.flagged);
     report.hazard = attacked.hazard_counters > control.hazard_counters;
@@ -686,10 +697,12 @@ ScenarioReport CampaignRunner::run(Family family, std::uint32_t index) const {
   } else {
     const std::vector<AttackStep> steps = plan_.steps(family, index);
     report.artefacts = steps.size();
-    const BusObservation control =
-        run_bus_world(family, index, options, report.seed, {});
+    // Side by side, as the segmented pair above.
+    auto pending = std::async(std::launch::async, run_bus_world, family, index,
+                              options, report.seed, std::vector<AttackStep>{});
     const BusObservation attacked =
         run_bus_world(family, index, options, report.seed, steps);
+    const BusObservation control = pending.get();
     report.denied = delta(attacked.denied, control.denied);
     report.flagged = delta(attacked.flagged, control.flagged);
     report.quarantine_blocks = delta(attacked.q_blocks, control.q_blocks);

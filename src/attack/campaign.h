@@ -176,7 +176,8 @@ struct CampaignReport {
 };
 
 /// Builds the differential world pair for each scenario and applies the
-/// oracle. Stateless between runs: every run() constructs fresh worlds.
+/// oracle. Stateless between runs: every run() constructs fresh worlds,
+/// so run() may be called from several threads at once.
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignOptions options = {});
@@ -184,6 +185,13 @@ class CampaignRunner {
   [[nodiscard]] const CampaignPlan& plan() const noexcept { return plan_; }
 
   /// Runs one scenario (control + attack worlds) and applies the oracle.
+  /// A bus-world or lateral-movement scenario starts one thread, which
+  /// runs the control world while the caller's thread runs the attack
+  /// world; the report is byte-identical to running them one after the
+  /// other (DESIGN.md §3). An exception from either world reaches the
+  /// caller: the control world's through the future's get(), the attack
+  /// world's once the future's destructor has waited for the control
+  /// world, so run() never leaves while that world still runs.
   [[nodiscard]] ScenarioReport run(Family family, std::uint32_t index) const;
 
   /// Runs every family × scenarios_per_family, in enum order.

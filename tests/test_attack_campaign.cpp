@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -13,6 +14,20 @@ namespace psme::attack {
 namespace {
 
 constexpr std::uint64_t kPinnedSeeds[] = {101, 202, 303};
+
+// FNV-1a of run_all().to_json() at each pinned seed, taken while the
+// control and attack worlds still ran one after the other: every world
+// must simulate the same numbers whichever thread runs it.
+constexpr std::uint64_t kPinnedReportHashes[] = {
+    0xd24c5ab92fe89fc7ULL, 0xe52414ac0f5559e8ULL, 0x1a442a9ba96f52cdULL};
+
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 [[nodiscard]] bool frames_equal(const can::Frame& a, const can::Frame& b) {
   if (a.id().raw() != b.id().raw() ||
@@ -197,13 +212,15 @@ void check_family_properties(const ScenarioReport& s) {
 }
 
 TEST(CampaignOracle, PinnedSeedsNoSilentSuccess) {
-  for (const std::uint64_t seed : kPinnedSeeds) {
+  for (std::size_t s = 0; s < std::size(kPinnedSeeds); ++s) {
+    const std::uint64_t seed = kPinnedSeeds[s];
     SCOPED_TRACE("campaign seed " + std::to_string(seed));
     CampaignOptions options;
     options.seed = seed;
     const CampaignRunner runner(options);
     const CampaignReport report = runner.run_all();
 
+    EXPECT_EQ(fnv1a(report.to_json()), kPinnedReportHashes[s]);
     EXPECT_TRUE(report.oracle_passed());
     EXPECT_EQ(report.count(Verdict::kSilentSuccess), 0u);
     EXPECT_EQ(report.count(Verdict::kNoEffect), 0u);
