@@ -7,11 +7,13 @@
 //     flat-no-enforcement vs segmented-gateway vs flat-HPE;
 //   * functional parity: the control loop and the telematics services
 //     still work across the gateway.
+// Exits 1, with a "FAIL" line on stderr, when the segmented drill loses
+// the EPS or the alarm, the gateway drops nothing, or control-loop or
+// display parity fails.
 #include <cstdio>
 #include <iostream>
 
 #include "attack/attacker.h"
-#include "car/segmented.h"
 #include "car/vehicle.h"
 #include "report/table.h"
 
@@ -20,9 +22,17 @@ using namespace std::chrono_literals;
 
 int main() {
   std::cout << "=== Network segmentation with a policy gateway ===\n\n";
+  int failures = 0;
+  const auto check = [&failures](bool ok, const char* fact) {
+    if (!ok) {
+      std::fprintf(stderr, "FAIL: %s\n", fact);
+      ++failures;
+    }
+  };
 
   const auto policy = car::full_policy(car::connected_car_threat_model());
-  const auto telematics = car::SegmentedVehicle::telematics_nodes();
+  car::VehicleConfig segmented_config;
+  segmented_config.topology = car::Topology::kSegmented;
 
   // --- attack surface ------------------------------------------------------
   std::cout << "--- control-domain command ids reachable from the telematics "
@@ -40,7 +50,7 @@ int main() {
     std::vector<std::string> row{asset.asset_id};
     int column = 0;
     for (car::CarMode mode : car::kAllModes) {
-      const auto lists = car::build_gateway_lists(binding, telematics, mode);
+      const auto lists = binding.build_gateway_lists(mode);
       bool any = false;
       for (const auto id : asset.command_ids) {
         any = any || lists.a_to_b.contains(can::CanId::standard(id));
@@ -80,19 +90,22 @@ int main() {
   }
   {  // segmented with the policy gateway
     sim::Scheduler sched;
-    car::SegmentedVehicle segmented(sched);
+    car::Vehicle segmented(sched, segmented_config);
     sched.run_until(sched.now() + 300ms);
     segmented.safety().set_armed(true);
-    attack::OutsideAttacker rogue(
-        sched, segmented.attach_telematics_attacker("rogue"));
+    attack::OutsideAttacker rogue(sched, segmented.attach_attacker("rogue"));
     rogue.inject_repeated(car::command_frame(car::msg::kEpsCommand,
                                              car::op::kDisable), 10, 10ms);
     rogue.inject_repeated(car::command_frame(car::msg::kAlarmCommand,
                                              car::op::kDisarm), 10, 10ms);
     sched.run_until(sched.now() + 300ms);
+    const std::uint64_t dropped = segmented.bridge()->stats().dropped_a_to_b;
     drill.add("segmented + policy gateway", segmented.eps().active(),
-              segmented.safety().disarm_events() == 0,
-              segmented.gateway().stats().dropped_a_to_b);
+              segmented.safety().disarm_events() == 0, dropped);
+    check(segmented.eps().active(), "the segmented drill lost the EPS");
+    check(segmented.safety().disarm_events() == 0,
+          "the segmented drill lost the alarm");
+    check(dropped > 0, "the gateway dropped nothing");
   }
   {  // flat with HPEs (defence at every node instead of at the boundary)
     sim::Scheduler sched;
@@ -119,24 +132,26 @@ int main() {
   // --- functional parity ---------------------------------------------------
   std::cout << "--- functional parity across the gateway ---\n";
   sim::Scheduler sched;
-  car::SegmentedVehicle vehicle(sched);
+  car::Vehicle vehicle(sched, segmented_config);
   sched.run_until(sched.now() + 5s);
+  const bool control_parity = vehicle.ecu().speed() == vehicle.sensors().speed();
   std::printf("control loop:      ecu speed == sensor speed: %s\n",
-              vehicle.ecu().speed() == vehicle.sensors().speed() ? "yes" : "NO");
+              control_parity ? "yes" : "NO");
   std::printf("display service:   infotainment shows %u (sensor: %u)\n",
               vehicle.infotainment().displayed_speed(),
               vehicle.sensors().speed());
   std::printf("tracking service:  %llu reports\n",
               static_cast<unsigned long long>(
                   vehicle.connectivity().tracking_reports()));
+  const hpe::BridgeStats& gateway = vehicle.bridge()->stats();
   std::printf("gateway traffic:   %llu forwarded to telematics, %llu toward "
               "control, %llu dropped\n",
-              static_cast<unsigned long long>(
-                  vehicle.gateway().stats().forwarded_b_to_a),
-              static_cast<unsigned long long>(
-                  vehicle.gateway().stats().forwarded_a_to_b),
-              static_cast<unsigned long long>(
-                  vehicle.gateway().stats().dropped_a_to_b +
-                  vehicle.gateway().stats().dropped_b_to_a));
-  return 0;
+              static_cast<unsigned long long>(gateway.forwarded_b_to_a),
+              static_cast<unsigned long long>(gateway.forwarded_a_to_b),
+              static_cast<unsigned long long>(gateway.dropped_a_to_b +
+                                              gateway.dropped_b_to_a));
+  check(control_parity, "control-loop parity across the gateway");
+  check(vehicle.infotainment().displayed_speed() == vehicle.sensors().speed(),
+        "display parity across the gateway");
+  return failures == 0 ? 0 : 1;
 }

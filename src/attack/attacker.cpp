@@ -43,10 +43,6 @@ bool inject_via(car::Vehicle& vehicle, const std::string& node,
   return origin->controller().transmit(frame);
 }
 
-bool inject_via(can::Controller& controller, const can::Frame& frame) {
-  return controller.transmit(frame);
-}
-
 void inject_via_repeated(sim::Scheduler& sched, car::Vehicle& vehicle,
                          const std::string& node, const can::Frame& frame,
                          std::uint32_t count, sim::SimDuration period) {

@@ -67,10 +67,6 @@ bool compromise_firmware(car::Vehicle& vehicle, const std::string& node);
 bool inject_via(car::Vehicle& vehicle, const std::string& node,
                 const can::Frame& frame);
 
-/// Same, with a controller in hand (works for any topology, e.g. the
-/// segmented vehicle).
-bool inject_via(can::Controller& controller, const can::Frame& frame);
-
 /// Schedules `count` inside injections, one every `period`.
 void inject_via_repeated(sim::Scheduler& sched, car::Vehicle& vehicle,
                          const std::string& node, const can::Frame& frame,

@@ -16,7 +16,6 @@
 #include "car/modes.h"
 #include "car/network_mgmt.h"
 #include "car/quarantine.h"
-#include "car/segmented.h"
 #include "car/vehicle.h"
 #include "core/policy_blob.h"
 #include "core/policy_delta.h"
@@ -510,11 +509,12 @@ struct SegmentedObservation {
 SegmentedObservation run_segmented_world(std::uint64_t seed,
                                          const std::vector<AttackStep>& steps) {
   sim::Scheduler sched;
-  car::SegmentedConfig config;
+  car::VehicleConfig config;
+  config.topology = car::Topology::kSegmented;
   config.seed = seed;
-  car::SegmentedVehicle vehicle(sched, config);
+  car::Vehicle vehicle(sched, config);
 
-  can::Port& tap = vehicle.control_bus().attach("ids-tap");
+  can::Port& tap = vehicle.bus().attach("ids-tap");
   monitor::FrameRateMonitor ids(sched);
   TapSink sink;
   sink.monitor = &ids;
@@ -523,8 +523,8 @@ SegmentedObservation run_segmented_world(std::uint64_t seed,
   sched.run_until(sim::SimTime{700ms});
   ids.start_detection();
 
-  OutsideAttacker attacker(
-      sched, vehicle.attach_telematics_attacker("campaign-attacker"));
+  OutsideAttacker attacker(sched,
+                           vehicle.attach_attacker("campaign-attacker"));
   for (const AttackStep& step : steps) {
     sched.schedule_in(50ms + step.offset,
                       [&attacker, frame = step.frame] {
@@ -535,8 +535,8 @@ SegmentedObservation run_segmented_world(std::uint64_t seed,
   sched.run_until(sim::SimTime{2200ms});
 
   SegmentedObservation obs;
-  obs.denied = vehicle.gateway().stats().dropped_a_to_b +
-               vehicle.gateway().stats().dropped_b_to_a;
+  obs.denied = vehicle.bridge()->stats().dropped_a_to_b +
+               vehicle.bridge()->stats().dropped_b_to_a;
   obs.flagged = ids.alerts().size();
   obs.hazard_counters = (vehicle.ecu().active() ? 0 : 1) +
                         (vehicle.eps().active() ? 0 : 1) +

@@ -60,6 +60,11 @@ void add_content_rules(const std::string& node, CarMode mode,
 
 }  // namespace
 
+bool on_telematics_segment(std::string_view node) noexcept {
+  return std::find(kTelematicsNodes.begin(), kTelematicsNodes.end(), node) !=
+         kTelematicsNodes.end();
+}
+
 BindingCompiler::BindingCompiler(
     std::shared_ptr<const core::CompiledPolicyImage> retained,
     const core::CompiledPolicyImage* image, BindingOptions options)
@@ -241,6 +246,50 @@ can::WireBindingTable BindingCompiler::build_wire_table(
     }
   }
   return builder.build();
+}
+
+hpe::BridgeLists BindingCompiler::build_gateway_lists(CarMode mode) {
+  hpe::BridgeLists lists;
+  lists.b_to_a.add(can::CanId::standard(msg::kFailSafeTrigger));
+  lists.b_to_a.add(can::CanId::standard(msg::kEmergencyCall));
+
+  // OR over the nodes of one segment.
+  const auto segment_may = [&](bool telematics, const std::string& asset_id,
+                               core::AccessType access) {
+    return std::any_of(
+        node_bindings().begin(), node_bindings().end(),
+        [&](const NodeBinding& binding) {
+          return on_telematics_segment(binding.node) == telematics &&
+                 node_may(binding.node, asset_id, access, mode);
+        });
+  };
+  for (const AssetBinding& asset : asset_bindings()) {
+    const bool owner_on_telematics = on_telematics_segment(asset.owner_node);
+    hpe::ApprovedIdList& toward_owner =
+        owner_on_telematics ? lists.b_to_a : lists.a_to_b;
+    hpe::ApprovedIdList& from_owner =
+        owner_on_telematics ? lists.a_to_b : lists.b_to_a;
+    if (segment_may(!owner_on_telematics, asset.asset_id,
+                    core::AccessType::kWrite)) {
+      add_all(toward_owner, asset.command_ids);
+    }
+    if (segment_may(!owner_on_telematics, asset.asset_id,
+                    core::AccessType::kRead)) {
+      add_all(from_owner, asset.status_ids);
+    }
+  }
+  return lists;
+}
+
+hpe::BridgeConfig BindingCompiler::build_gateway_config() {
+  hpe::BridgeConfig config;
+  config.mode_frame_id = msg::kModeChange;
+  for (CarMode mode : kAllModes) {
+    config.per_mode[static_cast<std::uint8_t>(mode)] = build_gateway_lists(mode);
+  }
+  config.default_lists =
+      config.per_mode[static_cast<std::uint8_t>(CarMode::kNormal)];
+  return config;
 }
 
 hpe::HpeConfig BindingCompiler::build_hpe_config(const std::string& node) {

@@ -19,6 +19,15 @@
 //  fail-safe trigger; the gateway alone emits mode changes; diagnostic
 //  request/response ids are enabled only in remote-diagnostic mode.
 //
+//  GATEWAY — a segmented vehicle puts kTelematicsNodes on the telematics
+//  bus and every other node on the control bus. The policy gateway
+//  between them forwards an asset's command ids toward its owner's
+//  segment iff some node on the other segment may write the asset in the
+//  current mode, and its status ids away from the owner's segment iff
+//  some node there may read it. Toward telematics it also forwards the
+//  fail-safe trigger and the e-call; mode frames cross by the bridge's
+//  own rule, and only from the control side, where the mode master sits.
+//
 // Compiling a full vehicle asks the policy the same (entry point, asset,
 // access, mode) question many times over — every node consults
 // anyone_may_write for every asset in every mode. BindingCompiler below
@@ -33,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,10 +52,19 @@
 #include "car/modes.h"
 #include "core/policy.h"
 #include "core/policy_image.h"
+#include "hpe/bridge.h"
 #include "hpe/hpe.h"
 #include "mac/sid_table.h"
 
 namespace psme::car {
+
+/// The nodes a segmented vehicle places on its telematics bus, the
+/// attacker-facing segment (side A of the gateway). Every other node sits
+/// on the control bus (side B), with the mode master.
+inline constexpr std::array<std::string_view, 2> kTelematicsNodes = {
+    "connectivity", "infotainment"};
+
+[[nodiscard]] bool on_telematics_segment(std::string_view node) noexcept;
 
 /// Feature switches for the binding — each is one of the design choices
 /// DESIGN.md calls out; the ablation bench toggles them independently.
@@ -132,6 +151,15 @@ class BindingCompiler {
   /// can::WireMac adjudicates mode-conditional rules correctly.
   [[nodiscard]] can::WireBindingTable build_wire_table(const std::string& node,
                                                        CarMode mode);
+
+  /// The gateway's forwarding lists in one mode (the GATEWAY rule above):
+  /// a_to_b runs telematics -> control, b_to_a control -> telematics.
+  [[nodiscard]] hpe::BridgeLists build_gateway_lists(CarMode mode);
+
+  /// Full gateway configuration: per-mode lists, the normal-mode lists as
+  /// defaults, and the mode-change frame to snoop. Independent of the
+  /// options, which shape only HPE lists.
+  [[nodiscard]] hpe::BridgeConfig build_gateway_config();
 
   struct Stats {
     std::uint64_t queries = 0;             // entry_point_may calls

@@ -47,7 +47,7 @@ std::string_view to_string(Enforcement e) noexcept {
 }
 
 VehiclePlan::VehiclePlan(core::PolicySet policy, Enforcement enforcement,
-                         BindingOptions options)
+                         BindingOptions options, Topology topology)
     : policy_(std::move(policy)), binding_(policy_, options) {
   // binding_ compiled policy_'s image above, so the plan is published
   // with it built: no reader ever takes the lazy compile path.
@@ -69,19 +69,23 @@ VehiclePlan::VehiclePlan(core::PolicySet policy, Enforcement enforcement,
     case Enforcement::kNone:
       break;
   }
+  if (topology == Topology::kSegmented) {
+    gateway_config_ = binding_.build_gateway_config();
+  }
 }
 
 std::shared_ptr<const VehiclePlan> VehiclePlan::shared(
     const VehicleConfig& config) {
   const BindingOptions options = plan_options(config);
-  using Key = std::tuple<std::uint64_t, Enforcement, bool, bool, bool>;
-  const Key key{config.policy_version, config.enforcement,
-                options.content_rules, options.writer_existence_gate,
-                options.mode_conditional};
-  // A policy version has at most ten plans (kNone, software filters and
-  // eight kHpe switch sets), so the memo keeps every plan it compiles. A
-  // compile runs under the lock: the first builds on a key wait for one
-  // plan instead of racing to make several.
+  using Key =
+      std::tuple<std::uint64_t, Topology, Enforcement, bool, bool, bool>;
+  const Key key{config.policy_version,        config.topology,
+                config.enforcement,           options.content_rules,
+                options.writer_existence_gate, options.mode_conditional};
+  // A policy version has at most twenty plans (kNone, software filters
+  // and eight kHpe switch sets, on each topology), so the memo keeps
+  // every plan it compiles. A compile runs under the lock: the first
+  // builds on a key wait for one plan instead of racing to make several.
   static std::mutex mutex;
   static std::map<Key, std::shared_ptr<const VehiclePlan>> plans;
   const std::lock_guard lock(mutex);
@@ -89,7 +93,7 @@ std::shared_ptr<const VehiclePlan> VehiclePlan::shared(
   if (plan == nullptr) {
     plan = std::make_shared<const VehiclePlan>(
         full_policy(connected_car_threat_model(), config.policy_version),
-        config.enforcement, options);
+        config.enforcement, options, config.topology);
   }
   return plan;
 }
@@ -103,6 +107,13 @@ const std::vector<can::AcceptanceFilter>& VehiclePlan::rx_filters(
   return rx_filters_.at(node_index(node))[static_cast<std::size_t>(mode)];
 }
 
+const hpe::BridgeConfig& VehiclePlan::gateway_config() const {
+  if (!gateway_config_) {
+    throw std::out_of_range("VehiclePlan: a flat plan has no gateway");
+  }
+  return *gateway_config_;
+}
+
 Vehicle::Vehicle(sim::Scheduler& sched, VehicleConfig config,
                  sim::Trace* trace)
     : sched_(sched),
@@ -112,13 +123,31 @@ Vehicle::Vehicle(sim::Scheduler& sched, VehicleConfig config,
       plan_(VehiclePlan::shared(config)) {
   bus_.set_error_rate(config_.bus_error_rate);
 
-  // The gateway is part of the trusted computing base (it owns the mode);
-  // it attaches directly, without a policy shim.
-  can::Port& gw_port = bus_.attach("gateway");
-  gateway_ = std::make_unique<GatewayNode>(sched_, gw_port, trace_,
-                                           config_.seed ^ 0x11);
-
+  // Node seeds are the vehicle seed XOR a salt: the mode master's, then
+  // one per node counting up in attach order. The two topologies use
+  // different salts because every seeded run and pinned digest of each
+  // was taken with its own; one shared pair would move all the numbers
+  // of the other topology.
+  std::uint64_t master_salt = 0x11;
   std::uint64_t salt = 0x20;
+  if (config_.topology == Topology::kSegmented) {
+    master_salt = 0x40;
+    salt = 0x41;
+    telematics_bus_ = std::make_unique<can::Bus>(
+        sched_, can::kBitRate125k, trace_, config_.seed ^ 0x7);
+    telematics_bus_->set_error_rate(config_.bus_error_rate);
+    // Side A is the attacker-facing telematics bus; side B, the control
+    // bus, hosts the mode master.
+    bridge_ = std::make_unique<hpe::Bridge>(sched_, *telematics_bus_, bus_,
+                                            plan_->gateway_config(),
+                                            "gateway", trace_);
+  }
+
+  // The mode master is part of the trusted computing base (it owns the
+  // mode); it attaches to the control bus directly, without a policy shim.
+  gateway_ = std::make_unique<GatewayNode>(sched_, bus_.attach("gateway"),
+                                           trace_, config_.seed ^ master_salt);
+
   ecu_ = std::make_unique<EvEcuNode>(sched_, make_channel("ecu"), trace_,
                                      config_.seed ^ salt++);
   eps_ = std::make_unique<EpsNode>(sched_, make_channel("eps"), trace_,
@@ -163,7 +192,8 @@ Vehicle::Vehicle(sim::Scheduler& sched, VehicleConfig config,
 
 can::Channel& Vehicle::make_channel(const std::string& name) {
   Station& station = stations_[name];
-  station.port = &bus_.attach(name);
+  can::Bus& segment = on_telematics_segment(name) ? telematics_bus() : bus_;
+  station.port = &segment.attach(name);
   if (config_.enforcement == Enforcement::kHpe) {
     station.engine = std::make_unique<hpe::HardwarePolicyEngine>(
         *station.port, plan_->hpe_config(name), name, trace_,
@@ -207,7 +237,7 @@ hpe::HardwarePolicyEngine* Vehicle::hpe(const std::string& name) noexcept {
 }
 
 can::Port& Vehicle::attach_attacker(const std::string& name) {
-  return bus_.attach(name);
+  return telematics_bus().attach(name);
 }
 
 void Vehicle::set_mode(CarMode mode) { gateway_->change_mode(mode); }
@@ -237,12 +267,14 @@ bool Vehicle::apply_policy_update(const core::PolicyBundle& bundle,
 
   // Every engine accepts now: each checks what was checked above.
   auto next = std::make_shared<const VehiclePlan>(
-      bundle.set, config_.enforcement, plan_options(config_));
+      bundle.set, config_.enforcement, plan_options(config_),
+      config_.topology);
   for (auto& [name, station] : stations_) {
     if (station.engine) {
       station.engine->apply_update(bundle, verifier, next->hpe_config(name));
     }
   }
+  if (bridge_ != nullptr) bridge_->set_config(next->gateway_config());
   plan_ = std::move(next);
   if (config_.enforcement == Enforcement::kSoftwareFilter) {
     install_software_filters(mode());

@@ -1,7 +1,18 @@
 // psme::car — assembling the connected car (paper Fig. 2 topology).
 //
-// A Vehicle wires all component nodes to one shared CAN bus and installs
-// the chosen enforcement regime:
+// A Vehicle wires its component nodes onto CAN in one of two topologies:
+//
+//  kFlat           — every node on one shared 500 kbit/s bus (Fig. 2);
+//  kSegmented      — the telematics nodes (kTelematicsNodes) on a
+//                    125 kbit/s bus, every other node on the control bus,
+//                    joined by a policy gateway (hpe::Bridge) whose lists
+//                    come from the same policy: the paper's quoted
+//                    countermeasure "CAN bus gateway: Limit components with
+//                    CAN bus access". An outside attacker attaches to the
+//                    telematics bus, the realistic remote foothold.
+//
+// and installs the chosen enforcement regime at every node, whatever the
+// topology:
 //
 //  kNone           — the de-facto state of legacy vehicles: broadcast bus,
 //                    no policing (the paper's problem statement);
@@ -18,18 +29,21 @@
 // VehiclePlan holds the policy (threat model -> full_policy -> compiled
 // image) and everything bound from it: every node's HPE configuration
 // under kHpe, every node's receive filters in each mode under
-// kSoftwareFilter. It depends only on the plan key (policy version,
+// kSoftwareFilter, and the gateway's configuration on a segmented
+// vehicle. It depends only on the plan key (policy version, topology,
 // regime and, under kHpe, the three binding switches), so
 // VehiclePlan::shared hands every vehicle with one key the same
-// immutable plan. A build then wires the bus, the nodes and the engines,
-// and copies each engine's configuration out of the plan; an engine
-// never shares its lists. An OTA update compiles a private plan from the
-// bundle's policy through the same constructor.
+// immutable plan. A build then wires the buses, the nodes, the engines
+// and the gateway, and copies each one's configuration out of the plan;
+// nothing shares its lists. An OTA update compiles a private plan from
+// the bundle's policy through the same constructor and reprograms every
+// engine and the gateway from it.
 #pragma once
 
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +54,7 @@
 #include "car/policy_binding.h"
 #include "car/table1.h"
 #include "core/update.h"
+#include "hpe/bridge.h"
 #include "hpe/hpe.h"
 
 namespace psme::car {
@@ -52,8 +67,14 @@ enum class Enforcement : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(Enforcement e) noexcept;
 
+enum class Topology : std::uint8_t {
+  kFlat,
+  kSegmented,
+};
+
 struct VehicleConfig {
   Enforcement enforcement = Enforcement::kNone;
+  Topology topology = Topology::kFlat;
   CarMode initial_mode = CarMode::kNormal;
   double bus_error_rate = 0.0;
   /// Lock every HPE after provisioning (tamper resistance on).
@@ -68,25 +89,28 @@ struct VehicleConfig {
 };
 
 /// The compiled enforcement of one plan key: the policy, the compiler
-/// that answered its binding questions, and per node either the HPE
+/// that answered its binding questions, per node either the HPE
 /// configuration (kHpe) or the receive filters of each mode
-/// (kSoftwareFilter); kNone binds nothing. Immutable once constructed,
-/// so any number of vehicles on any threads read one plan without
+/// (kSoftwareFilter), kNone binding nothing, and on a segmented topology
+/// the gateway's configuration. Immutable once constructed, so any
+/// number of vehicles on any threads read one plan without
 /// synchronisation (DESIGN.md §3).
 class VehiclePlan {
  public:
-  /// Compiles `policy` for `enforcement`: the policy's image first, then
-  /// every node's HPE configuration (kHpe, bound with `options`) or
-  /// every node's receive filters in every mode (kSoftwareFilter).
+  /// Compiles `policy` for `enforcement` on `topology`: the policy's
+  /// image first, then every node's HPE configuration (kHpe, bound with
+  /// `options`) or every node's receive filters in every mode
+  /// (kSoftwareFilter), then the gateway's lists (kSegmented).
   VehiclePlan(core::PolicySet policy, Enforcement enforcement,
-              BindingOptions options);
+              BindingOptions options, Topology topology);
 
   /// The plan for `config`'s key, compiled from
   /// full_policy(connected_car_threat_model(), config.policy_version) on
   /// the key's first call and shared by every later one. The key is the
-  /// policy version and the regime, plus, under kHpe only, the content
-  /// rules, writer gate and mode conditionality switches. Thread-safe:
-  /// one process-wide memo behind a mutex, which keeps every plan.
+  /// policy version, the topology and the regime, plus, under kHpe only,
+  /// the content rules, writer gate and mode conditionality switches.
+  /// Thread-safe: one process-wide memo behind a mutex, which keeps
+  /// every plan.
   [[nodiscard]] static std::shared_ptr<const VehiclePlan> shared(
       const VehicleConfig& config);
 
@@ -108,12 +132,17 @@ class VehiclePlan {
   [[nodiscard]] const std::vector<can::AcceptanceFilter>& rx_filters(
       std::string_view node, CarMode mode) const;
 
+  /// The gateway's configuration. Throws std::out_of_range on a flat
+  /// plan.
+  [[nodiscard]] const hpe::BridgeConfig& gateway_config() const;
+
  private:
   core::PolicySet policy_;
   BindingCompiler binding_;  // after policy_: it compiles policy_'s image
   /// Indexed like the vehicle's node names; empty in other regimes.
   std::vector<hpe::HpeConfig> hpe_configs_;
   std::vector<std::array<std::vector<can::AcceptanceFilter>, 3>> rx_filters_;
+  std::optional<hpe::BridgeConfig> gateway_config_;  // kSegmented only
 };
 
 class Vehicle {
@@ -125,7 +154,15 @@ class Vehicle {
   Vehicle& operator=(const Vehicle&) = delete;
 
   // -- topology ----------------------------------------------------------
+  /// The control bus: the vehicle's only bus when it is flat.
   [[nodiscard]] can::Bus& bus() noexcept { return bus_; }
+  /// The bus the telematics nodes sit on: bus() when the vehicle is flat.
+  [[nodiscard]] can::Bus& telematics_bus() noexcept {
+    return telematics_bus_ != nullptr ? *telematics_bus_ : bus_;
+  }
+  /// The policy gateway between the segments; nullptr when flat.
+  [[nodiscard]] hpe::Bridge* bridge() noexcept { return bridge_.get(); }
+  /// The mode master.
   [[nodiscard]] GatewayNode& gateway() noexcept { return *gateway_; }
   [[nodiscard]] EvEcuNode& ecu() noexcept { return *ecu_; }
   [[nodiscard]] EpsNode& eps() noexcept { return *eps_; }
@@ -146,7 +183,8 @@ class Vehicle {
   [[nodiscard]] hpe::HardwarePolicyEngine* hpe(const std::string& name) noexcept;
 
   /// Attaches a raw, unpoliced port for an *outside* attacker node (a
-  /// malicious device introduced into the vehicle network).
+  /// malicious device introduced into the vehicle network) to the
+  /// telematics bus.
   [[nodiscard]] can::Port& attach_attacker(const std::string& name);
 
   // -- modes and policy ---------------------------------------------------
@@ -173,12 +211,14 @@ class Vehicle {
   /// Applies an OTA policy update to every enforcement point, all or
   /// nothing. The bundle must be signed and, under kHpe, newer than
   /// every engine's policy_version() (otherwise newer than policy()).
-  /// A refusal changes no engine, policy() or binding(); under kHpe the
-  /// engines that refuse the bundle count a tamper attempt. Accepted, it
-  /// compiles a private plan from the bundle's policy: with the HPE
-  /// regime each engine takes its configuration through its own
+  /// A refusal changes no engine, gateway, policy() or binding(); under
+  /// kHpe the engines that refuse the bundle count a tamper attempt.
+  /// Accepted, it compiles a private plan from the bundle's policy: with
+  /// the HPE regime each engine takes its configuration through its own
   /// authenticated update path; with software filters the vehicle
-  /// firmware reprograms them. Returns true when the update was applied.
+  /// firmware reprograms them; a segmented vehicle's gateway takes the
+  /// new lists in its current mode. Returns true when the update was
+  /// applied.
   bool apply_policy_update(const core::PolicyBundle& bundle,
                            const core::PolicySigner& verifier);
 
@@ -191,7 +231,8 @@ class Vehicle {
     std::unique_ptr<hpe::HardwarePolicyEngine> engine;  // kHpe regime only
   };
 
-  /// Prepares the channel (port or HPE shim) a node should attach to.
+  /// Attaches a node to its segment and prepares the channel (port or
+  /// HPE shim) it should use.
   can::Channel& make_channel(const std::string& name);
 
   void install_software_filters(CarMode mode);
@@ -201,6 +242,8 @@ class Vehicle {
   sim::Trace* trace_;
   can::Bus bus_;
   std::shared_ptr<const VehiclePlan> plan_;
+  std::unique_ptr<can::Bus> telematics_bus_;  // kSegmented only
+  std::unique_ptr<hpe::Bridge> bridge_;       // kSegmented only
   std::map<std::string, Station> stations_;
 
   std::unique_ptr<GatewayNode> gateway_;

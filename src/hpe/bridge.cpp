@@ -50,37 +50,28 @@ void Bridge::set_mode(std::uint8_t mode) noexcept {
 
 void Bridge::forward(const Frame& frame, BridgeDirection direction,
                      sim::SimTime at) {
-  // Mode snooping first: mode frames are structural and always forwarded.
-  const bool is_mode_frame = config_.mode_frame_id.has_value() &&
+  const bool a_to_b = direction == BridgeDirection::kAToB;
+  // Mode snooping first: a mode frame from the mode master's side is
+  // structural and always forwarded.
+  const bool is_mode_frame = !a_to_b && config_.mode_frame_id.has_value() &&
                              !frame.id().is_extended() &&
                              frame.id().raw() == *config_.mode_frame_id;
   if (is_mode_frame && frame.dlc() >= 1) set_mode(frame.byte0());
 
-  bool allowed = is_mode_frame;
-  if (!allowed) {
-    const BridgeLists& lists = active_lists();
-    const hpe::ApprovedIdList& list = direction == BridgeDirection::kAToB
-                                          ? lists.a_to_b
-                                          : lists.b_to_a;
-    allowed = list.contains(frame.id());
-  }
-
-  Controller& out =
-      direction == BridgeDirection::kAToB ? ctrl_b_ : ctrl_a_;
+  const BridgeLists& lists = active_lists();
+  const bool allowed =
+      is_mode_frame ||
+      (a_to_b ? lists.a_to_b : lists.b_to_a).contains(frame.id());
   if (allowed) {
-    out.transmit(frame);
-    if (direction == BridgeDirection::kAToB) {
-      ++stats_.forwarded_a_to_b;
+    Controller& out = a_to_b ? ctrl_b_ : ctrl_a_;
+    if (out.transmit(frame)) {
+      ++(a_to_b ? stats_.forwarded_a_to_b : stats_.forwarded_b_to_a);
     } else {
-      ++stats_.forwarded_b_to_a;
+      ++(a_to_b ? stats_.refused_a_to_b : stats_.refused_b_to_a);
     }
     return;
   }
-  if (direction == BridgeDirection::kAToB) {
-    ++stats_.dropped_a_to_b;
-  } else {
-    ++stats_.dropped_b_to_a;
-  }
+  ++(a_to_b ? stats_.dropped_a_to_b : stats_.dropped_b_to_a);
   if (trace_ != nullptr) {
     trace_->record(at, sim::TraceLevel::kSecurity,
                    sim::TraceText{"bridge.", name_},

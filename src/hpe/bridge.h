@@ -8,6 +8,13 @@
 // from the mode-change broadcast like the HPE does). A segmented topology
 // with a policy gateway shrinks the attack surface of the control segment
 // to exactly the forwarded id set.
+//
+// Bus B hosts the mode master. Only a mode frame from side B switches the
+// lists and crosses unconditionally; one from side A is an ordinary frame,
+// checked against the a->b list, so a device on A cannot move the gateway
+// (or, through it, side B) into a more permissive mode. A frame counts as
+// forwarded only when the outbound controller queued it; a full queue
+// refuses it, and the refusal is counted apart from the policy's drops.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +43,12 @@ enum class BridgeDirection : std::uint8_t {
 
 struct BridgeStats {
   std::uint64_t forwarded_a_to_b = 0;
-  std::uint64_t dropped_a_to_b = 0;
+  std::uint64_t dropped_a_to_b = 0;   // not on the a->b list
+  std::uint64_t refused_a_to_b = 0;   // approved, but refused by the
+                                      // controller toward B (queue full)
   std::uint64_t forwarded_b_to_a = 0;
   std::uint64_t dropped_b_to_a = 0;
+  std::uint64_t refused_b_to_a = 0;
   std::uint64_t mode_switches = 0;
 };
 
@@ -51,8 +61,9 @@ struct BridgeLists {
 struct BridgeConfig {
   BridgeLists default_lists;
   std::map<std::uint8_t, BridgeLists> per_mode;
-  /// Snooped mode-change frame (byte 0 = mode key); the frame itself is
-  /// always forwarded in both directions so segments stay synchronised.
+  /// Mode-change frame (byte 0 = mode key) of the mode master on bus B.
+  /// From side B it is snooped and always forwarded, so both segments
+  /// share one mode; from side A it is an ordinary frame.
   std::optional<std::uint32_t> mode_frame_id;
 };
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "attack/attacker.h"
-#include "car/segmented.h"
 #include "car/vehicle.h"
 #include "core/update.h"
 #include "monitor/anomaly.h"
@@ -149,10 +148,11 @@ TEST(FailureInjection, GatewaySurvivesCrossSegmentFlood) {
   // A telematics-side flood of a forwardable id must not wedge the gateway
   // or starve the control loop (forwarded traffic arbitrates normally).
   sim::Scheduler sched;
-  car::SegmentedVehicle vehicle(sched);
+  car::VehicleConfig config;
+  config.topology = car::Topology::kSegmented;
+  car::Vehicle vehicle(sched, config);
   sched.run_until(sched.now() + 300ms);
-  attack::OutsideAttacker rogue(sched,
-                                vehicle.attach_telematics_attacker("rogue"));
+  attack::OutsideAttacker rogue(sched, vehicle.attach_attacker("rogue"));
   // Flood the ECU command id (forwardable in normal mode via T03's RW).
   rogue.inject_repeated(
       car::command_frame(car::msg::kEcuCommand, car::op::kEnable), 300, 2ms);
@@ -160,7 +160,7 @@ TEST(FailureInjection, GatewaySurvivesCrossSegmentFlood) {
   // The control loop still runs and the gateway kept up.
   EXPECT_EQ(vehicle.ecu().speed(), vehicle.sensors().speed());
   EXPECT_GT(vehicle.engine().torque_commands(), 5u);
-  EXPECT_GT(vehicle.gateway().stats().forwarded_a_to_b, 100u);
+  EXPECT_GT(vehicle.bridge()->stats().forwarded_a_to_b, 100u);
 }
 
 }  // namespace

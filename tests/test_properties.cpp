@@ -5,8 +5,8 @@
 
 #include <algorithm>
 
+#include "car/base_policy.h"
 #include "car/policy_binding.h"
-#include "car/segmented.h"
 #include "car/table1.h"
 
 namespace psme {
@@ -118,15 +118,14 @@ class GatewayProperty : public ::testing::TestWithParam<car::CarMode> {};
 TEST_P(GatewayProperty, ForwardingNeverExceedsPolicy) {
   const car::CarMode mode = GetParam();
   car::BindingCompiler compiler(car_policy());
-  const auto lists = car::build_gateway_lists(
-      compiler, car::SegmentedVehicle::telematics_nodes(), mode);
+  const auto lists = compiler.build_gateway_lists(mode);
   for (const car::AssetBinding& asset : car::asset_bindings()) {
     const bool telematics_asset =
         asset.owner_node == "connectivity" || asset.owner_node == "infotainment";
     if (telematics_asset) continue;
     bool granted = false;
-    for (const auto& node : car::SegmentedVehicle::telematics_nodes()) {
-      granted = granted || compiler.node_may(node, asset.asset_id,
+    for (const std::string_view node : car::kTelematicsNodes) {
+      granted = granted || compiler.node_may(std::string(node), asset.asset_id,
                                              core::AccessType::kWrite, mode);
     }
     for (const auto id : asset.command_ids) {

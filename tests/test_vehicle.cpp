@@ -38,6 +38,23 @@ std::string describe(const hpe::HpeConfig& config) {
   return out;
 }
 
+std::string describe(const hpe::BridgeLists& lists) {
+  return "a->b\n" + lists.a_to_b.to_string() + "b->a\n" +
+         lists.b_to_a.to_string();
+}
+
+std::string describe(const hpe::BridgeConfig& config) {
+  std::string out = "default\n" + describe(config.default_lists);
+  for (const auto& [mode, lists] : config.per_mode) {
+    out += "mode " + std::to_string(mode) + "\n" + describe(lists);
+  }
+  out += "snoop " + (config.mode_frame_id
+                         ? std::to_string(*config.mode_frame_id)
+                         : std::string("none")) +
+         "\n";
+  return out;
+}
+
 std::string describe(const std::vector<can::AcceptanceFilter>& filters) {
   std::string out;
   for (const can::AcceptanceFilter& f : filters) {
@@ -314,13 +331,14 @@ VehicleConfig hpe_config() {
 TEST(VehiclePlan, EachKeyFieldSelectsItsOwnPlan) {
   const VehicleConfig base = hpe_config();
   const auto plan = VehiclePlan::shared(base);
-  std::vector<VehicleConfig> variants(6, base);
+  std::vector<VehicleConfig> variants(7, base);
   variants[0].policy_version = 2;
   variants[1].enforcement = Enforcement::kNone;
   variants[2].enforcement = Enforcement::kSoftwareFilter;
   variants[3].hpe_content_rules = true;
   variants[4].hpe_writer_gate = false;
   variants[5].hpe_mode_conditional = false;
+  variants[6].topology = Topology::kSegmented;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const auto other = VehiclePlan::shared(variants[i]);
     EXPECT_NE(other, plan) << "variant " << i;
@@ -409,6 +427,33 @@ TEST(VehiclePlan, ListsEqualAFreshBindingCompile) {
       }
     }
     EXPECT_EQ(plan->binding().stats().queries, fresh.stats().queries);
+  }
+}
+
+TEST(VehiclePlan, GatewayConfigEqualsAFreshBindingCompile) {
+  // A segmented plan compiles the gateway once, whatever the regime; the
+  // regime's own lists are the flat plan's. A flat plan has no gateway.
+  const threat::ThreatModel model = connected_car_threat_model();
+  for (const std::uint64_t version : {1u, 2u}) {
+    const core::PolicySet policy = full_policy(model, version);
+    const std::string expected =
+        describe(BindingCompiler(policy).build_gateway_config());
+    for (const Enforcement regime :
+         {Enforcement::kNone, Enforcement::kSoftwareFilter,
+          Enforcement::kHpe}) {
+      VehicleConfig config;
+      config.enforcement = regime;
+      config.policy_version = version;
+      const auto flat = VehiclePlan::shared(config);
+      EXPECT_THROW((void)flat->gateway_config(), std::out_of_range);
+      config.topology = Topology::kSegmented;
+      const auto segmented = VehiclePlan::shared(config);
+      EXPECT_EQ(describe(segmented->gateway_config()), expected)
+          << to_string(regime) << " v" << version;
+      if (regime == Enforcement::kHpe) {
+        EXPECT_EQ(describe(*segmented), describe(*flat)) << " v" << version;
+      }
+    }
   }
 }
 
