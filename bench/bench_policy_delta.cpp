@@ -20,14 +20,24 @@
 // workload byte-identically (and the differential harness in
 // tests/test_policy_delta.cpp pins this across 220 random policy pairs).
 // Acceptance: the 1-rule delta is <= 10% of the full blob.
+//
+// Rejection cost: a truncated and a payload-corrupted copy of the 1-rule
+// delta are refused through car::FleetBoot::try_apply_delta_update, which
+// decides them at the delta's header gate, and through
+// PolicyDeltaReader::apply caught by the caller, the C++ throw the gate
+// replaces on the OTA path. The run exits 1 unless the gate is at least
+// 5x cheaper than the throw for both damages (a ratio within one run, so
+// the host's speed cancels out).
 // A JSON record of the run is printed for BENCH_policy_delta.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "car/base_policy.h"
+#include "car/fleet_boot.h"
 #include "car/fleet_evaluator.h"
 #include "car/table1.h"
 #include "core/policy.h"
@@ -225,6 +235,52 @@ int main() {
   }
   const double load_us = median(load_batches);
 
+  // -- rejection cost: the header gate vs the throw ----------------------
+  // One clock pair per batch: a gate refusal costs tens of ns, about what
+  // a clock read does.
+  car::FleetBoot boot(base_blob, car::default_fleet_checks());
+  const std::vector<std::byte> truncated(canonical.delta.begin(),
+                                         canonical.delta.end() - 1);
+  std::vector<std::byte> corrupted = canonical.delta;
+  corrupted.back() ^= std::byte{0xFF};
+  const int reject_batch = 2000;
+  bool refused_ok = true;
+  const auto reject_ns = [&](const auto& refuse) {
+    std::vector<double> means;
+    for (int b = 0; b < batches; ++b) {
+      const auto start = Clock::now();
+      for (int i = 0; i < reject_batch; ++i) {
+        if (!refuse()) refused_ok = false;
+      }
+      means.push_back(since_us(start) * 1e3 / reject_batch);
+    }
+    return median(means);
+  };
+  const auto gate_ns = [&](std::span<const std::byte> damaged) {
+    return reject_ns([&] {
+      return boot.try_apply_delta_update(damaged) ==
+             car::UpdateResult::kValidationFailed;
+    });
+  };
+  const auto throw_ns = [&](std::span<const std::byte> damaged) {
+    return reject_ns([&] {
+      try {
+        (void)core::PolicyDeltaReader::apply(base, damaged);
+      } catch (const core::PolicyDeltaError&) {
+        return true;
+      }
+      return false;
+    });
+  };
+  const double gate_truncated_ns = gate_ns(truncated);
+  const double throw_truncated_ns = throw_ns(truncated);
+  const double gate_corrupted_ns = gate_ns(corrupted);
+  const double throw_corrupted_ns = throw_ns(corrupted);
+  const double gate_speedup =
+      std::min(throw_truncated_ns / gate_truncated_ns,
+               throw_corrupted_ns / gate_corrupted_ns);
+  const bool gate_ok = refused_ok && gate_speedup >= 5.0;
+
   const double one_rule_ratio =
       static_cast<double>(canonical.delta.size()) /
       static_cast<double>(canonical.target_blob.size());
@@ -234,6 +290,15 @@ int main() {
   std::printf("full blob load      %9.1f us  (validate -> reconstruct -> "
               "first decision)\n",
               load_us);
+  std::printf("\nrefusing a damaged 1-rule delta (ns):   header gate   "
+              "throw\n");
+  std::printf("  truncated by one byte             %9.1f %9.1f\n",
+              gate_truncated_ns, throw_truncated_ns);
+  std::printf("  last payload byte flipped         %9.1f %9.1f\n",
+              gate_corrupted_ns, throw_corrupted_ns);
+  std::printf("gate at least %.1fx cheaper than the throw (target >= 5x) — "
+              "%s\n",
+              gate_speedup, gate_ok ? "met" : "MISSED");
   std::printf("\n1-rule delta payload: %.1f%% of the full blob "
               "(target <= 10%%) — %s; decision parity: %s\n\n",
               100.0 * one_rule_ratio,
@@ -253,11 +318,16 @@ int main() {
                 static_cast<double>(variant.delta.size()) /
                     static_cast<double>(variant.target_blob.size()));
   }
-  std::printf("],\"apply_us\":%.1f,\"load_us\":%.1f,\"parity\":%s}\n",
-              apply_us, load_us, parity_ok ? "true" : "false");
+  std::printf("],\"apply_us\":%.1f,\"load_us\":%.1f,"
+              "\"reject_gate_ns\":{\"truncated\":%.1f,\"corrupted\":%.1f},"
+              "\"reject_throw_ns\":{\"truncated\":%.1f,\"corrupted\":%.1f},"
+              "\"gate_speedup\":%.1f,\"gate_ok\":%s,\"parity\":%s}\n",
+              apply_us, load_us, gate_truncated_ns, gate_corrupted_ns,
+              throw_truncated_ns, throw_corrupted_ns, gate_speedup,
+              gate_ok ? "true" : "false", parity_ok ? "true" : "false");
 
-  // Exit status gates PARITY only (like bench_policy_blob): wrong
-  // decisions are a defect anywhere; byte counts are asserted in
-  // tests/test_policy_delta.cpp and recorded here.
-  return parity_ok ? 0 : 1;
+  // Exit status gates PARITY (like bench_policy_blob: wrong decisions are
+  // a defect anywhere) and the rejection-cost ratio; byte counts are
+  // asserted in tests/test_policy_delta.cpp and recorded here.
+  return parity_ok && gate_ok ? 0 : 1;
 }

@@ -42,6 +42,21 @@ bool Controller::transmit(const Frame& frame) {
   return true;
 }
 
+bool Controller::make_room_for(const Frame& frame) {
+  if (tx_queue_.size() < tx_queue_capacity_ || !errors_.can_transmit() ||
+      tx_queue_.back().id().arbitration_key() <=
+          frame.id().arbitration_key()) {
+    return false;
+  }
+  if (tracing(sim::TraceLevel::kError)) {
+    trace(sim::TraceLevel::kError,
+          sim::TraceText{"TX queue full, displaced ", tx_queue_.back().text()});
+  }
+  tx_queue_.pop_back();
+  ++stats_.tx_dropped;
+  return true;
+}
+
 void Controller::pump() {
   while (!in_flight_.has_value() && !tx_queue_.empty() &&
          errors_.can_transmit()) {

@@ -80,6 +80,13 @@ class Controller final : public FrameSink {
   /// when the queue is full or the node is bus-off.
   bool transmit(const Frame& frame);
 
+  /// When the TX queue is full and `frame` outranks its lowest-priority
+  /// frame, drops that frame (counted in tx_dropped) so a transmit() of
+  /// `frame` finds room. Returns true when a frame was dropped. The
+  /// gateway calls this before forwarding, so a flood of one id cannot
+  /// hold its queue against higher-priority traffic; nodes never do.
+  bool make_room_for(const Frame& frame);
+
   /// Maximum retransmission attempts per frame before it is dropped.
   void set_retransmit_limit(std::uint32_t limit) noexcept {
     retransmit_limit_ = limit;

@@ -238,24 +238,33 @@ UpdateResult CampaignServer::validate_staged(const CampaignVehicle& vehicle,
   if (is_clean && memo) {
     return *memo;
   }
+  // The header gate decides most damaged deliveries without a parse or
+  // a throw; bytes that pass it get the reader's full validation.
   UpdateResult result = UpdateResult::kOk;
-  try {
-    if (via_delta) {
-      const core::CompiledPolicyImage applied =
-          core::PolicyDeltaReader::apply(*objective.delta_base, staged);
-      result = applied.fingerprint() == objective.fingerprint
-                   ? UpdateResult::kOk
-                   : UpdateResult::kFingerprintMismatch;
-    } else {
-      const core::CompiledPolicyImage loaded =
-          core::PolicyBlobReader::load(staged);
-      result = loaded.fingerprint() == objective.fingerprint &&
-                       loaded.version() == objective.version
-                   ? UpdateResult::kOk
-                   : UpdateResult::kFingerprintMismatch;
+  if (const auto rejection =
+          via_delta
+              ? core::PolicyDeltaReader::check(*objective.delta_base, staged)
+              : core::PolicyBlobReader::check(staged)) {
+    result = to_update_result(rejection->fault);
+  } else {
+    try {
+      if (via_delta) {
+        const core::CompiledPolicyImage applied =
+            core::PolicyDeltaReader::apply(*objective.delta_base, staged);
+        result = applied.fingerprint() == objective.fingerprint
+                     ? UpdateResult::kOk
+                     : UpdateResult::kFingerprintMismatch;
+      } else {
+        const core::CompiledPolicyImage loaded =
+            core::PolicyBlobReader::load(staged);
+        result = loaded.fingerprint() == objective.fingerprint &&
+                         loaded.version() == objective.version
+                     ? UpdateResult::kOk
+                     : UpdateResult::kFingerprintMismatch;
+      }
+    } catch (const core::PolicyWireError& error) {
+      result = to_update_result(error.fault());
     }
-  } catch (const core::PolicyWireError& error) {
-    result = to_update_result(error.fault());
   }
   if (is_clean) {
     memo = result;

@@ -55,10 +55,16 @@ void FleetBoot::boot(core::CompiledPolicyImage image,
 }
 
 UpdateResult FleetBoot::try_apply_update(std::span<const std::byte> blob) {
-  // Validate BEFORE touching live state: a malformed blob throws here and
-  // the running policy keeps answering. The update loads into a fresh SID
-  // space — the blob is self-contained, so the old and new interners need
-  // not agree (the evaluator re-resolves its workload in commit_update).
+  // Validate BEFORE touching live state: damaged bytes are refused at the
+  // header gate without a throw; a blob that passes it still gets
+  // load()'s full validation, which throws for what only the payload
+  // reveals, and the running policy keeps answering either way. The
+  // update loads into a fresh SID space — the blob is self-contained, so
+  // the old and new interners need not agree (the evaluator re-resolves
+  // its workload in commit_update).
+  if (const auto rejection = core::PolicyBlobReader::check(blob)) {
+    return to_update_result(rejection->fault);
+  }
   std::unique_ptr<core::CompiledPolicyImage> updated;
   try {
     updated = std::make_unique<core::CompiledPolicyImage>(
@@ -72,11 +78,15 @@ UpdateResult FleetBoot::try_apply_update(std::span<const std::byte> blob) {
 
 UpdateResult FleetBoot::try_apply_delta_update(
     std::span<const std::byte> delta) {
-  // The delta channel validates against the RUNNING image: the anchor
-  // fingerprint must match *image_ or apply() throws PolicyDeltaError
-  // and the running policy keeps answering. Like the blob path, the
-  // applied image owns a fresh SID space (base prefix + carried
+  // The delta channel validates against the RUNNING image: the header
+  // gate refuses damaged bytes and a foreign anchor without a throw, and
+  // apply() throws PolicyDeltaError for what only the payload reveals;
+  // the running policy keeps answering either way. Like the blob path,
+  // the applied image owns a fresh SID space (base prefix + carried
   // extension) and the evaluator re-resolves its workload.
+  if (const auto rejection = core::PolicyDeltaReader::check(*image_, delta)) {
+    return to_update_result(rejection->fault);
+  }
   std::unique_ptr<core::CompiledPolicyImage> updated;
   try {
     updated = std::make_unique<core::CompiledPolicyImage>(

@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -89,6 +90,10 @@ constexpr std::size_t kOffReserved = 92;  // u32, reserved 0
   wire::reject<PolicyBlobError>(kDomain, what, fault);
 }
 
+[[nodiscard]] constexpr WireRejection failed(std::string_view what) noexcept {
+  return wire::failed(kDomain, what);
+}
+
 using wire::align8;
 using wire::load_u32;
 using wire::load_u64;
@@ -158,18 +163,21 @@ struct Layout {
   return v != 0 && (v & (v - 1)) == 0;
 }
 
-/// Validates everything the fixed header plus the section-packing
-/// equation can prove — all of it O(1) in policy size. This is the
-/// ENTIRE structural gate of a kSealedStore attach; kUntrusted layers
-/// the checksum (via validate_prefix), the semantic content passes and
-/// the fingerprint gate on top.
-[[nodiscard]] Header validate_header(std::span<const std::byte> blob,
-                                     bool verify_payload_hash) {
-  wire::validate_prefix<PolicyBlobError>(blob, kMagic,
-                                         kPolicyBlobFormatVersion,
-                                         kHeaderSize, kDomain,
-                                         verify_payload_hash);
-  Header h;
+/// The blob's header gate: the shared prefix, then every header field
+/// and the section-packing equation — all of it O(1) in policy size,
+/// returning the first check that fails and filling `h` as it reads.
+/// This is the ENTIRE structural gate of a kSealedStore attach;
+/// kUntrusted layers the checksum (through the prefix), the semantic
+/// content passes and the fingerprint gate on top.
+[[nodiscard]] std::optional<WireRejection> check_header(
+    std::span<const std::byte> blob, bool verify_payload_hash,
+    Header& h) noexcept {
+  if (auto rejection = wire::check_prefix(blob, kMagic,
+                                          kPolicyBlobFormatVersion,
+                                          kHeaderSize, kDomain,
+                                          verify_payload_hash)) {
+    return rejection;
+  }
   h.total_size = blob.size();
   h.payload_hash = load_u64(blob.data() + wire::kOffPayloadHash);
   h.fingerprint = load_u64(blob.data() + kOffFingerprint);
@@ -183,44 +191,44 @@ struct Layout {
   h.wildcard_sid = load_u32(blob.data() + kOffWildcardSid);
   const std::uint8_t allow =
       std::to_integer<std::uint8_t>(blob[kOffDefaultAllow]);
-  if (allow > 1) reject("default-allow flag is neither 0 nor 1");
+  if (allow > 1) return failed("default-allow flag is neither 0 nor 1");
   h.default_allow = allow == 1;
   // Reserved header bytes must be zero: with every other header byte
   // validated and the whole payload checksummed, this closes the last
   // gap — ANY single corrupted byte in a blob is rejected (test-pinned).
   for (std::size_t i = 1; i < 4; ++i) {
     if (blob[kOffDefaultAllow + i] != std::byte{0}) {
-      reject("reserved header bytes not zero");
+      return failed("reserved header bytes not zero");
     }
   }
   h.sid_slot_count = load_u32(blob.data() + kOffSidSlotCount);
   h.name_arena_len = load_u32(blob.data() + kOffNameArenaLen);
   h.meta_arena_len = load_u32(blob.data() + kOffMetaArenaLen);
   if (load_u32(blob.data() + kOffReserved) != 0) {
-    reject("reserved header bytes not zero");
+    return failed("reserved header bytes not zero");
   }
 
   if (h.mode_count > kMaxImageModes) {
-    reject("mode table larger than the 64-bit mask allows");
+    return failed("mode table larger than the 64-bit mask allows");
   }
   if (!power_of_two(h.slot_count)) {
-    reject("index slot count is not a power of two");
+    return failed("index slot count is not a power of two");
   }
   if (h.flat_count != h.entry_count) {
-    reject("index covers " + std::to_string(h.flat_count) +
-           " entries, image has " + std::to_string(h.entry_count));
+    return wire::failed(kDomain, "index covers ", h.flat_count,
+                        " entries, image has ", h.entry_count, "");
   }
   if (!power_of_two(h.sid_slot_count)) {
-    reject("SID probe-slot count is not a power of two");
+    return failed("SID probe-slot count is not a power of two");
   }
   // The serialiser's table always satisfies the interner's load factor
   // (< 2/3); enforcing it here guarantees empty probe slots exist, so
   // attached-table lookups terminate like built-table lookups.
   if (std::uint64_t{h.sid_count} * 3 >= std::uint64_t{h.sid_slot_count} * 2) {
-    reject("SID probe-slot table over its load factor");
+    return failed("SID probe-slot table over its load factor");
   }
   if (h.wildcard_sid == mac::kNullSid || h.wildcard_sid > h.sid_count) {
-    reject("wildcard SID does not name '*'");
+    return failed("wildcard SID does not name '*'");
   }
   // Every count must be payable in payload bytes BEFORE anything is
   // reserved: a crafted header must earn a rejection, not a
@@ -231,13 +239,24 @@ struct Layout {
       h.slot_count > payload_size / 16 || h.flat_count > payload_size / 4 ||
       h.sid_slot_count > payload_size / 4 ||
       h.name_arena_len > payload_size || h.meta_arena_len > payload_size) {
-    reject("section counts exceed the blob's own size");
+    return failed("section counts exceed the blob's own size");
   }
   // The exact-packing gate: the derived section chain must land on the
   // (prefix-validated) total size, so no header count can lie without
   // the sections sliding off the end or leaving slack.
   if (section_layout(h).total != blob.size()) {
-    reject("section layout does not pack to the blob size");
+    return failed("section layout does not pack to the blob size");
+  }
+  return std::nullopt;
+}
+
+/// check_header() for the throwing entry points: its rejection becomes a
+/// PolicyBlobError with the same message and recovery class.
+[[nodiscard]] Header validate_header(std::span<const std::byte> blob,
+                                     bool verify_payload_hash) {
+  Header h;
+  if (const auto rejection = check_header(blob, verify_payload_hash, h)) {
+    wire::reject<PolicyBlobError>(*rejection);
   }
   return h;
 }
@@ -418,6 +437,12 @@ void PolicyBlobWriter::write_file(const CompiledPolicyImage& image,
 }
 
 // ------------------------------------------------------------------ reader
+
+std::optional<WireRejection> PolicyBlobReader::check(
+    std::span<const std::byte> blob) noexcept {
+  Header h;
+  return check_header(blob, true, h);
+}
 
 PolicyBlobInfo PolicyBlobReader::probe(std::span<const std::byte> blob) {
   const Header h = validate_header(blob, true);

@@ -46,6 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -142,8 +143,19 @@ class PolicyBlobWriter {
 /// Validates and loads a blob back into a sealed CompiledPolicyImage.
 class PolicyBlobReader {
  public:
+  /// The blob's header gate: the shared wire prefix (payload checksum
+  /// included), every header field and the section-packing equation,
+  /// O(1) in policy size apart from the checksum. Returns the first
+  /// failed check — the same message and recovery class load() and
+  /// probe() would throw — or nothing when the header holds. Never
+  /// throws, so an OTA caller refuses damaged bytes without a C++ throw;
+  /// bytes that pass still need load(), which runs this gate first and
+  /// then validates the payload.
+  [[nodiscard]] static std::optional<WireRejection> check(
+      std::span<const std::byte> blob) noexcept;
+
   /// Header-only inspection; throws PolicyBlobError on a blob whose
-  /// fixed header fails validation (see PolicyBlobInfo).
+  /// fixed header fails check() (see PolicyBlobInfo).
   [[nodiscard]] static PolicyBlobInfo probe(std::span<const std::byte> blob);
 
   /// Full validated load from a non-owning span: the blob is copied ONCE

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -69,6 +70,11 @@ constexpr std::size_t kMinEmitOpSize = 1 + kEntryRecordSize + 4 + 4;
   wire::reject<PolicyDeltaError>(kDomain, what, fault);
 }
 
+[[nodiscard]] constexpr WireRejection failed(
+    std::string_view what, WireFault fault = WireFault::kMalformed) noexcept {
+  return wire::failed(kDomain, what, fault);
+}
+
 using wire::load_u32;
 using wire::load_u64;
 using wire::put_str;
@@ -109,13 +115,17 @@ struct Header {
   bool default_allow = false;
 };
 
-/// Shared-prefix validation (magic, version, endianness, size, payload
-/// checksum — core/wire_format.h) plus the delta's own header fields.
-[[nodiscard]] Header validate_header(std::span<const std::byte> delta) {
-  wire::validate_prefix<PolicyDeltaError>(delta, kMagic,
+/// The delta's header gate: the shared prefix (magic, version,
+/// endianness, size, payload checksum — core/wire_format.h), then the
+/// delta's own header fields, returning the first check that fails and
+/// filling `h` as it reads.
+[[nodiscard]] std::optional<WireRejection> check_header(
+    std::span<const std::byte> delta, Header& h) noexcept {
+  if (auto rejection = wire::check_prefix(delta, kMagic,
                                           kPolicyDeltaFormatVersion,
-                                          kHeaderSize, kDomain);
-  Header h;
+                                          kHeaderSize, kDomain)) {
+    return rejection;
+  }
   h.base_fingerprint = load_u64(delta.data() + kOffBaseFingerprint);
   h.target_fingerprint = load_u64(delta.data() + kOffTargetFingerprint);
   h.sid_table_hash = load_u64(delta.data() + kOffSidTableHash);
@@ -131,7 +141,7 @@ struct Header {
   h.wildcard_sid = load_u32(delta.data() + kOffWildcardSid);
   const std::uint8_t allow =
       std::to_integer<std::uint8_t>(delta[kOffDefaultAllow]);
-  if (allow > 1) reject("default-allow flag is neither 0 nor 1");
+  if (allow > 1) return failed("default-allow flag is neither 0 nor 1");
   h.default_allow = allow == 1;
   // Reserved header bytes must be zero: with every other header byte
   // validated (the anchors against the base image, the rest against the
@@ -139,10 +149,10 @@ struct Header {
   // gap — ANY single corrupted delta byte is rejected (test-pinned).
   for (std::size_t i = 1; i < 4; ++i) {
     if (delta[kOffDefaultAllow + i] != std::byte{0}) {
-      reject("reserved header bytes not zero");
+      return failed("reserved header bytes not zero");
     }
   }
-  return h;
+  return std::nullopt;
 }
 
 // ----------------------------------------------------------- edit script
@@ -302,6 +312,65 @@ struct PolicyDeltaDetail {
   }
 };
 
+namespace {
+
+/// The delta's whole gate against the base it is offered to:
+/// check_header(), then the anchor checks (this delta must be FOR this
+/// base image) and the structural quick checks apply() makes before it
+/// allocates, returning the first check that fails.
+[[nodiscard]] std::optional<WireRejection> check_applicable(
+    const CompiledPolicyImage& base, std::span<const std::byte> delta,
+    Header& h) noexcept {
+  if (auto rejection = check_header(delta, h)) return rejection;
+
+  // -- the anchor: this delta must be FOR this base image ----------------
+  if (h.base_fingerprint != base.fingerprint()) {
+    return failed("base fingerprint mismatch (delta is anchored to a "
+                  "different base image)",
+                  WireFault::kAnchorMismatch);
+  }
+  if (h.base_version != base.version()) {
+    return wire::failed(kDomain, "base version mismatch (delta expects base v",
+                        h.base_version, ", image is v", base.version(), ")");
+  }
+  if (h.base_entries != base.size()) {
+    return failed("base entry count mismatch");
+  }
+  // The anchor is derivable from the base on both sides; a header that
+  // disagrees is corrupt (and could otherwise re-seat the carried name
+  // extension onto the wrong SIDs — which the fingerprint, hashing SIDs
+  // but not names, would never notice).
+  // (Equality also bounds the anchor: every referenced SID is interned,
+  // so anchor <= base.sids().size() by construction.)
+  if (h.anchor_sids != PolicyDeltaDetail::max_referenced_sid(base)) {
+    return failed(
+        "SID anchor does not match the base image's referenced range",
+        WireFault::kAnchorMismatch);
+  }
+
+  // -- structural quick checks, all BEFORE any allocation ----------------
+  if (h.mode_count > kMaxImageModes) {
+    return failed("mode table larger than the 64-bit mask allows");
+  }
+  if (std::uint64_t{h.anchor_sids} + std::uint64_t{h.new_sids} >
+      mac::kMaxTypeSid) {
+    return failed("SID extension overflows the interner's SID range");
+  }
+  // Every count must be payable in payload bytes: a crafted header must
+  // earn a rejection, not a multi-gigabyte reservation (memory-exhaustion
+  // DoS on the OTA path).
+  const std::size_t payload_size = delta.size() - kHeaderSize;
+  if (h.name_len > payload_size || h.new_sids > payload_size / 4 ||
+      h.mode_count > payload_size / 4 || h.op_count > payload_size / kMinOpSize ||
+      h.target_entries >
+          h.base_entries + payload_size / kMinEmitOpSize) {
+    return failed("section counts exceed the delta's own size");
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::span<const std::byte, kPolicyDeltaMagicSize>
 policy_delta_magic() noexcept {
   return kMagic;
@@ -435,8 +504,18 @@ void PolicyDeltaWriter::write_file(const CompiledPolicyImage& base,
 
 // ------------------------------------------------------------------ reader
 
+std::optional<WireRejection> PolicyDeltaReader::check(
+    const CompiledPolicyImage& base,
+    std::span<const std::byte> delta) noexcept {
+  Header h;
+  return check_applicable(base, delta, h);
+}
+
 PolicyDeltaInfo PolicyDeltaReader::probe(std::span<const std::byte> delta) {
-  const Header h = validate_header(delta);
+  Header h;
+  if (const auto rejection = check_header(delta, h)) {
+    wire::reject<PolicyDeltaError>(*rejection);
+  }
   PolicyDeltaInfo info;
   info.format_version = kPolicyDeltaFormatVersion;
   info.base_fingerprint = h.base_fingerprint;
@@ -453,52 +532,12 @@ PolicyDeltaInfo PolicyDeltaReader::probe(std::span<const std::byte> delta) {
 
 CompiledPolicyImage PolicyDeltaReader::apply(const CompiledPolicyImage& base,
                                              std::span<const std::byte> delta) {
-  const Header h = validate_header(delta);
-
-  // -- the anchor: this delta must be FOR this base image ----------------
-  if (h.base_fingerprint != base.fingerprint()) {
-    reject("base fingerprint mismatch (delta is anchored to a different "
-           "base image)",
-           WireFault::kAnchorMismatch);
-  }
-  if (h.base_version != base.version_) {
-    reject("base version mismatch (delta expects base v" +
-           std::to_string(h.base_version) + ", image is v" +
-           std::to_string(base.version_) + ")");
-  }
-  if (h.base_entries != base.entries_.size()) {
-    reject("base entry count mismatch");
-  }
-  // The anchor is derivable from the base on both sides; a header that
-  // disagrees is corrupt (and could otherwise re-seat the carried name
-  // extension onto the wrong SIDs — which the fingerprint, hashing SIDs
-  // but not names, would never notice).
-  // (Equality also bounds the anchor: every referenced SID is interned,
-  // so anchor <= base.sids().size() by construction.)
-  if (h.anchor_sids != PolicyDeltaDetail::max_referenced_sid(base)) {
-    reject("SID anchor does not match the base image's referenced range",
-           WireFault::kAnchorMismatch);
-  }
-
-  // -- structural quick checks, all BEFORE any allocation ----------------
-  if (h.mode_count > kMaxImageModes) {
-    reject("mode table larger than the 64-bit mask allows");
+  Header h;
+  if (const auto rejection = check_applicable(base, delta, h)) {
+    wire::reject<PolicyDeltaError>(*rejection);
   }
   const std::uint64_t total_sids =
       std::uint64_t{h.anchor_sids} + std::uint64_t{h.new_sids};
-  if (total_sids > mac::kMaxTypeSid) {
-    reject("SID extension overflows the interner's SID range");
-  }
-  // Every count must be payable in payload bytes: a crafted header must
-  // earn a rejection, not a multi-gigabyte reservation (memory-exhaustion
-  // DoS on the OTA path).
-  const std::size_t payload_size = delta.size() - kHeaderSize;
-  if (h.name_len > payload_size || h.new_sids > payload_size / 4 ||
-      h.mode_count > payload_size / 4 || h.op_count > payload_size / kMinOpSize ||
-      h.target_entries >
-          h.base_entries + payload_size / kMinEmitOpSize) {
-    reject("section counts exceed the delta's own size");
-  }
 
   Cursor cursor(delta.subspan(kHeaderSize), kDomain);
 

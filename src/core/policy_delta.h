@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,8 +137,22 @@ class PolicyDeltaWriter {
 /// Validates a delta and applies it to a base image.
 class PolicyDeltaReader {
  public:
+  /// The delta's header gate against `base`: the shared wire prefix
+  /// (payload checksum included) and the delta's own header fields,
+  /// then the anchor checks (base fingerprint, version, entry count,
+  /// SID anchor) and the section-count checks apply() makes before it
+  /// allocates. Returns the first failed check — the same message and
+  /// recovery class apply() would throw — or nothing when the header
+  /// holds. Never throws, so an OTA caller refuses damaged bytes without
+  /// a C++ throw; bytes that pass still need apply(), which runs this
+  /// gate first and then replays and verifies the payload.
+  [[nodiscard]] static std::optional<WireRejection> check(
+      const CompiledPolicyImage& base,
+      std::span<const std::byte> delta) noexcept;
+
   /// Header-only inspection; throws PolicyDeltaError on a delta whose
-  /// shared wire prefix fails validation (see PolicyDeltaInfo).
+  /// shared wire prefix or own header fields fail the gate check() runs
+  /// before it looks at the base (see PolicyDeltaInfo).
   [[nodiscard]] static PolicyDeltaInfo probe(std::span<const std::byte> delta);
 
   /// Full validated application: checks the delta against `base` (the

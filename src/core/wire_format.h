@@ -16,12 +16,21 @@
 // Error taxonomy: every wire rejection derives from PolicyWireError.
 // PolicyBlobError and PolicyDeltaError specialise it so OTA tooling can
 // tell WHICH artefact failed while a single catch handles the boundary.
+//
+// Header gates: the checks a format makes before it parses its payload
+// (this prefix, then each format's own header fields) are one noexcept
+// function per format that returns the first failed check as a
+// WireRejection. The throwing readers run that gate first and throw its
+// rejection; an OTA caller that only needs the recovery class asks the
+// gate and refuses damaged bytes without a C++ throw.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -61,7 +70,50 @@ class PolicyWireError : public std::runtime_error {
   WireFault fault_ = WireFault::kMalformed;
 };
 
+/// The first check a header gate found failed: its recovery class and
+/// its message, kept in pieces so a caller that only needs the class
+/// never builds a string. message() renders exactly what the throwing
+/// reader throws: "<domain>: ", then the three text pieces, with the two
+/// quoted numbers between them for the checks that quote numbers. Every
+/// piece views static text (string literals and the formats' domain
+/// constants), so a rejection may outlive the bytes it judged.
+struct WireRejection {
+  WireFault fault = WireFault::kMalformed;
+  std::string_view domain;
+  std::array<std::string_view, 3> text{};
+  bool quotes_numbers = false;
+  std::array<std::uint64_t, 2> numbers{};
+
+  [[nodiscard]] std::string message() const {
+    std::string out(domain);
+    out += ": ";
+    out += text[0];
+    if (quotes_numbers) out += std::to_string(numbers[0]);
+    out += text[1];
+    if (quotes_numbers) out += std::to_string(numbers[1]);
+    out += text[2];
+    return out;
+  }
+};
+
 namespace wire {
+
+/// A failed check whose message is one fixed text.
+[[nodiscard]] constexpr WireRejection failed(
+    std::string_view domain, std::string_view what,
+    WireFault fault = WireFault::kMalformed) noexcept {
+  return {fault, domain, {what, {}, {}}, false, {}};
+}
+
+/// A failed check whose message quotes two numbers:
+/// `before` `first` `between` `second` `after`.
+[[nodiscard]] constexpr WireRejection failed(
+    std::string_view domain, std::string_view before, std::uint64_t first,
+    std::string_view between, std::uint64_t second,
+    std::string_view after) noexcept {
+  return {WireFault::kMalformed, domain, {before, between, after}, true,
+          {first, second}};
+}
 
 /// The endianness canary both formats embed: serialised little-endian, so
 /// a reader on any host sees exactly this value or the stream is foreign.
@@ -152,53 +204,58 @@ template <class Error>
   throw Error(std::string(domain) + ": " + what, fault);
 }
 
-/// Validates everything the shared 32-byte prefix can prove on its own:
-/// minimum length, magic, format version, endianness tag, exact total
-/// size, payload checksum (payload = everything past `header_size`).
-/// Each format reads its remaining header fields itself afterwards.
-/// `verify_payload_hash = false` skips the O(payload) checksum — ONLY
-/// for the sealed-store trust level of the zero-copy blob loader, where
-/// the bytes were validated when staged and the whole point is an O(1)
-/// attach (core/policy_blob.h BlobTrust).
+/// Throws a header gate's rejection in the format's error class, with
+/// the message and recovery class the gate recorded.
 template <class Error>
-inline void validate_prefix(std::span<const std::byte> stream,
-                            std::span<const std::byte, kMagicSize> magic,
-                            std::uint32_t format_version,
-                            std::size_t header_size, std::string_view domain,
-                            bool verify_payload_hash = true) {
+[[noreturn]] inline void reject(const WireRejection& rejection) {
+  throw Error(rejection.message(), rejection.fault);
+}
+
+/// The shared prefix's header gate: everything the 32-byte prefix can
+/// prove on its own — minimum length, magic, format version, endianness
+/// tag, exact total size, payload checksum (payload = everything past
+/// `header_size`), in that order — returning the first check that
+/// fails. Each format's gate runs it first and then checks its
+/// remaining header fields. `verify_payload_hash = false` skips the
+/// O(payload) checksum — ONLY for the sealed-store trust level of the
+/// zero-copy blob loader, where the bytes were validated when staged and
+/// the whole point is an O(1) attach (core/policy_blob.h BlobTrust).
+[[nodiscard]] inline std::optional<WireRejection> check_prefix(
+    std::span<const std::byte> stream,
+    std::span<const std::byte, kMagicSize> magic,
+    std::uint32_t format_version, std::size_t header_size,
+    std::string_view domain, bool verify_payload_hash = true) noexcept {
   if (stream.size() < header_size) {
-    reject<Error>(domain, "truncated (smaller than the fixed header)");
+    return failed(domain, "truncated (smaller than the fixed header)");
   }
   if (std::memcmp(stream.data() + kOffMagic, magic.data(), magic.size()) !=
       0) {
-    reject<Error>(domain, "bad magic (not a " + std::string(domain) + ")");
+    return WireRejection{
+        WireFault::kMalformed, domain, {"bad magic (not a ", domain, ")"}};
   }
   const std::uint32_t version = load_u32(stream.data() + kOffFormatVersion);
   if (version != format_version) {
-    reject<Error>(domain, "unsupported format version " +
-                              std::to_string(version) +
-                              " (reader speaks version " +
-                              std::to_string(format_version) + ")");
+    return failed(domain, "unsupported format version ", version,
+                  " (reader speaks version ", format_version, ")");
   }
   if (load_u32(stream.data() + kOffEndianTag) != kEndianTag) {
-    reject<Error>(domain,
+    return failed(domain,
                   "endianness tag mismatch (corrupt or foreign byte order)");
   }
   const std::uint64_t total_size = load_u64(stream.data() + kOffTotalSize);
   if (total_size != stream.size()) {
-    reject<Error>(domain, "size mismatch (header claims " +
-                              std::to_string(total_size) + " bytes, got " +
-                              std::to_string(stream.size()) +
-                              " — truncated?)");
+    return failed(domain, "size mismatch (header claims ", total_size,
+                  " bytes, got ", stream.size(), " — truncated?)");
   }
   if (verify_payload_hash) {
     const std::uint64_t payload_hash =
         load_u64(stream.data() + kOffPayloadHash);
     if (hash_payload(stream.subspan(header_size)) != payload_hash) {
-      reject<Error>(domain,
+      return failed(domain,
                     "payload checksum mismatch (corrupted in transit)");
     }
   }
+  return std::nullopt;
 }
 
 /// Whole-file read into a byte buffer, failures reported in the

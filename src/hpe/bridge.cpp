@@ -64,11 +64,16 @@ void Bridge::forward(const Frame& frame, BridgeDirection direction,
       (a_to_b ? lists.a_to_b : lists.b_to_a).contains(frame.id());
   if (allowed) {
     Controller& out = a_to_b ? ctrl_b_ : ctrl_a_;
-    if (out.transmit(frame)) {
-      ++(a_to_b ? stats_.forwarded_a_to_b : stats_.forwarded_b_to_a);
-    } else {
-      ++(a_to_b ? stats_.refused_a_to_b : stats_.refused_b_to_a);
+    std::uint64_t& forwarded =
+        a_to_b ? stats_.forwarded_a_to_b : stats_.forwarded_b_to_a;
+    std::uint64_t& refused =
+        a_to_b ? stats_.refused_a_to_b : stats_.refused_b_to_a;
+    if (out.make_room_for(frame)) {
+      // The pushed-out frame was counted as forwarded when it was queued.
+      --forwarded;
+      ++refused;
     }
+    ++(out.transmit(frame) ? forwarded : refused);
     return;
   }
   ++(a_to_b ? stats_.dropped_a_to_b : stats_.dropped_b_to_a);

@@ -13,8 +13,12 @@
 // lists and crosses unconditionally; one from side A is an ordinary frame,
 // checked against the a->b list, so a device on A cannot move the gateway
 // (or, through it, side B) into a more permissive mode. A frame counts as
-// forwarded only when the outbound controller queued it; a full queue
-// refuses it, and the refusal is counted apart from the policy's drops.
+// forwarded only when the outbound controller queued it. When that queue
+// is full, a frame that outranks its lowest-priority frame pushes that
+// frame out (which moves from forwarded to refused), so a flood of one
+// id cannot hold the queue against the mode frame or an e-call; any
+// other frame is refused. Refusals are counted apart from the policy's
+// drops.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +50,7 @@ struct BridgeStats {
   std::uint64_t dropped_a_to_b = 0;   // not on the a->b list
   std::uint64_t refused_a_to_b = 0;   // approved, but refused by the
                                       // controller toward B (queue full)
+                                      // or pushed out of its queue
   std::uint64_t forwarded_b_to_a = 0;
   std::uint64_t dropped_b_to_a = 0;
   std::uint64_t refused_b_to_a = 0;

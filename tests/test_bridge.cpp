@@ -322,6 +322,26 @@ TEST(SegmentedVehicle, GatewayCountsAsForwardedOnlyWhatItQueued) {
   EXPECT_EQ(stats.refused_a_to_b, 0u);
 }
 
+TEST(SegmentedVehicle, FloodCannotHoldTheGatewayAgainstTheECall) {
+  // The same control-side flood, with the airbag deployed at 1 s. The
+  // fail-safe mode frame and the e-call outrank the flooded id, so each
+  // pushes a queued sensor-speed frame out of the gateway's full queue
+  // toward telematics instead of being refused: the modem reaches
+  // fail-safe and places the call, as it does without the flood.
+  sim::Scheduler sched;
+  car::Vehicle vehicle(sched, segmented());
+  attack::OutsideAttacker flood(sched, vehicle.bus().attach("flood"));
+  flood.inject_repeated(can::make_frame(car::msg::kSensorSpeed, {42}), 6667,
+                        300us);
+  sched.schedule_at(sim::SimTime{1s},
+                    [&vehicle] { vehicle.safety().airbag_deployed(); });
+  sched.run_until(sched.now() + 2100ms);
+
+  EXPECT_EQ(vehicle.connectivity().mode(), car::CarMode::kFailSafe);
+  EXPECT_EQ(vehicle.connectivity().ecalls_made(), 1u);
+  EXPECT_GT(vehicle.bridge()->stats().refused_b_to_a, 1000u);
+}
+
 TEST(SegmentedVehicle, PolicyUpdateReprogramsTheGateway) {
   // v2 revokes the modem's normal-mode write on the EV-ECU, which v1
   // grants (T03). A forged v2 changes nothing; the signed one reprograms

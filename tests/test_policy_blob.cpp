@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +26,7 @@
 #include "core/policy_blob.h"
 #include "core/policy_buffer.h"
 #include "core/policy_image.h"
+#include "mac/sid_table.h"
 #include "sim/rng.h"
 
 namespace psme {
@@ -186,18 +189,76 @@ std::vector<std::byte> car_blob() {
   return PolicyBlobWriter::write(car_policy().image());
 }
 
+/// What the throwing API said about one input: its message and recovery
+/// class, or `thrown == false` when it accepted the bytes.
+struct Rejection {
+  bool thrown = false;
+  std::string what;
+  core::WireFault fault = core::WireFault::kMalformed;
+};
+
+template <class Read>
+Rejection rejection_of(const Read& read) {
+  try {
+    (void)read();
+  } catch (const PolicyBlobError& e) {
+    return {true, e.what(), e.fault()};
+  }
+  return {};
+}
+
+/// Folds one input's rejection message and the UpdateResult FleetBoot
+/// reports for the same bytes into `digest`. The loops pin the result,
+/// taken before the header gate existed: the gate changes neither.
+void digest_rejection(std::uint64_t& digest, const Rejection& rejection,
+                      car::UpdateResult result) {
+  digest = mac::hash_chain_bytes(rejection.what, digest);
+  digest = mac::hash_chain_u64(static_cast<std::uint64_t>(result), digest);
+}
+
+/// The header gate agrees with the throwing reader on `bytes`: where the
+/// gate rejects, the reader threw the gate's message and recovery class;
+/// where it passes, the reader still threw (the payload decided). Counts
+/// which of the two decided.
+void expect_gate_agrees(std::span<const std::byte> bytes,
+                        const Rejection& thrown, std::size_t& gated,
+                        std::size_t& deeper) {
+  const std::optional<core::WireRejection> gate =
+      PolicyBlobReader::check(bytes);
+  if (!gate) {
+    ++deeper;
+    return;
+  }
+  ++gated;
+  EXPECT_EQ(gate->message(), thrown.what);
+  EXPECT_EQ(gate->fault, thrown.fault) << thrown.what;
+}
+
 TEST(PolicyBlobRejection, Truncation) {
   const std::vector<std::byte> blob = car_blob();
+  car::FleetBoot boot(blob, car::default_fleet_checks());
+  std::uint64_t digest = mac::kFnv1aOffset;
+  std::size_t gated = 0;
+  std::size_t deeper = 0;
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{7}, std::size_t{63}, std::size_t{80},
         blob.size() / 2, blob.size() - 1}) {
     const std::vector<std::byte> cut(blob.begin(),
                                      blob.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)PolicyBlobReader::load(cut), PolicyBlobError)
-        << "kept " << keep << " bytes";
-    EXPECT_THROW((void)PolicyBlobReader::probe(cut), PolicyBlobError)
-        << "kept " << keep << " bytes";
+    const Rejection loaded =
+        rejection_of([&] { return PolicyBlobReader::load(cut); });
+    const Rejection probed =
+        rejection_of([&] { return PolicyBlobReader::probe(cut); });
+    EXPECT_TRUE(loaded.thrown) << "kept " << keep << " bytes";
+    EXPECT_TRUE(probed.thrown) << "kept " << keep << " bytes";
+    EXPECT_EQ(probed.what, loaded.what) << "kept " << keep << " bytes";
+    expect_gate_agrees(cut, loaded, gated, deeper);
+    digest = mac::hash_chain_bytes(probed.what, digest);
+    digest_rejection(digest, loaded, boot.try_apply_update(cut));
   }
+  // A cut blob fails the length or the size check: the gate decides each.
+  EXPECT_EQ(gated, 6u);
+  EXPECT_EQ(digest, 0x54a1608da2b518dbULL);
 }
 
 TEST(PolicyBlobRejection, FlippedMagic) {
@@ -257,12 +318,24 @@ TEST(PolicyBlobRejection, EverySingleByteCorruptionIsDetected) {
   // ASan/UBSan (CI) also proves no corruption reaches undefined
   // behaviour before the rejection fires.
   const std::vector<std::byte> blob = car_blob();
+  car::FleetBoot boot(blob, car::default_fleet_checks());
+  std::uint64_t digest = mac::kFnv1aOffset;
+  std::size_t gated = 0;
+  std::size_t deeper = 0;
   for (std::size_t i = 0; i < blob.size(); ++i) {
     std::vector<std::byte> bad = blob;
     bad[i] ^= std::byte{0xFF};
-    EXPECT_THROW((void)PolicyBlobReader::load(bad), PolicyBlobError)
-        << "flip at byte " << i << " was accepted";
+    const Rejection loaded =
+        rejection_of([&] { return PolicyBlobReader::load(bad); });
+    EXPECT_TRUE(loaded.thrown) << "flip at byte " << i << " was accepted";
+    expect_gate_agrees(bad, loaded, gated, deeper);
+    digest_rejection(digest, loaded, boot.try_apply_update(bad));
   }
+  // The gate decides every flip but the 16 in the stored fingerprint and
+  // image version, which only the final fingerprint check catches.
+  EXPECT_EQ(deeper, 16u);
+  EXPECT_EQ(gated, blob.size() - 16);
+  EXPECT_EQ(digest, 0x4980aeca921d006bULL);
 }
 
 TEST(PolicyBlobRejection, TrailingBytes) {

@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -36,6 +38,7 @@
 #include "core/policy_diff.h"
 #include "core/policy_image.h"
 #include "delta_oracle.h"
+#include "mac/sid_table.h"
 #include "sim/rng.h"
 
 namespace psme {
@@ -401,6 +404,44 @@ TEST(FleetBootDelta, RollbackDeltaIsRefused) {
 
 // ==================================================== adversarial bytes
 
+/// Runs hostile deltas through the header gate, the throwing apply() and
+/// a FleetBoot on the same base, folding every rejection message and
+/// every UpdateResult into `digest` (the loops pin it, taken before the
+/// header gate existed). Where the gate rejects, apply() must throw the
+/// gate's message and recovery class; where it passes, apply() must
+/// still throw (the payload decides). `gated` and `deeper` count which
+/// of the two decided.
+struct RejectionRig {
+  /// True when apply() threw PolicyDeltaError for `delta`.
+  bool reject(const CompiledPolicyImage& base,
+              std::span<const std::byte> delta) {
+    const std::optional<core::WireRejection> gate =
+        PolicyDeltaReader::check(base, delta);
+    bool thrown = false;
+    try {
+      (void)PolicyDeltaReader::apply(base, delta);
+    } catch (const PolicyDeltaError& e) {
+      thrown = true;
+      digest = mac::hash_chain_bytes(e.what(), digest);
+      if (gate) {
+        EXPECT_EQ(gate->message(), e.what());
+        EXPECT_EQ(gate->fault, e.fault()) << e.what();
+      }
+    }
+    ++(gate ? gated : deeper);
+    digest = mac::hash_chain_u64(
+        static_cast<std::uint64_t>(boot.try_apply_delta_update(delta)),
+        digest);
+    return thrown;
+  }
+
+  car::FleetBoot boot{PolicyBlobWriter::write(car_policy_v1().image()),
+                      car::default_fleet_checks()};
+  std::uint64_t digest = mac::kFnv1aOffset;
+  std::size_t gated = 0;
+  std::size_t deeper = 0;
+};
+
 TEST(PolicyDeltaRejection, EverySingleByteCorruptionIsDetected) {
   // The strongest form of the trust-boundary claim, mirroring
   // test_policy_blob: flip ANY byte of the delta and apply() must
@@ -412,27 +453,37 @@ TEST(PolicyDeltaRejection, EverySingleByteCorruptionIsDetected) {
   // the rejection fires.
   const CompiledPolicyImage& base = car_policy_v1().image();
   const std::vector<std::byte> delta = car_delta();
+  RejectionRig rig;
   for (std::size_t i = 0; i < delta.size(); ++i) {
     std::vector<std::byte> bad = delta;
     bad[i] ^= std::byte{0xFF};
-    EXPECT_THROW((void)PolicyDeltaReader::apply(base, bad), PolicyDeltaError)
-        << "flip at byte " << i << " was accepted";
+    EXPECT_TRUE(rig.reject(base, bad)) << "flip at byte " << i
+                                       << " was accepted";
   }
+  // The gate decides every flip but 28, which only the replay catches:
+  // the SID-table hash (8 bytes), the target fingerprint and version (16)
+  // and the wildcard SID (4).
+  EXPECT_EQ(rig.deeper, 28u);
+  EXPECT_EQ(rig.gated, delta.size() - 28);
+  EXPECT_EQ(rig.digest, 0xe9b2147b44ab8de5ULL);
 }
 
 TEST(PolicyDeltaRejection, EveryTruncationIsDetected) {
   const CompiledPolicyImage& base = car_policy_v1().image();
   const std::vector<std::byte> delta = car_delta();
+  RejectionRig rig;
   for (std::size_t keep = 0; keep < delta.size(); ++keep) {
     const std::vector<std::byte> cut(delta.begin(),
                                      delta.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)PolicyDeltaReader::apply(base, cut), PolicyDeltaError)
-        << "kept " << keep << " bytes";
+    EXPECT_TRUE(rig.reject(base, cut)) << "kept " << keep << " bytes";
   }
   std::vector<std::byte> padded = delta;
   padded.push_back(std::byte{0});
-  EXPECT_THROW((void)PolicyDeltaReader::apply(base, padded),
-               PolicyDeltaError);
+  EXPECT_TRUE(rig.reject(base, padded)) << "one trailing byte accepted";
+  // A cut or padded delta fails the length or the size check: the gate
+  // decides each.
+  EXPECT_EQ(rig.gated, delta.size() + 1);
+  EXPECT_EQ(rig.digest, 0xed456d28e68e6d4cULL);
 }
 
 TEST(PolicyDeltaRejection, WrongBaseImage) {
