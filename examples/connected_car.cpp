@@ -1,9 +1,11 @@
 // The connected-car case study end to end: boot the vehicle, watch normal
 // operation, launch the paper's headline attack (spoofed CAN data
 // disabling the EV-ECU while driving), and contrast the unprotected
-// vehicle with one whose nodes carry hardware policy engines.
+// vehicle with one whose nodes carry hardware policy engines. The
+// example prints a "(BUG)" line and exits 1 when the HPE vehicle loses
+// its ECU to the attack.
 //
-// Build & run:  ./build/examples/connected_car
+// Build & run:  ./build/examples/example_connected_car
 #include <cstdio>
 #include <iostream>
 
@@ -15,7 +17,9 @@ using namespace std::chrono_literals;
 
 namespace {
 
-void drive_and_attack(car::Enforcement regime) {
+/// Returns false when the drill shows a fault: the enforcing regime
+/// lost its ECU.
+bool drive_and_attack(car::Enforcement regime) {
   std::printf("\n--- enforcement: %s ---\n",
               std::string(car::to_string(regime)).c_str());
 
@@ -41,14 +45,20 @@ void drive_and_attack(car::Enforcement regime) {
       car::command_frame(car::msg::kEcuCommand, car::op::kDisable), 20, 10ms);
   sched.run_until(sched.now() + 500ms);
 
+  const bool disabled = !vehicle.ecu().active();
   std::printf("t=%.0fms  ECU %s", sim::to_millis(sched.now()),
-              vehicle.ecu().active() ? "still active — attack blocked"
-                                     : "DISABLED while driving — attack succeeded");
+              disabled ? "DISABLED while driving — attack succeeded"
+                       : "still active — attack blocked");
   if (const auto* engine = vehicle.hpe("doors")) {
     std::printf(" (door HPE blocked %llu writes)",
                 static_cast<unsigned long long>(engine->stats().write_blocked));
   }
   std::printf("\n");
+  bool ok = true;
+  if (disabled && regime == car::Enforcement::kHpe) {
+    std::printf("(BUG) the door HPE let the spoofed ECU disable through\n");
+    ok = false;
+  }
 
   // How much work did compiling this vehicle's enforcement actually
   // cost? The shared binding compiler memoises per (entry point, asset,
@@ -74,6 +84,7 @@ void drive_and_attack(car::Enforcement regime) {
                   std::string(e.message).c_str());
     }
   });
+  return ok;
 }
 
 }  // namespace
@@ -82,8 +93,8 @@ int main() {
   std::cout << "=== Connected car under attack: spoofed ECU disablement "
                "(Table I row T01) ===\n";
   drive_and_attack(car::Enforcement::kNone);
-  drive_and_attack(car::Enforcement::kHpe);
+  const bool ok = drive_and_attack(car::Enforcement::kHpe);
   std::cout << "\nThe same vehicle, the same attack: only the policy-"
                "enforcing variant keeps driving.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

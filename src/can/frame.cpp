@@ -214,6 +214,8 @@ FixedText<CanId::kMaxText> CanId::text() const noexcept {
   return text;
 }
 
+char* CanId::put_text(char* out) const noexcept { return put_id(out, *this); }
+
 std::string CanId::to_string() const { return std::string(text()); }
 
 Frame::Frame(CanId id, std::span<const std::uint8_t> data) : id_(id) {

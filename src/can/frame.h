@@ -66,6 +66,21 @@ class CanId {
   /// "0x123" for a standard id, "0x18DAF110x" for an extended one.
   [[nodiscard]] FixedText<kMaxText> text() const noexcept;
   [[nodiscard]] std::string to_string() const;
+  /// Writes text() at `out` (at most kMaxText characters); returns its end.
+  char* put_text(char* out) const noexcept;
+
+  /// The id in the low 30 bits: the raw value in bits 0-28 and the
+  /// extended flag in bit 29, so a caller may keep two flags of its own
+  /// above it (as a deferred trace message's argument does).
+  [[nodiscard]] constexpr std::uint32_t packed() const noexcept {
+    return raw_ | (static_cast<std::uint32_t>(extended_) << 29);
+  }
+  /// The id whose packed() is `bits`; bits 30 and 31 are ignored, and a
+  /// standard id keeps only its 11 bits.
+  [[nodiscard]] static constexpr CanId unpack(std::uint32_t bits) noexcept {
+    const bool extended = ((bits >> 29) & 1) != 0;
+    return CanId(bits & (extended ? kMaxExtended : kMaxStandard), extended);
+  }
 
   friend constexpr bool operator==(CanId a, CanId b) noexcept = default;
   friend constexpr auto operator<=>(CanId a, CanId b) noexcept {

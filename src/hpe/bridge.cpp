@@ -1,11 +1,35 @@
 #include "hpe/bridge.h"
 
+#include <algorithm>
+
 namespace psme::hpe {
 using can::Bus;
 using can::Controller;
 using can::Frame;
 using can::FrameSink;
 using can::Port;
+
+namespace {
+
+// A drop's trace message, "<direction> dropped <id>", rendered when the
+// trace is read. The argument is the id's packed() form with bit 30 set
+// for b->a.
+constexpr std::uint32_t kBToABit = 1U << 30;
+
+char* render_drop(char* out, std::uint32_t arg) noexcept {
+  const std::string_view direction = to_string(
+      (arg & kBToABit) != 0 ? BridgeDirection::kBToA : BridgeDirection::kAToB);
+  out = std::copy(direction.begin(), direction.end(), out);
+  constexpr std::string_view kDropped = " dropped ";
+  out = std::copy(kDropped.begin(), kDropped.end(), out);
+  return can::CanId::unpack(arg).put_text(out);
+}
+
+constexpr sim::TraceFormat kDropFormat{
+    &render_drop, std::string_view("a->b dropped ").size() +
+                      can::CanId::kMaxText};
+
+}  // namespace
 
 std::string_view to_string(BridgeDirection d) noexcept {
   return d == BridgeDirection::kAToB ? "a->b" : "b->a";
@@ -23,6 +47,9 @@ Bridge::Bridge(sim::Scheduler& sched, Bus& bus_a, Bus& bus_b,
       port_b_(bus_b.attach(name_ + ".b")),
       ctrl_a_(sched, port_a_, name_ + ".a", trace),
       ctrl_b_(sched, port_b_, name_ + ".b", trace) {
+  if (trace_ != nullptr) {
+    trace_component_ = trace_->component("bridge." + name_);
+  }
   refresh_active_lists();
   // The controllers own the ports' sinks; route their RX paths into the
   // forwarding logic. (Controller delivers accepted frames to its handler;
@@ -78,10 +105,8 @@ void Bridge::forward(const Frame& frame, BridgeDirection direction,
   }
   ++(a_to_b ? stats_.dropped_a_to_b : stats_.dropped_b_to_a);
   if (trace_ != nullptr) {
-    trace_->record(at, sim::TraceLevel::kSecurity,
-                   sim::TraceText{"bridge.", name_},
-                   sim::TraceText{to_string(direction), " dropped ",
-                                  frame.id().text()});
+    trace_->record(at, sim::TraceLevel::kSecurity, trace_component_,
+                   kDropFormat, frame.id().packed() | (a_to_b ? 0 : kBToABit));
   }
 }
 

@@ -120,6 +120,7 @@ class Bridge {
   const BridgeLists* active_ = nullptr;  // into config_; never null post-ctor
   std::string name_;
   sim::Trace* trace_;
+  sim::TraceComponent trace_component_;  // "bridge.<name>" in trace_
   std::uint8_t mode_ = 0;
   BridgeStats stats_;
 

@@ -1,8 +1,31 @@
 #include "hpe/hpe.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace psme::hpe {
+
+namespace {
+
+// A block's trace message, "<direction> blocked id=<id>", rendered when
+// the trace is read. The argument is the id's packed() form with the
+// direction in bit 30.
+constexpr std::uint32_t kWriteBit = 1U << 30;
+
+char* render_block(char* out, std::uint32_t arg) noexcept {
+  const std::string_view direction =
+      to_string((arg & kWriteBit) != 0 ? Direction::kWrite : Direction::kRead);
+  out = std::copy(direction.begin(), direction.end(), out);
+  constexpr std::string_view kBlocked = " blocked id=";
+  out = std::copy(kBlocked.begin(), kBlocked.end(), out);
+  return can::CanId::unpack(arg).put_text(out);
+}
+
+constexpr sim::TraceFormat kBlockFormat{
+    &render_block, std::string_view("write blocked id=").size() +
+                       can::CanId::kMaxText};
+
+}  // namespace
 
 std::string_view to_string(Direction d) noexcept {
   return d == Direction::kRead ? "read" : "write";
@@ -70,10 +93,14 @@ void HardwarePolicyEngine::record_block(can::CanId id, Direction direction,
   }
   audit_[audit_blocks_++ % kAuditCapacity] =
       AuditRecord{at, direction, id, mode_};
-  if (trace_ != nullptr && trace_->keeps(sim::TraceLevel::kSecurity)) {
-    trace_->record(
-        at, sim::TraceLevel::kSecurity, trace_component_,
-        sim::TraceText{to_string(direction), " blocked id=", id.text()});
+  if (trace_ != nullptr) {
+    // Resolved here, not in the constructor, so an engine adds nothing
+    // to its vehicle's build until it blocks.
+    if (!trace_handle_) trace_handle_ = trace_->component(trace_component_);
+    const std::uint32_t write =
+        direction == Direction::kWrite ? kWriteBit : 0;
+    trace_->record(at, sim::TraceLevel::kSecurity, *trace_handle_,
+                   kBlockFormat, id.packed() | write);
   }
 }
 

@@ -184,6 +184,8 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   std::string name_;
   sim::Trace* trace_;
   std::string trace_component_;  // "hpe.<name>"
+  // trace_component_ in trace_, from the first block on.
+  std::optional<sim::TraceComponent> trace_handle_;
   can::FrameSink* node_sink_ = nullptr;
   bool locked_ = false;
   std::uint8_t mode_ = 0;

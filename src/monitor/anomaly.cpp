@@ -6,6 +6,25 @@
 
 namespace psme::monitor {
 
+namespace {
+
+// The alerts' trace messages, "<prefix><id>", rendered when the trace is
+// read. The argument is the id's packed() form.
+template <const std::string_view& kPrefix>
+char* render_alert(char* out, std::uint32_t arg) noexcept {
+  out = std::copy(kPrefix.begin(), kPrefix.end(), out);
+  return can::CanId::unpack(arg).put_text(out);
+}
+
+constexpr std::string_view kUnknownId = "unknown id ";
+constexpr std::string_view kRateAnomaly = "rate anomaly on ";
+constexpr sim::TraceFormat kUnknownIdFormat{
+    &render_alert<kUnknownId>, kUnknownId.size() + can::CanId::kMaxText};
+constexpr sim::TraceFormat kRateAnomalyFormat{
+    &render_alert<kRateAnomaly>, kRateAnomaly.size() + can::CanId::kMaxText};
+
+}  // namespace
+
 std::string_view to_string(AlertKind kind) noexcept {
   switch (kind) {
     case AlertKind::kUnknownId: return "unknown-id";
@@ -26,6 +45,7 @@ FrameRateMonitor::FrameRateMonitor(sim::Scheduler& sched,
     throw std::invalid_argument(
         "FrameRateMonitor: threshold factor must be finite and exceed 1");
   }
+  if (trace_ != nullptr) trace_component_ = trace_->component("monitor.ids");
 }
 
 void FrameRateMonitor::start_training() {
@@ -85,8 +105,8 @@ void FrameRateMonitor::on_frame(const can::Frame& frame, sim::SimTime at) {
   if (known == baseline_.end()) {
     alerts_.push_back(Alert{at, AlertKind::kUnknownId, frame.id(), 1, 0});
     if (trace_ != nullptr) {
-      trace_->record(at, sim::TraceLevel::kSecurity, "monitor.ids",
-                     sim::TraceText{"unknown id ", frame.id().text()});
+      trace_->record(at, sim::TraceLevel::kSecurity, trace_component_,
+                     kUnknownIdFormat, frame.id().packed());
     }
     // Register so a flood of one unknown id produces one alert per window
     // rather than one per frame.
@@ -118,8 +138,8 @@ void FrameRateMonitor::on_frame(const can::Frame& frame, sim::SimTime at) {
     alerts_.push_back(Alert{at, AlertKind::kRateExceeded, frame.id(),
                             state.count_in_window, known->second});
     if (trace_ != nullptr) {
-      trace_->record(at, sim::TraceLevel::kSecurity, "monitor.ids",
-                     sim::TraceText{"rate anomaly on ", frame.id().text()});
+      trace_->record(at, sim::TraceLevel::kSecurity, trace_component_,
+                     kRateAnomalyFormat, frame.id().packed());
     }
   }
 }

@@ -109,6 +109,7 @@ class FrameRateMonitor final : public can::FrameSink {
   sim::Scheduler& sched_;
   RateMonitorOptions options_;
   sim::Trace* trace_;
+  sim::TraceComponent trace_component_;  // "monitor.ids" in trace_
 
   struct IdState {
     std::int64_t current_window = -1;

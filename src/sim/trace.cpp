@@ -42,16 +42,21 @@ void Trace::record(SimTime at, TraceLevel level, std::string_view component,
         "Trace::record: message of 2^32 characters or more");
   }
   const std::uint16_t index = component_index(component);
-  // Tested on the block count, not on size_ % kBlockEntries: a block
-  // opened by a record whose text then failed to store serves the next.
-  if (size_ == blocks_.size() * kBlockEntries) {
-    blocks_.push_back(std::make_unique_for_overwrite<Record[]>(kBlockEntries));
-  }
+  Record& r = next_record();
   const std::string_view text = store(message);
-  blocks_.back()[size_ % kBlockEntries] =
-      Record{at, text.data(), static_cast<std::uint32_t>(text.size()), index,
-             level};
-  ++size_;
+  r.at = at;
+  r.text = text.data();
+  r.length = static_cast<std::uint32_t>(text.size());
+  r.component = index;
+  r.level = level;
+  r.deferred = false;
+  commit();
+}
+
+void Trace::open_block() {
+  blocks_.push_back(std::make_unique_for_overwrite<Record[]>(kBlockEntries));
+  next_ = blocks_.back().get();
+  block_end_ = next_ + kBlockEntries;
 }
 
 std::uint16_t Trace::component_index(std::string_view component) {
@@ -78,6 +83,13 @@ std::uint16_t Trace::component_index(std::string_view component) {
   return it->second;
 }
 
+void Trace::refuse(TraceComponent component) {
+  throw std::invalid_argument(
+      component.owner_ == nullptr
+          ? "Trace::record: a default TraceComponent names no component"
+          : "Trace::record: the TraceComponent belongs to another trace");
+}
+
 std::size_t Trace::find_component(std::string_view component) const noexcept {
   const auto it = name_index_.find(component);
   return it == name_index_.end() ? kMaxComponents : it->second;
@@ -92,14 +104,36 @@ std::string_view Trace::store(std::string_view text) {
       std::copy(text.begin(), text.end(), own);
       return {own, text.size()};
     }
-    chunks_.push_back(std::make_unique_for_overwrite<char[]>(kTextChunk));
-    cursor_ = chunks_.back().get();
-    room_ = kTextChunk;
+    open_chunk();
   }
   char* const copy = cursor_;
   cursor_ = std::copy(text.begin(), text.end(), cursor_);
   room_ -= text.size();
   return {copy, text.size()};
+}
+
+void Trace::open_chunk() const {
+  chunks_.push_back(std::make_unique_for_overwrite<char[]>(kTextChunk));
+  cursor_ = chunks_.back().get();
+  room_ = kTextChunk;
+}
+
+void Trace::render_deferred() const {
+  for (std::size_t i = rendered_; i < size_; ++i) {
+    Record& r = blocks_[i / kBlockEntries][i % kBlockEntries];
+    if (!r.deferred) continue;
+    const TraceFormat& format = *r.format;
+    if (format.max_length > room_) open_chunk();
+    char* const text = cursor_;
+    cursor_ = format.render(text, r.arg);
+    const auto length = static_cast<std::size_t>(cursor_ - text);
+    room_ -= length;
+    r.text = text;
+    r.length = static_cast<std::uint32_t>(length);
+    r.deferred = false;
+  }
+  // Only now: a pass cut short by a failed chunk left the rest deferred.
+  rendered_ = size_;
 }
 
 TraceEntry Trace::entry(const Record& record) const noexcept {
@@ -118,6 +152,7 @@ void Trace::visit(Fn&& fn) const {
 }
 
 std::vector<TraceEntry> Trace::entries() const {
+  render_deferred();
   std::vector<TraceEntry> out;
   out.reserve(size_);
   visit([&](const Record& r) { out.push_back(entry(r)); });
@@ -126,7 +161,10 @@ std::vector<TraceEntry> Trace::entries() const {
 
 void Trace::clear() noexcept {
   blocks_.clear();
+  next_ = nullptr;
+  block_end_ = nullptr;
   size_ = 0;
+  rendered_ = 0;
   chunks_.clear();
   cursor_ = nullptr;
   room_ = 0;
@@ -147,6 +185,7 @@ std::size_t Trace::count_component(std::string_view component) const noexcept {
 
 void Trace::for_each(std::string_view component,
                      const std::function<void(const TraceEntry&)>& fn) const {
+  render_deferred();
   const std::size_t index = find_component(component);
   visit([&](const Record& r) {
     if (component.empty() || r.component == index) fn(entry(r));
@@ -154,6 +193,7 @@ void Trace::for_each(std::string_view component,
 }
 
 std::string Trace::render() const {
+  render_deferred();
   std::ostringstream out;
   visit([&](const Record& r) {
     const TraceEntry e = entry(r);

@@ -6,8 +6,11 @@
 //
 // A kept entry is stored as a 24-byte record in fixed-size blocks that
 // never move or regrow; its message is copied into a text arena and its
-// component is an index into a table of names. Queries walk the records;
-// entries() hands out a snapshot of them as TraceEntry values.
+// component is an index into a table of names. A message made of fixed
+// text and one 32-bit argument (a CAN id, say) may instead be recorded
+// deferred: the record keeps the format and the argument, and the first
+// read that hands out text renders it into the arena. Queries walk the
+// records; entries() hands out a snapshot of them as TraceEntry values.
 #pragma once
 
 #include <array>
@@ -66,6 +69,44 @@ class TraceText {
   std::string_view text_;
 };
 
+/// How a deferred message renders: fixed text plus one 32-bit argument.
+/// `render` writes the message for `arg` at `out`, at most `max_length`
+/// characters, and returns its end. A format is a constant with static
+/// storage, since a deferred record points to it until a read renders
+/// it; one whose messages could pass kMaxLength characters does not
+/// compile.
+struct TraceFormat {
+  using Render = char* (*)(char* out, std::uint32_t arg) noexcept;
+  static constexpr std::uint32_t kMaxLength = 256;
+
+  consteval TraceFormat(Render fn, std::uint32_t max) noexcept
+      : render(fn), max_length(max) {
+    if (max_length > kMaxLength) throw "TraceFormat: max_length too long";
+  }
+
+  Render render;
+  std::uint32_t max_length;
+};
+
+class Trace;
+
+/// A component name stored in one trace's table, for an emitter that
+/// records often: the record() that takes it skips the name lookup. It
+/// stays valid for the life of the trace that made it, since clear()
+/// keeps the table.
+class TraceComponent {
+ public:
+  TraceComponent() = default;  // names nothing; record() refuses it
+
+ private:
+  friend class Trace;
+  TraceComponent(const Trace* owner, std::uint16_t index) noexcept
+      : owner_(owner), index_(index) {}
+
+  const Trace* owner_ = nullptr;
+  std::uint16_t index_ = 0;
+};
+
 /// Append-only trace log with level filtering at record time.
 ///
 /// Contract for emitters (DESIGN.md §8): a component formats a message
@@ -101,6 +142,36 @@ class Trace {
   void record(SimTime at, TraceLevel level, std::string_view component,
               std::string_view message);
 
+  /// The handle of `name` in the component table, which stores it if
+  /// new. Throws std::length_error past kMaxComponents, as record() does.
+  [[nodiscard]] TraceComponent component(std::string_view name) {
+    return TraceComponent(this, component_index(name));
+  }
+
+  /// Records an entry whose message `format` renders from `arg`, if
+  /// `level >= min_level()`. Only the record is written now; the first of
+  /// entries(), for_each() and render() renders the text into the arena,
+  /// and from then on the entry reads as any other. A kept entry
+  /// allocates only when it opens a record block or the block list
+  /// grows. Throws std::invalid_argument for a `component` this trace did
+  /// not make; the trace is unchanged then.
+  void record(SimTime at, TraceLevel level, TraceComponent component,
+              const TraceFormat& format, std::uint32_t arg) {
+    if (!keeps(level)) return;
+    if (component.owner_ != this) refuse(component);
+    Record& r = next_record();
+    r.at = at;
+    r.format = &format;
+    r.arg = arg;
+    r.component = component.index_;
+    r.level = level;
+    r.deferred = true;
+    commit();
+  }
+  // A record keeps a pointer to its format: no temporaries.
+  void record(SimTime at, TraceLevel level, TraceComponent component,
+              const TraceFormat&& format, std::uint32_t arg) = delete;
+
   /// True when record() at `level` would store the entry.
   [[nodiscard]] bool keeps(TraceLevel level) const noexcept {
     return level >= min_level_;
@@ -108,6 +179,10 @@ class Trace {
 
   [[nodiscard]] TraceLevel min_level() const noexcept { return min_level_; }
   void set_min_level(TraceLevel level) noexcept { min_level_ = level; }
+
+  // The three reads that hand out text render every deferred entry
+  // first, so a const read may write the arena: reads of one trace are
+  // no more safe to run concurrently than record() is.
 
   /// A snapshot of every entry, oldest first. It copies each entry (not
   /// its text): take it once, not once per entry. Its views stay valid
@@ -117,10 +192,10 @@ class Trace {
   /// Drops every entry and the text they view; the component table stays.
   void clear() noexcept;
 
-  /// Number of entries at exactly `level`.
+  /// Number of entries at exactly `level`. Renders nothing.
   [[nodiscard]] std::size_t count(TraceLevel level) const noexcept;
 
-  /// Number of entries whose component matches exactly.
+  /// Number of entries whose component matches exactly. Renders nothing.
   [[nodiscard]] std::size_t count_component(std::string_view component) const noexcept;
 
   /// Invokes `fn` for each entry matching the predicate arguments; empty
@@ -133,15 +208,25 @@ class Trace {
 
  private:
   /// One kept entry as stored: 24 bytes where a TraceEntry takes 48.
-  /// Left uninitialised until record() writes it.
+  /// Left uninitialised until record() writes it. A deferred record holds
+  /// its format and argument until render_deferred() writes its text and
+  /// makes it a text record.
   struct Record {
     SimTime at;
-    const char* text;          // into the text arena
-    std::uint32_t length;      // of the text
+    union {
+      const char* text;           // a text record's, into the text arena
+      const TraceFormat* format;  // a deferred record's
+    };
+    union {
+      std::uint32_t length;  // of the text
+      std::uint32_t arg;     // the format's argument
+    };
     std::uint16_t component;   // into names_
     TraceLevel level;
+    bool deferred;             // holds format and arg, not text and length
   };
   static_assert(sizeof(Record) == 24);
+  static_assert(TraceFormat::kMaxLength <= kTextChunk);
 
   /// A component recently looked up, keyed by the address of the caller's
   /// text. An address may be reused for another name, so a hit counts
@@ -155,32 +240,58 @@ class Trace {
 
   /// Index of `component` in names_, added if new.
   [[nodiscard]] std::uint16_t component_index(std::string_view component);
+  /// Throws the std::invalid_argument for a foreign component.
+  [[noreturn]] static void refuse(TraceComponent component);
   /// Index of `component` in names_, or kMaxComponents if absent.
   [[nodiscard]] std::size_t find_component(
       std::string_view component) const noexcept;
+  /// The record the next kept entry fills, opening a block if the last
+  /// one is full. The entry is kept once commit() counts it, so a block
+  /// opened by a record that then failed serves the next.
+  [[nodiscard]] Record& next_record() {
+    if (next_ == block_end_) open_block();
+    return *next_;
+  }
+  void commit() noexcept {
+    ++next_;
+    ++size_;
+  }
+  void open_block();
   /// Copies `text` into the arena and returns the copy.
   [[nodiscard]] std::string_view store(std::string_view text);
+  /// Makes a fresh kTextChunk chunk the open one.
+  void open_chunk() const;
+  /// Renders every deferred record into the arena, oldest first.
+  void render_deferred() const;
+  /// A text record as an entry.
   [[nodiscard]] TraceEntry entry(const Record& record) const noexcept;
   /// Calls `fn` on each record, oldest first.
   template <typename Fn>
   void visit(Fn&& fn) const;
 
+  // What every record() reads and writes, kept together: the level
+  // filter, then the slot the next record fills and the entry count.
   TraceLevel min_level_;
+  Record* next_ = nullptr;       // in the last block
+  Record* block_end_ = nullptr;  // of the last block
+  std::size_t size_ = 0;
   // The component table: a deque never moves its names, so entries may
   // view them; name_index_ views them too.
   std::deque<std::string> names_;
   std::unordered_map<std::string_view, std::uint16_t> name_index_;
   std::array<MemoSlot, kMemoSlots> memo_{};
   // The records: block b holds entries [b * kBlockEntries, ...), and
-  // every block but the last is full.
+  // every block but the last is full. render_deferred() rewrites records
+  // in place, and every record before `rendered_` is a text record.
   std::vector<std::unique_ptr<Record[]>> blocks_;
-  std::size_t size_ = 0;
+  mutable std::size_t rendered_ = 0;
   // The text arena: chunks never move or shrink while the trace keeps
   // them, so entries may view them. Messages fill the open chunk at
-  // `cursor_`, which has `room_` characters left.
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  char* cursor_ = nullptr;
-  std::size_t room_ = 0;
+  // `cursor_`, which has `room_` characters left. Mutable because the
+  // reads render deferred records into it.
+  mutable std::vector<std::unique_ptr<char[]>> chunks_;
+  mutable char* cursor_ = nullptr;
+  mutable std::size_t room_ = 0;
 };
 
 }  // namespace psme::sim

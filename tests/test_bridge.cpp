@@ -3,9 +3,14 @@
 // Topology::kSegmented).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "attack/attacker.h"
 #include "car/vehicle.h"
 #include "hpe/bridge.h"
+#include "trace_reads.h"
 
 namespace psme {
 namespace {
@@ -68,6 +73,46 @@ TEST(Bridge, DirectionsAreIndependent) {
   EXPECT_EQ(rig.tap_a.ids.size(), 2u);
   EXPECT_EQ(rig.bridge->stats().dropped_a_to_b, 1u);
   EXPECT_EQ(rig.bridge->stats().forwarded_b_to_a, 1u);
+}
+
+// A drop's entry is recorded deferred. Through each read that renders
+// it, it reads as its pieces joined by sim::TraceText, in both
+// directions, for standard and extended ids.
+TEST(Bridge, DropEntriesReadAsTheirText) {
+  const std::array ids = {can::CanId::standard(0x000),
+                          can::CanId::standard(0x7FF),
+                          can::CanId::extended(0x18DAF110),
+                          can::CanId::extended(0x1FFFFFFF)};
+  for (const tracetest::Read read : tracetest::kReads) {
+    SCOPED_TRACE(tracetest::to_string(read));
+    sim::Trace trace(sim::TraceLevel::kSecurity);
+    hpe::BridgeConfig config;
+    config.default_lists.a_to_b.add(can::CanId::standard(0x100));
+    config.default_lists.b_to_a.add(can::CanId::standard(0x300));
+    BridgeRig rig(std::move(config), &trace);
+
+    std::vector<std::string> expected;
+    for (const can::CanId id : ids) {
+      for (const hpe::BridgeDirection direction :
+           {hpe::BridgeDirection::kAToB, hpe::BridgeDirection::kBToA}) {
+        can::Controller& sender = direction == hpe::BridgeDirection::kAToB
+                                      ? *rig.sender_a
+                                      : *rig.sender_b;
+        sender.transmit(can::Frame(id, {}));
+        rig.sched.run();
+        expected.push_back("bridge.gateway: " +
+                           std::string(sim::TraceText{
+                               to_string(direction), " dropped ", id.text()}));
+      }
+    }
+    EXPECT_EQ(expected[1], "bridge.gateway: b->a dropped 0x0");
+    EXPECT_EQ(expected.back(), "bridge.gateway: b->a dropped 0x1FFFFFFFx");
+
+    EXPECT_EQ(rig.bridge->stats().dropped_a_to_b, ids.size());
+    EXPECT_EQ(rig.bridge->stats().dropped_b_to_a, ids.size());
+    EXPECT_EQ(trace.count_component("bridge.gateway"), expected.size());
+    EXPECT_EQ(tracetest::read_lines(trace, read), expected);
+  }
 }
 
 TEST(Bridge, NoForwardingLoop) {

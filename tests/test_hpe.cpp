@@ -15,6 +15,7 @@
 #include "hpe/approved_list.h"
 #include "hpe/hpe.h"
 #include "sim/rng.h"
+#include "trace_reads.h"
 
 namespace psme::hpe {
 namespace {
@@ -408,34 +409,57 @@ TEST(Hpe, CycleAccountingGrowsPerDecision) {
   EXPECT_GT(rig.engine->cycles_spent(), before);
 }
 
+// A block's entry is recorded deferred. Through each read that renders
+// it, it reads as its pieces joined by sim::TraceText: here for blocks
+// off the bus, then for read and write blocks at both ends of each id
+// range.
 TEST(Hpe, BlockEntriesNameTheEngineAndTheId) {
-  sim::Scheduler sched;
-  sim::Trace trace(sim::TraceLevel::kSecurity);
-  can::Bus bus(sched, can::kBitRate500k, &trace);
-  can::Port& protected_port = bus.attach("victim");
-  can::Port& peer_port = bus.attach("peer");
-  HpeConfig config;
-  config.default_lists.read.add(CanId::standard(0x100));
-  HardwarePolicyEngine engine(protected_port, config, "victim", &trace);
-  can::Controller ctrl(sched, engine, "victim");
-  can::Controller peer(sched, peer_port, "peer");
+  const std::array edge_ids = {CanId::standard(0x000), CanId::standard(0x7FF),
+                               CanId::extended(0x0),
+                               CanId::extended(0x18DAF110),
+                               CanId::extended(0x1FFFFFFF)};
+  for (const tracetest::Read read : tracetest::kReads) {
+    SCOPED_TRACE(tracetest::to_string(read));
+    sim::Scheduler sched;
+    sim::Trace trace(sim::TraceLevel::kSecurity);
+    can::Bus bus(sched, can::kBitRate500k, &trace);
+    can::Port& protected_port = bus.attach("victim");
+    can::Port& peer_port = bus.attach("peer");
+    HpeConfig config;
+    config.default_lists.read.add(CanId::standard(0x100));
+    HardwarePolicyEngine engine(protected_port, config, "victim", &trace);
+    can::Controller ctrl(sched, engine, "victim");
+    can::Controller peer(sched, peer_port, "peer");
 
-  const std::array<std::uint8_t, 1> payload{0x02};
-  peer.transmit(make_frame(0x100, {0x01}));  // approved: no entry
-  peer.transmit(make_frame(0x1A0, {0x02}));
-  peer.transmit(can::Frame(CanId::extended(0x18DAF110), payload));
-  ctrl.transmit(make_frame(0x300, {0x03}));  // not on the write list
-  sched.run();
+    const std::array<std::uint8_t, 1> payload{0x02};
+    peer.transmit(make_frame(0x100, {0x01}));  // approved: no entry
+    peer.transmit(make_frame(0x1A0, {0x02}));
+    peer.transmit(can::Frame(CanId::extended(0x18DAF110), payload));
+    ctrl.transmit(make_frame(0x300, {0x03}));  // not on the write list
+    sched.run();
+    std::vector<std::string> expected = {
+        "hpe.victim: write blocked id=0x300",
+        "hpe.victim: read blocked id=0x1A0",
+        "hpe.victim: read blocked id=0x18DAF110x"};
 
-  std::vector<std::string> messages;
-  trace.for_each("hpe.victim", [&](const sim::TraceEntry& e) {
-    EXPECT_EQ(e.level, sim::TraceLevel::kSecurity);
-    messages.emplace_back(e.message);
-  });
-  EXPECT_EQ(messages, (std::vector<std::string>{
-                          "write blocked id=0x300", "read blocked id=0x1A0",
-                          "read blocked id=0x18DAF110x"}));
-  EXPECT_EQ(trace.size(), messages.size());
+    // Straight at the engine: a frame off the bus and one from the node.
+    for (const CanId id : edge_ids) {
+      engine.on_frame(can::Frame(id, payload), sched.now());
+      EXPECT_FALSE(engine.submit(can::Frame(id, payload)));
+      for (const Direction direction : {Direction::kRead, Direction::kWrite}) {
+        expected.push_back(
+            "hpe.victim: " +
+            std::string(sim::TraceText{to_string(direction),
+                                       " blocked id=", id.text()}));
+      }
+    }
+    EXPECT_EQ(expected[3], "hpe.victim: read blocked id=0x0");
+    EXPECT_EQ(expected.back(), "hpe.victim: write blocked id=0x1FFFFFFFx");
+
+    EXPECT_EQ(trace.count(sim::TraceLevel::kSecurity), expected.size());
+    EXPECT_EQ(tracetest::read_lines(trace, read), expected);
+    EXPECT_EQ(trace.size(), expected.size());
+  }
 }
 
 TEST(Hpe, TransmitCompleteForwardedThroughShim) {

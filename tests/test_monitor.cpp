@@ -2,8 +2,11 @@
 // deny-streak monitor (psme::monitor).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "attack/attacker.h"
 #include "car/base_policy.h"
@@ -11,6 +14,7 @@
 #include "car/table1.h"
 #include "car/vehicle.h"
 #include "monitor/anomaly.h"
+#include "trace_reads.h"
 
 namespace psme::monitor {
 namespace {
@@ -110,6 +114,56 @@ TEST(Monitor, RateAnomalyOnKnownId) {
   ASSERT_FALSE(monitor.alerts().empty());
   EXPECT_EQ(monitor.alerts()[0].kind, AlertKind::kRateExceeded);
   EXPECT_GT(monitor.alerts()[0].observed, monitor.alerts()[0].ceiling);
+}
+
+// Both alerts' entries are recorded deferred. Through each read that
+// renders them, they read as their pieces joined by sim::TraceText, for
+// standard and extended ids.
+TEST(Monitor, AlertEntriesReadAsTheirText) {
+  const std::array known = {can::CanId::standard(0x7FF),
+                            can::CanId::extended(0x1FFFFFFF)};
+  const std::array unknown = {can::CanId::standard(0x000),
+                              can::CanId::extended(0x18DAF110)};
+  for (const tracetest::Read read : tracetest::kReads) {
+    SCOPED_TRACE(tracetest::to_string(read));
+    sim::Scheduler sched;
+    sim::Trace trace(sim::TraceLevel::kSecurity);
+    RateMonitorOptions options;
+    options.threshold_factor = 2.0;
+    options.min_ceiling = 1;
+    FrameRateMonitor monitor(sched, options, &trace);
+    monitor.start_training();
+    for (int window = 0; window < 5; ++window) {
+      for (const can::CanId id : known) {
+        monitor.on_frame(can::Frame(id, {}), sim::SimTime{window * 100ms});
+      }
+    }
+    monitor.start_detection();
+
+    std::vector<std::string> expected;
+    for (const can::CanId id : unknown) {
+      monitor.on_frame(can::Frame(id, {}), sim::SimTime{1000ms});
+      expected.push_back("monitor.ids: " +
+                         std::string(sim::TraceText{"unknown id ", id.text()}));
+    }
+    // Three frames in one window pass a learned ceiling of one, doubled.
+    for (int i = 0; i < 3; ++i) {
+      for (const can::CanId id : known) {
+        monitor.on_frame(can::Frame(id, {}), sim::SimTime{2000ms + 1ms * i});
+      }
+    }
+    for (const can::CanId id : known) {
+      expected.push_back(
+          "monitor.ids: " +
+          std::string(sim::TraceText{"rate anomaly on ", id.text()}));
+    }
+    EXPECT_EQ(expected.front(), "monitor.ids: unknown id 0x0");
+    EXPECT_EQ(expected.back(), "monitor.ids: rate anomaly on 0x1FFFFFFFx");
+
+    ASSERT_EQ(monitor.alerts().size(), expected.size());
+    EXPECT_EQ(trace.count_component("monitor.ids"), expected.size());
+    EXPECT_EQ(tracetest::read_lines(trace, read), expected);
+  }
 }
 
 TEST(Monitor, MinCeilingSuppressesJitterOnRareIds) {

@@ -1,7 +1,9 @@
 // Unit tests for the simulation trace log (psme::sim::Trace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -18,6 +20,22 @@ namespace psme::sim {
 namespace {
 
 using namespace std::chrono_literals;
+
+// A deferred format, "deferred <arg>", that counts its renders.
+std::size_t g_renders = 0;
+
+char* render_counted(char* out, std::uint32_t arg) noexcept {
+  ++g_renders;
+  constexpr std::string_view kPrefix = "deferred ";
+  out = std::copy(kPrefix.begin(), kPrefix.end(), out);
+  return std::to_chars(out, out + 10, arg).ptr;  // a u32 has <= 10 digits
+}
+
+constexpr TraceFormat kCounted{&render_counted, 9 + 10};
+
+std::string counted_text(std::uint32_t arg) {
+  return "deferred " + std::to_string(arg);
+}
 
 TEST(Trace, FiltersBelowMinLevel) {
   Trace trace(TraceLevel::kSecurity);
@@ -81,21 +99,40 @@ TEST(Trace, EntryMessageOutlivesTheCallersString) {
 TEST(Trace, MessagesSurviveChunkGrowthAndClear) {
   Trace trace(TraceLevel::kDebug);
   std::vector<std::string> expected;
+  std::size_t deferred = 0;
   const auto record = [&](std::string_view message) {
     trace.record(SimTime{}, TraceLevel::kInfo, "x", message);
     expected.emplace_back(message);
   };
-  // Three chunks of short messages, with one message longer than a chunk
-  // in the middle: it gets a chunk of its own, and the open chunk keeps
-  // filling after it. That one is joined by a TraceText too long for its
-  // stack buffer; the one after it fits the buffer.
+  const TraceComponent x = trace.component("x");
+  const auto record_deferred = [&](std::uint32_t arg) {
+    trace.record(SimTime{}, TraceLevel::kInfo, x, kCounted, arg);
+    expected.push_back(counted_text(arg));
+    ++deferred;
+  };
+  const auto expect_entries = [&](const std::vector<TraceEntry>& entries,
+                                  std::size_t n) {
+    ASSERT_GE(entries.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(entries[i].message, expected[i]) << "entry " << i;
+    }
+  };
+  // Three chunks of short messages, every third one deferred, with one
+  // message longer than a chunk in the middle: it gets a chunk of its
+  // own, and the open chunk keeps filling after it. That one is joined by
+  // a TraceText too long for its stack buffer; the one after it fits the
+  // buffer. The first read renders the deferred ones into the arena
+  // after the text already there.
   const std::string half(Trace::kTextChunk / 2 + 1, 'L');
+  g_renders = 0;
   std::size_t text = 0;
-  for (int i = 0; text < 4 * Trace::kTextChunk; ++i) {
+  for (std::uint32_t i = 0; text < 4 * Trace::kTextChunk; ++i) {
     if (i == 500) {
       record(TraceText{half, half});
     } else if (i == 501) {
       record(TraceText{"joined ", "on the ", "stack"});
+    } else if (i % 3 == 0) {
+      record_deferred(i);
     } else {
       record("message " + std::to_string(i));
     }
@@ -105,20 +142,67 @@ TEST(Trace, MessagesSurviveChunkGrowthAndClear) {
   EXPECT_EQ(expected[501], "joined on the stack");
   record("");
   ASSERT_EQ(trace.size(), expected.size());
+  EXPECT_EQ(trace.count_component("x"), expected.size());
+  EXPECT_EQ(g_renders, 0u);  // nothing read the text yet
   const std::vector<TraceEntry> entries = trace.entries();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(entries[i].message, expected[i]) << "entry " << i;
-  }
+  EXPECT_EQ(g_renders, deferred);
+  expect_entries(entries, expected.size());
 
+  // Views taken earlier hold while later records, deferred ones among
+  // them, fill a fresh block and more chunks, and later reads render
+  // those once each.
+  const std::size_t first = expected.size();
+  for (std::uint32_t i = 0; i < Trace::kBlockEntries + 7; ++i) {
+    if (i % 2 == 0) {
+      record_deferred(1'000'000 + i);
+    } else {
+      record("later " + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(g_renders, deferred - (Trace::kBlockEntries + 8) / 2);
+  std::vector<std::string> rendered;
+  trace.for_each("x", [&](const TraceEntry& e) {
+    rendered.emplace_back(e.message);
+  });
+  EXPECT_EQ(g_renders, deferred);
+  EXPECT_EQ(rendered, expected);
+  const std::string lines = trace.render();
+  EXPECT_EQ(g_renders, deferred);
+  EXPECT_NE(lines.find("x: " + counted_text(1'000'000) + "\n"),
+            std::string::npos);
+  expect_entries(entries, first);
+  expect_entries(trace.entries(), expected.size());
+
+  // A handle outlives clear(), which keeps the component table.
+  const TraceComponent y = trace.component("y");
   trace.clear();
   EXPECT_EQ(trace.size(), 0u);
   trace.record(SimTime{}, TraceLevel::kInfo, "x", "after clear");
-  trace.record(SimTime{}, TraceLevel::kInfo, "y", "and again");
+  trace.record(SimTime{}, TraceLevel::kInfo, y, kCounted, 42);
   ASSERT_EQ(trace.size(), 2u);
   const std::vector<TraceEntry> refilled = trace.entries();
   EXPECT_EQ(refilled[0].message, "after clear");
-  EXPECT_EQ(refilled[1].message, "and again");
+  EXPECT_EQ(refilled[1].message, "deferred 42");
   EXPECT_EQ(refilled[1].component, "y");
+}
+
+TEST(Trace, DeferredRecordRefusesAForeignComponent) {
+  Trace trace(TraceLevel::kSecurity);
+  Trace other(TraceLevel::kSecurity);
+  const TraceComponent foreign = other.component("x");
+  EXPECT_THROW(
+      trace.record(SimTime{}, TraceLevel::kSecurity, foreign, kCounted, 1),
+      std::invalid_argument);
+  EXPECT_THROW(trace.record(SimTime{}, TraceLevel::kSecurity, TraceComponent{},
+                            kCounted, 1),
+               std::invalid_argument);
+  EXPECT_EQ(trace.size(), 0u);
+  // A filtered level is dropped before the component is looked at.
+  trace.record(SimTime{}, TraceLevel::kInfo, foreign, kCounted, 1);
+  trace.record(SimTime{}, TraceLevel::kSecurity, trace.component("x"),
+               kCounted, 2);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace.entries().front().message, "deferred 2");
 }
 
 TEST(Trace, KeepsMatchesRecordFiltering) {
@@ -178,26 +262,52 @@ TEST(Trace, QueriesAgreeWithTheSnapshot) {
   Trace trace(TraceLevel::kDebug);
   Rng rng(7);
   const std::vector<std::string> components = {"can.bus", "hpe.ecu", "", "x"};
+  // Text and deferred records mixed at random across three blocks.
+  g_renders = 0;
+  std::size_t deferred = 0;
   for (std::size_t i = 0; i < 2 * Trace::kBlockEntries + 123; ++i) {
-    trace.record(SimTime{static_cast<std::int64_t>(i)},
-                 static_cast<TraceLevel>(rng.uniform(0, 3)),
-                 components[rng.uniform(0, components.size() - 1)],
-                 std::to_string(rng.uniform(0, 1'000'000)));
+    const SimTime at{static_cast<std::int64_t>(i)};
+    const auto level = static_cast<TraceLevel>(rng.uniform(0, 3));
+    const std::string& component =
+        components[rng.uniform(0, components.size() - 1)];
+    const auto value = static_cast<std::uint32_t>(rng.uniform(0, 1'000'000));
+    if (rng.uniform(0, 1) == 0) {
+      trace.record(at, level, trace.component(component), kCounted, value);
+      ++deferred;
+    } else {
+      trace.record(at, level, component, std::to_string(value));
+    }
   }
+  // The counts walk the records and render nothing.
+  std::array<std::size_t, 4> counts{};
+  for (int level = 0; level < 4; ++level) {
+    counts[level] = trace.count(static_cast<TraceLevel>(level));
+  }
+  const std::array<std::string_view, 5> names = {"can.bus", "hpe.ecu", "",
+                                                 "x", "absent"};
+  std::array<std::size_t, 5> by_component{};
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    by_component[c] = trace.count_component(names[c]);
+  }
+  EXPECT_EQ(g_renders, 0u);
+
   const std::vector<TraceEntry> entries = trace.entries();
+  EXPECT_EQ(g_renders, deferred);
   for (int level = 0; level < 4; ++level) {
     std::size_t n = 0;
     for (const TraceEntry& e : entries) {
       n += e.level == static_cast<TraceLevel>(level) ? 1 : 0;
     }
+    EXPECT_EQ(counts[level], n) << level;
     EXPECT_EQ(trace.count(static_cast<TraceLevel>(level)), n) << level;
   }
-  for (const std::string_view component :
-       {"can.bus", "hpe.ecu", "", "x", "absent"}) {
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    const std::string_view component = names[c];
     std::vector<std::string> expected;
     for (const TraceEntry& e : entries) {
       if (e.component == component) expected.emplace_back(e.message);
     }
+    EXPECT_EQ(by_component[c], expected.size()) << component;
     EXPECT_EQ(trace.count_component(component), expected.size()) << component;
     if (component.empty()) continue;  // for_each("") visits every entry
     std::vector<std::string> seen;
@@ -215,6 +325,7 @@ TEST(Trace, QueriesAgreeWithTheSnapshot) {
     ++all;
   });
   EXPECT_EQ(all, entries.size());
+  EXPECT_EQ(g_renders, deferred);  // each rendered once, at the first read
 }
 
 TEST(Trace, ComponentLookupChecksTheTextNotJustItsAddress) {
